@@ -104,26 +104,15 @@ def _coerce(text: str):
 # shared helpers
 
 
-def _load_corpus(args):
-    man = mf.load_manifest(args.manifest)
+def _load_images(args, man):
     root = args.images if args.images else str(Path(args.manifest).parent)
-    images = synth.load_images(man, root)
-    return man, images
+    return synth.load_images(man, root)
 
 
 def _net_and_pyramid(args):
     params = ft.init_convnet(args.channels, seed=args.net_seed)
     pyramid = ft.PyramidConfig(args.levels)
     return params, pyramid
-
-
-def _image_features(man, images, params, pyramid):
-    feats = {}
-    for rid in man.ids():
-        img = images[rid]
-        rf = ft.extract_region_features(img, [ft.full_image_region(img)], params, pyramid)
-        feats[rid] = rf.matrix[0]
-    return feats
 
 
 def _add_net_flags(p):
@@ -169,10 +158,14 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train_detect(args) -> int:
-    man, images = _load_corpus(args)
+    man = mf.load_manifest(args.manifest)
+    images = _load_images(args, man)
     params, pyramid = _net_and_pyramid(args)
-    feats = _image_features(man, images, params, pyramid)
-    x = np.stack([feats[r.id] for r in man])
+    rows = []
+    for r in man:
+        img = images[r.id]
+        rows.append(ft.extract_region_features(img, [ft.full_image_region(img)], params, pyramid).matrix[0])
+    x = np.stack(rows)
     y = np.array([1.0 if r.has_animal else -1.0 for r in man])
     model = svm.train_linear_svm(x, y, svm.SvmTrainConfig(args.epochs, args.lam, args.seed))
     svm.save_model(model, args.out)
@@ -181,16 +174,14 @@ def _cmd_train_detect(args) -> int:
     return EXIT_OK
 
 
-def _train_head_command(args, label_of, class_names, region_level: bool) -> int:
-    man, images = _load_corpus(args)
+def _train_head_command(args, man, label_of, class_names) -> int:
+    """Train a two-stream head on the region features of every record in `man`."""
+    images = _load_images(args, man)
     params, pyramid = _net_and_pyramid(args)
     ds = []
     for r in man:
         img = images[r.id]
-        if region_level:
-            regions = ft.propose_regions(img.shape[1], img.shape[0], args.scales, args.stride)
-        else:
-            regions = [ft.full_image_region(img)]
+        regions = ft.propose_regions(img.shape[1], img.shape[0], args.scales, args.stride)
         rf = ft.extract_region_features(img, regions, params, pyramid)
         ds.append((rf, wsddn.one_hot(label_of(r), class_names)))
     cfg = wsddn.HeadTrainConfig(args.epochs, args.lr, args.seed, args.l2)
@@ -205,39 +196,18 @@ def _cmd_train_species(args) -> int:
     classes = sorted({r.species for r in man})
     if len(classes) < 2:
         raise ValueError("need images of at least 2 species")
-    return _train_head_command(args, lambda r: r.species, classes, region_level=True)
+    return _train_head_command(args, man, lambda r: r.species, classes)
 
 
 def _cmd_train_individual(args) -> int:
     man = mf.load_manifest(args.manifest)
     if args.species:
         man = mf.filter_manifest(man, species=args.species.split(","))
-        mf.save_manifest(man, Path(args.out).with_suffix(".manifest.csv"))
-    labeled = [r for r in man if r.individual]
+    labeled = mf.Manifest(tuple(r for r in man if r.individual), man.provenance)
     if not labeled:
         raise ValueError("manifest has no individual labels")
     classes = sorted({r.individual for r in labeled})
-    args.manifest_obj = man
-
-    # rebuild the corpus restricted to labeled records
-    def label_of(r):
-        return r.individual
-
-    sub = mf.Manifest(tuple(labeled), man.provenance)
-    root = args.images if args.images else str(Path(args.manifest).parent)
-    images = synth.load_images(sub, root)
-    params, pyramid = _net_and_pyramid(args)
-    ds = []
-    for r in sub:
-        img = images[r.id]
-        regions = ft.propose_regions(img.shape[1], img.shape[0], args.scales, args.stride)
-        rf = ft.extract_region_features(img, regions, params, pyramid)
-        ds.append((rf, wsddn.one_hot(label_of(r), classes)))
-    cfg = wsddn.HeadTrainConfig(args.epochs, args.lr, args.seed, args.l2)
-    head = wsddn.train_head(ds, classes, cfg)
-    wsddn.save_head(head, args.out)
-    print(f"saved {args.out}; classes {' '.join(classes)}; final loss {float(head.loss_by_epoch[-1])!r}")
-    return EXIT_OK
+    return _train_head_command(args, labeled, lambda r: r.individual, classes)
 
 
 def _cmd_segment(args) -> int:

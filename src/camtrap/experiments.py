@@ -96,7 +96,7 @@ class Report:
 
 
 class PipelineContext:
-    """Corpus images plus shared, lazily built feature tables."""
+    """Corpus images plus a shared, lazily built region-feature cache."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -112,29 +112,22 @@ class PipelineContext:
         self.by_id = self.manifest.by_id()
         self.params = ft.init_convnet(cfg.channels, seed=cfg.feature_seed)
         self.pyramid = ft.PyramidConfig(cfg.pyramid_levels)
-        self._image_feats: Dict[str, np.ndarray] = {}
         self._region_feats: Dict[str, ft.RegionFeatures] = {}
 
     def image_feature(self, rid: str) -> np.ndarray:
-        if rid not in self._image_feats:
-            img = self.images[rid]
-            rf = ft.extract_region_features(
-                img, [ft.full_image_region(img)], self.params, self.pyramid
-            )
-            self._image_feats[rid] = rf.matrix[0]
-        return self._image_feats[rid]
+        # the full image is the last proposed region, so one conv pass serves both
+        return self.region_features(rid).matrix[-1]
 
-    def region_features(self, rid: str, image: Optional[np.ndarray] = None) -> ft.RegionFeatures:
-        key = rid
-        if key not in self._region_feats:
-            img = self.images[rid] if image is None else image
+    def region_features(self, rid: str) -> ft.RegionFeatures:
+        if rid not in self._region_feats:
+            img = self.images[rid]
             regions = ft.propose_regions(
                 img.shape[1], img.shape[0], self.cfg.region_scales, self.cfg.region_stride
             )
-            self._region_feats[key] = ft.extract_region_features(
+            self._region_feats[rid] = ft.extract_region_features(
                 img, regions, self.params, self.pyramid
             )
-        return self._region_feats[key]
+        return self._region_feats[rid]
 
 
 def _presence_label(rec) -> float:
@@ -207,91 +200,69 @@ def _run_trials(cfg: ExperimentConfig, trial_fn, trial_args: List[tuple]) -> Lis
 # detector protocols
 
 
-def run_volume_sweep(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = None) -> Report:
-    """Detector metrics as the corpus volume grows (subsample, 70:30, train)."""
-    ctx = ctx or PipelineContext(cfg)
-    for rid in ctx.manifest.ids():
-        ctx.image_feature(rid)
-
-    def trial(fraction, trial_idx):
-        seed = cfg.base_seed + trial_idx
-        sub = mf.subsample_fraction(ctx.manifest, fraction, seed, "presence")
-        split = mf.stratified_split(sub, cfg.split_fraction, seed, "presence")
-        m = _detector_metrics(ctx, split.train, split.validation, seed)
-        row = {"fraction": fraction, "trial": trial_idx, "seed": seed, "n_images": len(sub)}
-        row.update({k: v for k, v in m["test"].items()})
-        return row
-
-    args = [(f, t) for f in cfg.fractions for t in range(cfg.n_seeds)]
-    rows = _run_trials(cfg, trial, args)
-    metrics_keys = ["sensitivity", "specificity", "precision", "accuracy"]
-    return Report(
-        protocol="volume",
-        config=cfg.resolved(),
-        version=__version__,
-        rows=rows,
-        aggregates=_aggregate(rows, ["fraction"], metrics_keys),
-    )
+def _volume_split(ctx, cfg, fraction, seed):
+    """Subsample the corpus, then split it."""
+    sub = mf.subsample_fraction(ctx.manifest, fraction, seed, "presence")
+    split = mf.stratified_split(sub, cfg.split_fraction, seed, "presence")
+    return split.train, split.validation, {"n_images": len(sub)}
 
 
-def run_proportion_sweep(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = None) -> Report:
+def _proportion_split(ctx, cfg, proportion, seed):
     """Fixed validation set; training subset varied."""
+    split = mf.stratified_split(ctx.manifest, cfg.split_fraction, seed, "presence")
+    pool = mf.select_records(ctx.manifest, split.train)
+    sub = mf.subsample_fraction(pool, proportion, seed, "presence")
+    return sub.ids(), split.validation, {"n_train": len(sub)}
+
+
+def _ratio_split(ctx, cfg, ratio, seed):
+    split = mf.stratified_split(ctx.manifest, ratio, seed, "presence")
+    return split.train, split.validation, {}
+
+
+# protocol -> (row key, config field of swept values, split function returning
+# train ids, validation ids and extra row columns)
+_SWEEPS = {
+    "volume": ("fraction", "fractions", _volume_split),
+    "proportion": ("proportion", "train_proportions", _proportion_split),
+    "split": ("train_ratio", "split_ratios", _ratio_split),
+}
+
+
+def run_detector_sweep(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = None) -> Report:
+    """Detector test metrics across one swept value, chosen by the protocol:
+    corpus volume (subsample, then split), training proportion against a
+    fixed validation set, or train:validation ratio (best ratio marked)."""
+    key, values_field, split_fn = _SWEEPS[cfg.protocol]
     ctx = ctx or PipelineContext(cfg)
     for rid in ctx.manifest.ids():
         ctx.image_feature(rid)
 
-    def trial(proportion, trial_idx):
+    def trial(value, trial_idx):
         seed = cfg.base_seed + trial_idx
-        split = mf.stratified_split(ctx.manifest, cfg.split_fraction, seed, "presence")
-        pool = mf.select_records(ctx.manifest, split.train)
-        sub = mf.subsample_fraction(pool, proportion, seed, "presence")
-        m = _detector_metrics(ctx, sub.ids(), split.validation, seed)
-        row = {"proportion": proportion, "trial": trial_idx, "seed": seed, "n_train": len(sub)}
-        row.update(m["test"])
-        return row
+        train_ids, val_ids, extra = split_fn(ctx, cfg, value, seed)
+        m = _detector_metrics(ctx, train_ids, val_ids, seed)
+        return {key: value, "trial": trial_idx, "seed": seed, **extra, **m["test"]}
 
-    args = [(p, t) for p in cfg.train_proportions for t in range(cfg.n_seeds)]
+    args = [(v, t) for v in getattr(cfg, values_field) for t in range(cfg.n_seeds)]
     rows = _run_trials(cfg, trial, args)
     metrics_keys = ["sensitivity", "specificity", "precision", "accuracy"]
-    return Report(
-        protocol="proportion",
-        config=cfg.resolved(),
-        version=__version__,
-        rows=rows,
-        aggregates=_aggregate(rows, ["proportion"], metrics_keys),
-    )
-
-
-def run_split_sweep(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = None) -> Report:
-    """Detector metrics across train:validation ratios; best ratio marked."""
-    ctx = ctx or PipelineContext(cfg)
-    for rid in ctx.manifest.ids():
-        ctx.image_feature(rid)
-
-    def trial(ratio, trial_idx):
-        seed = cfg.base_seed + trial_idx
-        split = mf.stratified_split(ctx.manifest, ratio, seed, "presence")
-        m = _detector_metrics(ctx, split.train, split.validation, seed)
-        row = {"train_ratio": ratio, "trial": trial_idx, "seed": seed}
-        row.update(m["test"])
-        return row
-
-    args = [(r, t) for r in cfg.split_ratios for t in range(cfg.n_seeds)]
-    rows = _run_trials(cfg, trial, args)
-    metrics_keys = ["sensitivity", "specificity", "precision", "accuracy"]
-    aggregates = _aggregate(rows, ["train_ratio"], metrics_keys)
-    best = max(aggregates, key=lambda a: (a["accuracy_mean"], -a["train_ratio"]))
-    for a in aggregates:
-        a["best"] = int(a["train_ratio"] == best["train_ratio"])
     report = Report(
-        protocol="split",
+        protocol=cfg.protocol,
         config=cfg.resolved(),
         version=__version__,
         rows=rows,
-        aggregates=aggregates,
+        aggregates=_aggregate(rows, [key], metrics_keys),
     )
-    report.notes.append(f"best_train_ratio {best['train_ratio']!r}")
+    if cfg.protocol == "split":
+        best = max(report.aggregates, key=lambda a: (a["accuracy_mean"], -a["train_ratio"]))
+        for a in report.aggregates:
+            a["best"] = int(a["train_ratio"] == best["train_ratio"])
+        report.notes.append(f"best_train_ratio {best['train_ratio']!r}")
     return report
+
+
+run_volume_sweep = run_proportion_sweep = run_split_sweep = run_detector_sweep
 
 
 def run_illumination_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = None) -> Report:
@@ -340,6 +311,12 @@ def run_illumination_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
 # species identification
 
 
+def _image_level(ctx, rid) -> ft.RegionFeatures:
+    """The full-image row of an image's region features, as a one-region set."""
+    rf = ctx.region_features(rid)
+    return ft.RegionFeatures(regions=rf.regions[-1:], matrix=rf.matrix[-1:])
+
+
 def _train_species_heads(ctx, cfg, train_ids, seed):
     by_id = ctx.by_id
     species = sorted({by_id[i].species for i in train_ids} - {"unclassified"})
@@ -349,28 +326,10 @@ def _train_species_heads(ctx, cfg, train_ids, seed):
     )
     # (a) gate head: species only, image-level features, positives only
     pos_ids = [i for i in train_ids if by_id[i].has_animal]
-    gate_ds = [
-        (
-            ft.RegionFeatures(
-                regions=(ft.full_image_region(ctx.images[i]),),
-                matrix=ctx.image_feature(i)[None, :],
-            ),
-            wsddn.one_hot(by_id[i].species, species),
-        )
-        for i in pos_ids
-    ]
+    gate_ds = [(_image_level(ctx, i), wsddn.one_hot(by_id[i].species, species)) for i in pos_ids]
     gate_head = wsddn.train_head(gate_ds, species, head_cfg)
     # (b) direct head: all classes, image-level features
-    direct_ds = [
-        (
-            ft.RegionFeatures(
-                regions=(ft.full_image_region(ctx.images[i]),),
-                matrix=ctx.image_feature(i)[None, :],
-            ),
-            wsddn.one_hot(by_id[i].species, all_classes),
-        )
-        for i in train_ids
-    ]
+    direct_ds = [(_image_level(ctx, i), wsddn.one_hot(by_id[i].species, all_classes)) for i in train_ids]
     direct_head = wsddn.train_head(direct_ds, all_classes, head_cfg)
     # (c/d) WSDDN head: all classes, region features
     region_ds = [
@@ -414,21 +373,15 @@ def run_species_comparison(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
         k5 = min(5, len(all_classes))
         for i in split.validation:
             true = by_id[i].species
-            fvec = ctx.image_feature(i)
+            rf1 = _image_level(ctx, i)
             # (a) detector gate
-            if svm.predict_margin(detector, fvec) < 0.0:
+            if svm.predict_margin(detector, ctx.image_feature(i)) < 0.0:
                 gated = "unclassified"
             else:
-                rf1 = ft.RegionFeatures(
-                    regions=(ft.full_image_region(ctx.images[i]),), matrix=fvec[None, :]
-                )
                 s = wsddn.score_regions(rf1, gate_head)
                 gated = wsddn.predict_topk(wsddn.aggregate_sum(s, species), 1)[0]
             gated_pairs.append((gated, true))
             # (b) direct
-            rf1 = ft.RegionFeatures(
-                regions=(ft.full_image_region(ctx.images[i]),), matrix=fvec[None, :]
-            )
             s = wsddn.score_regions(rf1, direct_head)
             direct_pairs.append((wsddn.predict_topk(wsddn.aggregate_sum(s, all_classes), 1)[0], true))
             # (c, d) WSDDN top-k
@@ -664,9 +617,9 @@ def run_joint_individuals(cfg: ExperimentConfig, ctx: Optional[PipelineContext] 
 
 
 RUNNERS = {
-    "volume": run_volume_sweep,
-    "proportion": run_proportion_sweep,
-    "split": run_split_sweep,
+    "volume": run_detector_sweep,
+    "proportion": run_detector_sweep,
+    "split": run_detector_sweep,
     "illumination": run_illumination_study,
     "species": run_species_comparison,
     "individual": run_individual_study,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -109,13 +109,11 @@ def _conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _maxpool2(x: np.ndarray):
+def _pool_windows(x: np.ndarray) -> np.ndarray:
+    """The 2x2 windows of x as (H/2, W/2, 4, C); an odd last row or column is dropped."""
     h2, w2 = x.shape[0] // 2, x.shape[1] // 2
     win = x[: 2 * h2, : 2 * w2].reshape(h2, 2, w2, 2, -1).transpose(0, 2, 1, 3, 4)
-    flat = win.reshape(h2, w2, 4, -1)
-    idx = flat.argmax(axis=2)
-    pooled = np.take_along_axis(flat, idx[:, :, None, :], axis=2)[:, :, 0, :]
-    return pooled, idx
+    return win.reshape(h2, w2, 4, -1)
 
 
 def forward(image: np.ndarray, params: ConvNetParams, return_cache: bool = False):
@@ -132,10 +130,8 @@ def forward(image: np.ndarray, params: ConvNetParams, return_cache: bool = False
     cache = {"image": x, "layers": []}
     for w, b in zip(params.weights, params.biases):
         pre = _conv3x3(x, w, b)
-        act = np.maximum(pre, 0.0)
-        pooled, idx = _maxpool2(act)
-        cache["layers"].append({"input": x, "pre": pre, "act_shape": act.shape, "idx": idx})
-        x = pooled
+        cache["layers"].append({"input": x, "pre": pre})
+        x = _pool_windows(np.maximum(pre, 0.0)).max(axis=2)
     if return_cache:
         return x, cache
     return x
@@ -149,12 +145,13 @@ def backward(grad_out: np.ndarray, cache: dict, params: ConvNetParams):
     grad_b = [None] * params.n_layers
     for li in range(params.n_layers - 1, -1, -1):
         layer = cache["layers"][li]
-        ah, aw, c = layer["act_shape"]
+        ah, aw, c = layer["pre"].shape
         h2, w2 = g.shape[:2]
         # unpool: route gradient to the argmax cell of each 2x2 window
+        idx = _pool_windows(np.maximum(layer["pre"], 0.0)).argmax(axis=2)
         g_act = np.zeros((ah, aw, c))
         win = np.zeros((h2, w2, 4, c))
-        np.put_along_axis(win, layer["idx"][:, :, None, :], g[:, :, None, :], axis=2)
+        np.put_along_axis(win, idx[:, :, None, :], g[:, :, None, :], axis=2)
         win = win.reshape(h2, w2, 2, 2, c).transpose(0, 2, 1, 3, 4)
         g_act[: 2 * h2, : 2 * w2] = win.reshape(2 * h2, 2 * w2, c)
         g_pre = g_act * (layer["pre"] > 0)
@@ -184,7 +181,7 @@ def propose_regions(
     if width <= 0 or height <= 0:
         raise ValueError("image dimensions must be positive")
     short = min(width, height)
-    seen = []
+    seen = {}  # insertion-ordered set
     for s in scales:
         win = max(1, int(round(s * short)))
         stride = max(1, int(round(stride_fraction * win)))
@@ -192,15 +189,10 @@ def propose_regions(
         ys = list(range(0, max(height - win, 0) + 1, stride))
         for y0 in ys:
             for x0 in xs:
-                x1 = min(x0 + win, width)
-                y1 = min(y0 + win, height)
-                t = (x0, y0, x1, y1)
-                if t not in seen:
-                    seen.append(t)
+                seen[(x0, y0, min(x0 + win, width), min(y0 + win, height))] = None
     full = (0, 0, width, height)
-    if full in seen:
-        seen.remove(full)
-    seen.append(full)
+    seen.pop(full, None)
+    seen[full] = None
     return [Region(*t) for t in seen]
 
 
@@ -259,61 +251,3 @@ def extract_region_features(
 
 def full_image_region(image: np.ndarray) -> Region:
     return Region(0, 0, image.shape[1], image.shape[0])
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-_PARAMS_MAGIC = "camtrap-convnet v1"
-
-
-def save_convnet(params: ConvNetParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_PARAMS_MAGIC + "\n")
-        fh.write("channels " + " ".join(str(c) for c in params.channels) + "\n")
-        fh.write(f"seed {params.seed}\n")
-        for li, (w, b) in enumerate(zip(params.weights, params.biases)):
-            fh.write(f"layer {li} shape {' '.join(str(s) for s in w.shape)}\n")
-            fh.write(" ".join(repr(float(v)) for v in w.ravel()) + "\n")
-            fh.write(" ".join(repr(float(v)) for v in b) + "\n")
-
-
-def load_convnet(path) -> ConvNetParams:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _PARAMS_MAGIC:
-        raise ValueError(f"{path}: not a {_PARAMS_MAGIC} file")
-    channels = tuple(int(t) for t in lines[1].split()[1:])
-    seed = int(lines[2].split()[1])
-    weights, biases = [], []
-    i = 3
-    while i < len(lines):
-        shape = tuple(int(t) for t in lines[i].split()[3:])
-        weights.append(np.array([float(t) for t in lines[i + 1].split()]).reshape(shape))
-        biases.append(np.array([float(t) for t in lines[i + 2].split()]))
-        i += 3
-    return ConvNetParams(channels=channels, weights=weights, biases=biases, seed=seed)
-
-
-def save_feature_cache(path, features: dict, params: ConvNetParams, pyramid: PyramidConfig) -> None:
-    """Cache {image id: RegionFeatures} keyed by the params checksum."""
-    arrays = {"__meta_checksum": np.array(params.checksum()), "__meta_levels": np.array(pyramid.levels)}
-    for rid, rf in features.items():
-        arrays[f"m::{rid}"] = rf.matrix
-        arrays[f"r::{rid}"] = np.array([r.as_tuple() for r in rf.regions], dtype=np.int64)
-    np.savez(path, **arrays)
-
-
-def load_feature_cache(path, params: ConvNetParams, pyramid: PyramidConfig) -> dict:
-    data = np.load(path)
-    if str(data["__meta_checksum"]) != params.checksum():
-        raise ValueError(f"{path}: cache was built for different network parameters")
-    if tuple(data["__meta_levels"]) != pyramid.levels:
-        raise ValueError(f"{path}: cache was built for a different pyramid")
-    out = {}
-    for key in data.files:
-        if key.startswith("m::"):
-            rid = key[3:]
-            regions = tuple(Region(*map(int, row)) for row in data[f"r::{rid}"])
-            out[rid] = RegionFeatures(regions=regions, matrix=data[key])
-    return out

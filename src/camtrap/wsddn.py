@@ -11,6 +11,7 @@ top-K rule is applied at inference only.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -217,7 +218,8 @@ _HEAD_MAGIC = "camtrap-two-stream-head v1"
 def save_head(head: TwoStreamHead, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_HEAD_MAGIC + "\n")
-        fh.write("classes " + " ".join(head.class_names) + "\n")
+        # space-delimited CSV: names holding spaces are quoted, plain names are bare
+        csv.writer(fh, delimiter=" ", lineterminator="\n").writerow(("classes",) + head.class_names)
         fh.write(f"shape {head.dim} {head.n_classes}\n")
         fh.write(" ".join(repr(float(v)) for v in head.w_rec.ravel()) + "\n")
         fh.write(" ".join(repr(float(v)) for v in head.w_det.ravel()) + "\n")
@@ -228,7 +230,7 @@ def load_head(path) -> TwoStreamHead:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _HEAD_MAGIC:
         raise ValueError(f"{path}: not a {_HEAD_MAGIC} file")
-    class_names = tuple(lines[1].split()[1:])
+    class_names = tuple(next(csv.reader([lines[1]], delimiter=" "))[1:])
     d, c = (int(t) for t in lines[2].split()[1:])
     w_rec = np.array([float(t) for t in lines[3].split()]).reshape(d, c)
     w_det = np.array([float(t) for t in lines[4].split()]).reshape(d, c)

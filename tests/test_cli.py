@@ -1,11 +1,12 @@
 """Command-line interface: exit codes, config parsing, output determinism."""
 
+import csv
 import filecmp
 import os
 
 import pytest
 
-from camtrap import cli
+from camtrap import cli, wsddn
 
 
 def run(argv, capsys=None):
@@ -117,6 +118,23 @@ class TestPipeline:
                          "--images", str(corpus), "--out", str(model), "--epochs", "5"])
         assert code == 0
         assert model.exists()
+
+    def test_train_individual_spaced_name(self, corpus, tmp_path, capsys):
+        with open(corpus / "manifest.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("individual")
+        renamed = next(r[col] for r in rows[1:] if r[col].startswith("tiger"))
+        for r in rows[1:]:
+            if r[col] == renamed:
+                r[col] = "tiger one"
+        manifest = tmp_path / "manifest.csv"
+        with open(manifest, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        head = tmp_path / "ind.head"
+        code = cli.main(["train-individual", "--manifest", str(manifest), "--images", str(corpus),
+                         "--species", "tiger", "--epochs", "5", "--out", str(head)])
+        assert code == 0
+        assert "tiger one" in wsddn.load_head(head).class_names
 
     def test_eval_identical_files_all_ones(self, tmp_path, capsys):
         truth = tmp_path / "t.csv"

@@ -7,6 +7,7 @@ import filecmp
 import pytest
 
 from camtrap import experiments as ex
+from camtrap import features as ft
 from camtrap import synth
 
 SMALL_SPECS = (
@@ -79,10 +80,12 @@ class TestDetectorSweeps:
         assert report.aggregates == rerun.aggregates
 
     def test_jobs_parity(self, ctx):
-        a = ex.run_volume_sweep(config("volume", fractions=(0.5, 1.0), jobs=1), ctx)
-        b = ex.run_volume_sweep(config("volume", fractions=(0.5, 1.0), jobs=4), ctx)
-        assert a.rows == b.rows
-        assert a.aggregates == b.aggregates
+        sweeps = dict(fractions=(0.5, 1.0), train_proportions=(0.5, 1.0), split_ratios=(0.5, 0.7))
+        for protocol in ("volume", "proportion", "split"):
+            a = ex.run_protocol(config(protocol, jobs=1, **sweeps), ctx)
+            b = ex.run_protocol(config(protocol, jobs=4, **sweeps), ctx)
+            assert a.rows == b.rows, protocol
+            assert a.aggregates == b.aggregates, protocol
 
 
 class TestIllumination:
@@ -107,6 +110,20 @@ def report(ctx):
 
 
 class TestSpecies:
+    def test_one_conv_forward_per_image(self, monkeypatch):
+        forward = ft.forward
+        calls = []
+
+        def counting_forward(image, params, return_cache=False):
+            calls.append(image.shape)
+            return forward(image, params, return_cache)
+
+        monkeypatch.setattr(ft, "forward", counting_forward)
+        cfg = config("species", n_seeds=1, head_epochs=5)
+        ctx = ex.PipelineContext(cfg)
+        ex.run_species_comparison(cfg, ctx)
+        assert len(calls) == len(ctx.manifest)
+
     def test_four_variant_columns(self, report):
         for row in report.rows:
             for key in ("detector_gated", "direct", "wsddn_top1", "wsddn_top5"):

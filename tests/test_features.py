@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from camtrap import features as ft
 
@@ -137,6 +138,32 @@ class TestProposeRegions:
             assert 0 <= r.y0 < r.y1 <= 30
         assert len({r.as_tuple() for r in regions}) == len(regions)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        width=st.integers(1, 80),
+        height=st.integers(1, 80),
+        scales=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3),
+        stride=st.floats(0.05, 1.0),
+    )
+    def test_matches_list_dedup_reference(self, width, height, scales, stride):
+        regions = [r.as_tuple() for r in ft.propose_regions(width, height, scales, stride)]
+        # reference: every window in scan order, first occurrence kept, full image moved last
+        ref, seen = [], set()
+        for s in scales:
+            win = max(1, int(round(s * min(width, height))))
+            step = max(1, int(round(stride * win)))
+            for y0 in range(0, max(height - win, 0) + 1, step):
+                for x0 in range(0, max(width - win, 0) + 1, step):
+                    t = (x0, y0, min(x0 + win, width), min(y0 + win, height))
+                    if t not in seen:
+                        seen.add(t)
+                        ref.append(t)
+        ref = [t for t in ref if t != (0, 0, width, height)] + [(0, 0, width, height)]
+        assert regions == ref
+        assert len(set(regions)) == len(regions)
+        assert regions[-1] == (0, 0, width, height)
+        assert all(0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height for x0, y0, x1, y1 in regions)
+
     def test_degenerate_region_type(self):
         with pytest.raises(ValueError):
             ft.Region(5, 0, 5, 4)
@@ -214,41 +241,3 @@ class TestExtract:
     def test_feature_dim(self):
         params = ft.init_convnet((3, 8, 16), seed=0)
         assert ft.feature_dim(params, ft.PyramidConfig((1, 2))) == 16 * 5
-
-
-class TestSerialization:
-    def test_convnet_roundtrip(self, tmp_path):
-        params = ft.init_convnet((3, 5, 7), seed=9)
-        path = tmp_path / "net.txt"
-        ft.save_convnet(params, path)
-        loaded = ft.load_convnet(path)
-        assert loaded.checksum() == params.checksum()
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "x.txt"
-        path.write_text("nope\n")
-        with pytest.raises(ValueError):
-            ft.load_convnet(path)
-
-    def test_feature_cache_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        params = ft.init_convnet((3, 4), seed=0)
-        pyramid = ft.PyramidConfig((1, 2))
-        img = rand_image(rng, 16, 16)
-        rf = ft.extract_region_features(img, [ft.full_image_region(img)], params, pyramid)
-        path = tmp_path / "cache.npz"
-        ft.save_feature_cache(path, {"img0": rf}, params, pyramid)
-        loaded = ft.load_feature_cache(path, params, pyramid)
-        assert np.array_equal(loaded["img0"].matrix, rf.matrix)
-        assert loaded["img0"].regions == rf.regions
-
-    def test_feature_cache_checksum_guard(self, tmp_path):
-        rng = np.random.default_rng(0)
-        params = ft.init_convnet((3, 4), seed=0)
-        pyramid = ft.PyramidConfig((1, 2))
-        img = rand_image(rng, 16, 16)
-        rf = ft.extract_region_features(img, [ft.full_image_region(img)], params, pyramid)
-        path = tmp_path / "cache.npz"
-        ft.save_feature_cache(path, {"img0": rf}, params, pyramid)
-        with pytest.raises(ValueError):
-            ft.load_feature_cache(path, ft.init_convnet((3, 4), seed=1), pyramid)

@@ -271,13 +271,16 @@ class TestHelpers:
 
     def test_head_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
-        head = rand_head(rng, 3, 2, ("x", "y"))
-        path = tmp_path / "h.txt"
-        wsddn.save_head(head, path)
-        loaded = wsddn.load_head(path)
-        assert np.array_equal(loaded.w_rec, head.w_rec)
-        assert np.array_equal(loaded.w_det, head.w_det)
-        assert loaded.class_names == head.class_names
+        # plain names keep the space-joined classes line; others are quoted as CSV
+        for names, line in ((("x", "y"), "classes x y"), (("tiger one", "a,b"), 'classes "tiger one" a,b')):
+            head = rand_head(rng, 3, 2, names)
+            path = tmp_path / "h.txt"
+            wsddn.save_head(head, path)
+            loaded = wsddn.load_head(path)
+            assert np.array_equal(loaded.w_rec, head.w_rec)
+            assert np.array_equal(loaded.w_det, head.w_det)
+            assert loaded.class_names == head.class_names
+            assert path.read_text().splitlines()[1] == line
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "h.txt"
