@@ -2,9 +2,9 @@
 
 Every subcommand is a thin adapter over the library: parse flags, read and
 write files, call one module.  Exit codes: 0 success, 1 usage error, 2 data
-error.  All randomness sits behind ``--seed``; ``--jobs N`` caps parallel
-trials and N=1 is the bit-exactness baseline.  The ``CAMTRAP_OUT``
-environment variable overrides the default output directory.
+error.  All randomness sits behind ``--seed``.  Trials run serially and
+``--jobs N`` is accepted and ignored, kept for existing command lines.  The
+``CAMTRAP_OUT`` environment variable overrides the default output directory.
 """
 
 from __future__ import annotations
@@ -214,6 +214,9 @@ def _cmd_segment(args) -> int:
     image = synth.read_ppm(args.image)
     detector = svm.load_model(args.detector)
     params, pyramid = _net_and_pyramid(args)
+    dim = ft.feature_dim(params, pyramid)
+    if detector.dim != dim:
+        raise ValueError(f"{args.detector}: model dim {detector.dim} does not match feature dim {dim}")
     pp = seg.PairwiseParams(args.w, args.theta_pos, args.theta_color, args.iterations)
     mask = seg.segment_image(
         image, detector, params, pyramid,
@@ -374,7 +377,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("segment", help="segment one image with a patch detector")
     p.add_argument("--image", required=True, help="PPM input")
-    p.add_argument("--detector", required=True, help="patch-level linear model")
+    p.add_argument("--detector", required=True, help="patch-level linear model; none is trained by a subcommand yet")
     p.add_argument("--out", required=True, help="PBM mask output")
     p.add_argument("--patch-size", type=int, default=16)
     p.add_argument("--w", type=float, default=2.0, help="pairwise coupling weight")
@@ -400,7 +403,7 @@ def build_parser() -> _Parser:
     p.add_argument("--images", default=None)
     p.add_argument("--n-seeds", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="parallel trials; 1 is the reference")
+    p.add_argument("--jobs", type=int, default=1, help="ignored (trials run serially); kept for existing command lines")
     p.add_argument("--out", default=_default_out())
     p.set_defaults(fn=_cmd_experiment)
 

@@ -3,15 +3,14 @@ plot-ready CSV.
 
 Every protocol is a pure function of (corpus, config): trial seeds are
 base_seed + trial index, aggregation order is fixed by that index, and CSV
-bytes are reproducible.  Trials may run in parallel (--jobs); results are
-identical to the serial run because each trial depends only on its own seed.
+bytes are reproducible.  Trials run serially in trial-index order; ``jobs``
+is accepted and ignored, kept so that existing configs and command lines run.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -66,7 +65,7 @@ class ExperimentConfig:
     head_lr: float = 8.0
     head_l2: float = 1e-4
     patch_size: int = 8
-    jobs: int = 1
+    jobs: int = 1  # accepted and ignored: trials run serially
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
@@ -80,7 +79,7 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         d = asdict(self)
-        d.pop("jobs")  # execution detail; jobs=N output must match jobs=1
+        d.pop("jobs")  # ignored field; keeps config.json bytes independent of it
         return d
 
 
@@ -167,16 +166,10 @@ def _mean(values):
 
 def _aggregate(rows: List[dict], group_keys: Sequence[str], value_keys: Sequence[str]) -> List[dict]:
     groups = {}
-    order = []
     for row in rows:
-        key = tuple(row[k] for k in group_keys)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault(tuple(row[k] for k in group_keys), []).append(row)
     out = []
-    for key in order:
-        rs = groups[key]
+    for key, rs in groups.items():
         agg = dict(zip(group_keys, key))
         agg["n_trials"] = len(rs)
         for vk in value_keys:
@@ -186,14 +179,6 @@ def _aggregate(rows: List[dict], group_keys: Sequence[str], value_keys: Sequence
             agg[f"{vk}_max"] = None if not vals else float(max(vals))
         out.append(agg)
     return out
-
-
-def _run_trials(cfg: ExperimentConfig, trial_fn, trial_args: List[tuple]) -> List[dict]:
-    """Run trials (possibly in parallel); result order follows trial_args."""
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            return list(pool.map(lambda a: trial_fn(*a), trial_args))
-    return [trial_fn(*a) for a in trial_args]
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +222,13 @@ def run_detector_sweep(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = N
     ctx = ctx or PipelineContext(cfg)
     for rid in ctx.manifest.ids():
         ctx.image_feature(rid)
-
-    def trial(value, trial_idx):
-        seed = cfg.base_seed + trial_idx
-        train_ids, val_ids, extra = split_fn(ctx, cfg, value, seed)
-        m = _detector_metrics(ctx, train_ids, val_ids, seed)
-        return {key: value, "trial": trial_idx, "seed": seed, **extra, **m["test"]}
-
-    args = [(v, t) for v in getattr(cfg, values_field) for t in range(cfg.n_seeds)]
-    rows = _run_trials(cfg, trial, args)
+    rows = []
+    for value in getattr(cfg, values_field):
+        for trial_idx in range(cfg.n_seeds):
+            seed = cfg.base_seed + trial_idx
+            train_ids, val_ids, extra = split_fn(ctx, cfg, value, seed)
+            m = _detector_metrics(ctx, train_ids, val_ids, seed)
+            rows.append({key: value, "trial": trial_idx, "seed": seed, **extra, **m["test"]})
     metrics_keys = ["sensitivity", "specificity", "precision", "accuracy"]
     report = Report(
         protocol=cfg.protocol,
@@ -269,32 +252,22 @@ def run_illumination_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
     """Day-only, night-only and mixed detector runs, balanced positives and
     negatives, training and test accuracy per sub-dataset."""
     ctx = ctx or PipelineContext(cfg)
-    subsets = [("daylight", "day"), ("night", "night"), ("mixed", None)]
-
-    def trial(name, illum, trial_idx):
-        seed = cfg.base_seed + trial_idx
+    rows = []
+    for name, illum in (("daylight", "day"), ("night", "night"), ("mixed", None)):
         man = ctx.manifest if illum is None else mf.filter_manifest(ctx.manifest, illumination=illum)
-        counts = {True: 0, False: 0}
-        for r in man:
-            counts[r.has_animal] += 1
-        if counts[True] < 2 or counts[False] < 2:
-            return {"subset": name, "trial": trial_idx, "seed": seed, "n_images": len(man),
-                    "training_accuracy": None, "test_accuracy": None, "skipped": 1}
-        balanced = mf.balance_classes(man, "presence", seed)
-        split = mf.stratified_split(balanced, cfg.split_fraction, seed, "presence")
-        m = _detector_metrics(ctx, split.train, split.validation, seed)
-        return {
-            "subset": name,
-            "trial": trial_idx,
-            "seed": seed,
-            "n_images": len(balanced),
-            "training_accuracy": m["train"]["accuracy"],
-            "test_accuracy": m["test"]["accuracy"],
-            "skipped": 0,
-        }
-
-    args = [(n, il, t) for (n, il) in subsets for t in range(cfg.n_seeds)]
-    rows = _run_trials(cfg, trial, args)
+        n_pos = sum(r.has_animal for r in man)
+        skip = n_pos < 2 or len(man) - n_pos < 2
+        for trial_idx in range(cfg.n_seeds):
+            seed = cfg.base_seed + trial_idx
+            row = {"subset": name, "trial": trial_idx, "seed": seed, "n_images": len(man),
+                   "training_accuracy": None, "test_accuracy": None, "skipped": int(skip)}
+            if not skip:
+                balanced = mf.balance_classes(man, "presence", seed)
+                split = mf.stratified_split(balanced, cfg.split_fraction, seed, "presence")
+                m = _detector_metrics(ctx, split.train, split.validation, seed)
+                row.update(n_images=len(balanced), training_accuracy=m["train"]["accuracy"],
+                           test_accuracy=m["test"]["accuracy"])
+            rows.append(row)
     aggregates = _aggregate(rows, ["subset"], ["training_accuracy", "test_accuracy"])
     for agg in aggregates:
         agg["skipped"] = int(all(r["skipped"] for r in rows if r["subset"] == agg["subset"]))
@@ -495,6 +468,18 @@ def _individual_run(ctx, cfg, man, classes, seed, balanced, segmented):
     return cm, train_counts
 
 
+def _individual_rows(cm, classes, train_counts) -> List[dict]:
+    """Per-individual counts and measures, one row per class in class order."""
+    rows = []
+    for c in classes:
+        bc = mt.binary_counts(cm, c)
+        rows.append({"individual": c, "train_images": train_counts[c],
+                     "tp": bc.tp, "tn": bc.tn, "fp": bc.fp, "fn": bc.fn,
+                     "sensitivity": mt.sensitivity(bc), "specificity": mt.specificity(bc),
+                     "precision": mt.precision(bc), "accuracy": mt.accuracy(bc)})
+    return rows
+
+
 def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = None) -> Report:
     """{balanced, unbalanced} x {raw, segmented} x {tiger, leopard, joint}
     individual-recognition grid, per-individual counts and measures."""
@@ -521,27 +506,11 @@ def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] =
                     cm, train_counts = _individual_run(
                         ctx, cfg, man, classes, seed, balanced, segmented
                     )
-                    for c in classes:
-                        bc = mt.binary_counts(cm, c)
-                        report.rows.append(
-                            {
-                                "species": sp_name,
-                                "balanced": int(balanced),
-                                "segmented": int(segmented),
-                                "trial": trial_idx,
-                                "seed": seed,
-                                "individual": c,
-                                "train_images": train_counts[c],
-                                "tp": bc.tp,
-                                "tn": bc.tn,
-                                "fp": bc.fp,
-                                "fn": bc.fn,
-                                "sensitivity": mt.sensitivity(bc),
-                                "specificity": mt.specificity(bc),
-                                "precision": mt.precision(bc),
-                                "accuracy": mt.accuracy(bc),
-                            }
-                        )
+                    prefix = {"species": sp_name, "balanced": int(balanced),
+                              "segmented": int(segmented), "trial": trial_idx, "seed": seed}
+                    report.rows.extend(
+                        {**prefix, **r} for r in _individual_rows(cm, classes, train_counts)
+                    )
         if cfg.sweep_individuals:
             for n in range(2, len(classes) + 1):
                 subset = classes[:n]
@@ -591,25 +560,16 @@ def run_joint_individuals(cfg: ExperimentConfig, ctx: Optional[PipelineContext] 
         raise ValueError("joint study needs individuals from 2 species")
     classes = sorted({r.individual for r in man})
     report = Report(protocol="joint-individuals", config=cfg.resolved(), version=__version__)
+    keep = ("individual", "train_images", "sensitivity", "specificity", "accuracy")
     for trial_idx in range(cfg.n_seeds):
         seed = cfg.base_seed + trial_idx
         cm, train_counts = _individual_run(
             ctx, cfg, man, classes, seed, cfg.balance, cfg.segment
         )
-        trial_rows = []
-        for c in classes:
-            bc = mt.binary_counts(cm, c)
-            trial_rows.append(
-                {
-                    "trial": trial_idx,
-                    "seed": seed,
-                    "individual": c,
-                    "train_images": train_counts[c],
-                    "sensitivity": mt.sensitivity(bc),
-                    "specificity": mt.specificity(bc),
-                    "accuracy": mt.accuracy(bc),
-                }
-            )
+        trial_rows = [
+            {"trial": trial_idx, "seed": seed, **{k: r[k] for k in keep}}
+            for r in _individual_rows(cm, classes, train_counts)
+        ]
         trial_rows.sort(key=lambda r: (-(r["sensitivity"] if r["sensitivity"] is not None else -1.0), r["individual"]))
         report.rows.extend(trial_rows)
     report.aggregates = _aggregate(report.rows, ["individual"], ["sensitivity", "specificity", "accuracy"])

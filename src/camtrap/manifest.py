@@ -206,30 +206,12 @@ def stratified_split(
     )
 
 
-def _class_key(record: ImageRecord, class_key: str):
-    if class_key == "species":
-        return record.species
-    if class_key == "individual":
-        if record.individual is None:
-            raise ValueError(f"record {record.id!r} has no individual label")
-        return (record.species, record.individual)
-    if class_key == "presence":
-        return "animal" if record.has_animal else "unclassified"
-    raise ValueError(f"unknown class_key {class_key!r}")
-
-
 def balance_classes(m: Manifest, class_key: str, seed: int) -> Manifest:
     """Downsample every class to the minimum class count, seeded, keeping the
     relative order of surviving records."""
     if len(m) == 0:
         return m
-    groups = _group_by_stratum(m.records, class_key) if class_key in (
-        "species",
-        "individual",
-        "presence",
-    ) else None
-    if groups is None:
-        raise ValueError(f"unknown class_key {class_key!r}")
+    groups = _group_by_stratum(m.records, class_key)
     min_count = min(len(v) for v in groups.values())
     rng = np.random.default_rng(np.uint64(seed))
     keep = set()

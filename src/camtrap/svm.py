@@ -124,10 +124,14 @@ def load_model(path) -> LinearModel:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _MODEL_MAGIC:
         raise ValueError(f"{path}: not a {_MODEL_MAGIC} file")
-    lam = float(lines[1].split()[1])
-    bias = float(lines[2].split()[1])
-    dim = int(lines[3].split()[1])
-    weights = np.array([float(t) for t in lines[4].split()])
+    if len(lines) < 5 or [line.split()[:1] for line in lines[1:4]] != [["lambda"], ["bias"], ["dim"]]:
+        raise ValueError(f"{path}: expected lambda, bias and dim lines, then the weights")
+    try:
+        lam, bias = (float(line.partition(" ")[2]) for line in lines[1:3])
+        dim = int(lines[3].partition(" ")[2])
+        weights = np.array([float(t) for t in lines[4].split()])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if weights.shape[0] != dim:
         raise ValueError(f"{path}: weight count does not match dim")
     return LinearModel(weights=weights, bias=bias, lam=lam)

@@ -230,8 +230,13 @@ def load_head(path) -> TwoStreamHead:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _HEAD_MAGIC:
         raise ValueError(f"{path}: not a {_HEAD_MAGIC} file")
-    class_names = tuple(next(csv.reader([lines[1]], delimiter=" "))[1:])
-    d, c = (int(t) for t in lines[2].split()[1:])
-    w_rec = np.array([float(t) for t in lines[3].split()]).reshape(d, c)
-    w_det = np.array([float(t) for t in lines[4].split()]).reshape(d, c)
-    return TwoStreamHead(w_rec=w_rec, w_det=w_det, class_names=class_names)
+    if len(lines) < 5 or [line.split()[:1] for line in lines[1:3]] != [["classes"], ["shape"]]:
+        raise ValueError(f"{path}: expected classes and shape lines, then two weight lines")
+    try:
+        class_names = tuple(next(csv.reader([lines[1]], delimiter=" "))[1:])
+        d, c = (int(t) for t in lines[2].split()[1:])
+        w_rec = np.array([float(t) for t in lines[3].split()]).reshape(d, c)
+        w_det = np.array([float(t) for t in lines[4].split()]).reshape(d, c)
+        return TwoStreamHead(w_rec=w_rec, w_det=w_det, class_names=class_names)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -169,6 +169,19 @@ class TestPipeline:
                          "--out", str(mask), "--patch-size", "8"]) == 0
         assert mask.read_bytes().startswith(b"P4\n")
 
+    def test_segment_bad_detector_exit_2_names_file(self, corpus, tmp_path, capsys):
+        image = sorted(corpus.glob("tiger-*.ppm"))[0]
+        truncated = tmp_path / "truncated.model"
+        truncated.write_text("camtrap-linear-model v1\nlambda 0.001\n")
+        # default --channels 3,8,16 and --levels 1,2 give 16 * 5 = 80 features
+        wrong_dim = tmp_path / "wrong-dim.model"
+        wrong_dim.write_text("camtrap-linear-model v1\nlambda 0.001\nbias 0.0\ndim 3\n1.0 2.0 3.0\n")
+        for model in (truncated, wrong_dim):
+            code, _, err = run(["segment", "--image", str(image), "--detector", str(model),
+                                "--out", str(tmp_path / "m.pbm"), "--patch-size", "8"], capsys)
+            assert code == 2, model.name
+            assert str(model) in err
+
 
 class TestDeterminism:
     def test_synth_rerun_identical(self, tmp_path):

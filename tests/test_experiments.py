@@ -3,11 +3,13 @@ Trend assertions live in the acceptance suite; these tests use tiny corpora
 and short training budgets."""
 
 import filecmp
+import threading
 
 import pytest
 
 from camtrap import experiments as ex
 from camtrap import features as ft
+from camtrap import svm
 from camtrap import synth
 
 SMALL_SPECS = (
@@ -79,11 +81,22 @@ class TestDetectorSweeps:
         rerun = ex.run_split_sweep(cfg, ctx)
         assert report.aggregates == rerun.aggregates
 
-    def test_jobs_parity(self, ctx):
+    def test_jobs_parity(self, ctx, monkeypatch):
+        # jobs is accepted and ignored: every fit runs on the calling thread
+        train = svm.train_linear_svm
+        threads = []
+
+        def recording_train(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(svm, "train_linear_svm", recording_train)
         sweeps = dict(fractions=(0.5, 1.0), train_proportions=(0.5, 1.0), split_ratios=(0.5, 0.7))
-        for protocol in ("volume", "proportion", "split"):
+        for protocol in ("volume", "proportion", "split", "illumination"):
             a = ex.run_protocol(config(protocol, jobs=1, **sweeps), ctx)
+            threads.clear()
             b = ex.run_protocol(config(protocol, jobs=4, **sweeps), ctx)
+            assert threads and set(threads) == {threading.get_ident()}, protocol
             assert a.rows == b.rows, protocol
             assert a.aggregates == b.aggregates, protocol
 

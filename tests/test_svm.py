@@ -186,7 +186,17 @@ class TestSerialization:
         assert loaded.bias == model.bias and loaded.lam == model.lam
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("nope\n")
-        with pytest.raises(ValueError):
-            svm.load_model(path)
+        # every malformed file is a ValueError naming the file
+        magic = "camtrap-linear-model v1\n"
+        for n, text in enumerate((
+            "nope\n",
+            magic,
+            magic + "lambda 0.001\n",
+            magic + "lambda 0.001\nbias 0.0\ndims 2\n1.0 2.0\n",
+            magic + "lambda 0.001\nbias 0.0\ndim 2\n1.0 x\n",
+            magic + "lambda 0.001\nbias 0.0\ndim 3\n1.0 2.0\n",
+        )):
+            path = tmp_path / f"m{n}.txt"
+            path.write_text(text)
+            with pytest.raises(ValueError, match=path.name):
+                svm.load_model(path)

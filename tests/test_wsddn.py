@@ -283,7 +283,19 @@ class TestHelpers:
             assert path.read_text().splitlines()[1] == line
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "h.txt"
-        path.write_text("nope\n")
-        with pytest.raises(ValueError):
-            wsddn.load_head(path)
+        # every malformed file is a ValueError naming the file
+        magic = "camtrap-two-stream-head v1\n"
+        for n, text in enumerate((
+            "nope\n",
+            magic,
+            magic + "classes a b\n",
+            magic + "classes a b\nshape 1 2\n1.0 2.0\n",
+            magic + "classes a b\nsize 1 2\n1.0 2.0\n3.0 4.0\n",
+            magic + "classes a b\nshape 1 2\n1.0 x\n3.0 4.0\n",
+            magic + "classes a b\nshape 1 2\n1.0 2.0\n3.0\n",
+            magic + "classes a b c\nshape 1 2\n1.0 2.0\n3.0 4.0\n",
+        )):
+            path = tmp_path / f"h{n}.txt"
+            path.write_text(text)
+            with pytest.raises(ValueError, match=path.name):
+                wsddn.load_head(path)
