@@ -169,7 +169,7 @@ def _cmd_train_detect(args) -> int:
     y = np.array([1.0 if r.has_animal else -1.0 for r in man])
     model = svm.train_linear_svm(x, y, svm.SvmTrainConfig(args.epochs, args.lam, args.seed))
     svm.save_model(model, args.out)
-    pred = np.where(svm.predict_margins(model, x) >= 0.0, 1.0, -1.0)
+    pred = svm.predict_labels(model, x)
     print(f"saved {args.out}; training accuracy {float((pred == y).mean())!r}")
     return EXIT_OK
 
@@ -385,7 +385,7 @@ def build_parser() -> _Parser:
     p.add_argument("--theta-color", type=float, default=0.15)
     p.add_argument("--iterations", type=int, default=5)
     p.add_argument("--tau", type=float, default=0.5, help="foreground threshold")
-    p.add_argument("--scale", type=float, default=1.0, help="margin-to-probability scale")
+    p.add_argument("--scale", type=float, default=1.0, help="margin-to-probability scale, > 0")
     _add_net_flags(p)
     p.set_defaults(fn=_cmd_segment)
 

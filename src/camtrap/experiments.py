@@ -43,7 +43,6 @@ class ExperimentConfig:
     synth_config: Optional[synth.SynthConfig] = None
     manifest_path: Optional[str] = None
     images_root: Optional[str] = None
-    output_dir: Optional[str] = None
     base_seed: int = 0
     n_seeds: int = 10
     split_fraction: float = 0.7
@@ -129,33 +128,28 @@ class PipelineContext:
         return self._region_feats[rid]
 
 
-def _presence_label(rec) -> float:
-    return 1.0 if rec.has_animal else -1.0
+def _presence_rows(ctx, ids):
+    """Full-image feature rows and their +1 (animal) / -1 (no animal) labels."""
+    x = np.stack([ctx.image_feature(i) for i in ids])
+    y = np.array([1.0 if ctx.by_id[i].has_animal else -1.0 for i in ids])
+    return x, y
+
+
+def _fit_detector(cfg, x, y, seed) -> svm.LinearModel:
+    return svm.train_linear_svm(x, y, svm.SvmTrainConfig(epochs=cfg.svm_epochs, lam=cfg.svm_lambda, seed=seed))
 
 
 def _detector_metrics(ctx, train_ids, val_ids, seed) -> dict:
-    x_tr = np.stack([ctx.image_feature(i) for i in train_ids])
-    y_tr = np.array([_presence_label(ctx.by_id[i]) for i in train_ids])
-    model = svm.train_linear_svm(
-        x_tr, y_tr, svm.SvmTrainConfig(epochs=ctx.cfg.svm_epochs, lam=ctx.cfg.svm_lambda, seed=seed)
-    )
+    train = _presence_rows(ctx, train_ids)
+    model = _fit_detector(ctx.cfg, *train, seed)
     out = {}
-    for tag, ids in (("train", train_ids), ("test", val_ids)):
-        x = np.stack([ctx.image_feature(i) for i in ids])
-        y = np.array([_presence_label(ctx.by_id[i]) for i in ids])
-        pred = np.where(svm.predict_margins(model, x) >= 0.0, 1.0, -1.0)
+    for tag, (x, y) in (("train", train), ("test", _presence_rows(ctx, val_ids))):
         pairs = [
             ("animal" if p > 0 else "unclassified", "animal" if t > 0 else "unclassified")
-            for p, t in zip(pred, y)
+            for p, t in zip(svm.predict_labels(model, x), y)
         ]
         cm = mt.accumulate(pairs, ["animal", "unclassified"])
-        bc = mt.binary_counts(cm, "animal")
-        out[tag] = {
-            "sensitivity": mt.sensitivity(bc),
-            "specificity": mt.specificity(bc),
-            "precision": mt.precision(bc),
-            "accuracy": mt.accuracy(bc),
-        }
+        out[tag] = mt.measures(mt.binary_counts(cm, "animal"))
     return out
 
 
@@ -220,8 +214,6 @@ def run_detector_sweep(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = N
     fixed validation set, or train:validation ratio (best ratio marked)."""
     key, values_field, split_fn = _SWEEPS[cfg.protocol]
     ctx = ctx or PipelineContext(cfg)
-    for rid in ctx.manifest.ids():
-        ctx.image_feature(rid)
     rows = []
     for value in getattr(cfg, values_field):
         for trial_idx in range(cfg.n_seeds):
@@ -310,12 +302,7 @@ def _train_species_heads(ctx, cfg, train_ids, seed):
         for i in train_ids
     ]
     region_head = wsddn.train_head(region_ds, all_classes, head_cfg)
-    # detector for the gate
-    x_tr = np.stack([ctx.image_feature(i) for i in train_ids])
-    y_tr = np.array([_presence_label(by_id[i]) for i in train_ids])
-    detector = svm.train_linear_svm(
-        x_tr, y_tr, svm.SvmTrainConfig(epochs=cfg.svm_epochs, lam=cfg.svm_lambda, seed=seed)
-    )
+    detector = _fit_detector(cfg, *_presence_rows(ctx, train_ids), seed)  # for the gate
     return species, all_classes, detector, gate_head, direct_head, region_head
 
 
@@ -341,14 +328,15 @@ def run_species_comparison(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
             ctx, cfg, list(split.train), seed
         )
         gated_pairs, direct_pairs = [], []
-        hits1 = {c: [0, 0] for c in all_classes}
-        hits5 = {c: [0, 0] for c in all_classes}
+        rankings = {c: [] for c in all_classes}  # WSDDN rankings by true class
         k5 = min(5, len(all_classes))
-        for i in split.validation:
+        val_x = [ctx.image_feature(i) for i in split.validation]
+        gate = svm.predict_labels(detector, np.stack(val_x)) if val_x else []
+        for i, detected in zip(split.validation, gate):
             true = by_id[i].species
             rf1 = _image_level(ctx, i)
             # (a) detector gate
-            if svm.predict_margin(detector, ctx.image_feature(i)) < 0.0:
+            if detected < 0:
                 gated = "unclassified"
             else:
                 s = wsddn.score_regions(rf1, gate_head)
@@ -359,13 +347,13 @@ def run_species_comparison(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
             direct_pairs.append((wsddn.predict_topk(wsddn.aggregate_sum(s, all_classes), 1)[0], true))
             # (c, d) WSDDN top-k
             s = wsddn.score_regions(ctx.region_features(i), region_head)
-            ranked = wsddn.predict_topk(wsddn.aggregate_topk(s, all_classes, agg_cfg), k5)
-            hits1[true][0] += ranked[0] == true
-            hits1[true][1] += 1
-            hits5[true][0] += true in ranked
-            hits5[true][1] += 1
+            rankings[true].append(wsddn.predict_topk(wsddn.aggregate_topk(s, all_classes, agg_cfg), k5))
         gated_cm = mt.accumulate(gated_pairs, all_classes)
         direct_cm = mt.accumulate(direct_pairs, all_classes)
+
+        def topk(c, k):
+            return mt.topk_accuracy(rankings[c], [c] * len(rankings[c]), k) if rankings[c] else None
+
         for c in all_classes:
             row = {
                 "trial": trial_idx,
@@ -373,8 +361,8 @@ def run_species_comparison(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
                 "class": c,
                 "detector_gated": mt.accuracy(mt.binary_counts(gated_cm, c)),
                 "direct": mt.accuracy(mt.binary_counts(direct_cm, c)),
-                "wsddn_top1": hits1[c][0] / hits1[c][1] if hits1[c][1] else None,
-                "wsddn_top5": hits5[c][0] / hits5[c][1] if hits5[c][1] else None,
+                "wsddn_top1": topk(c, 1),
+                "wsddn_top5": topk(c, k5),
             }
             report.rows.append(row)
         if trial_idx == 0:
@@ -418,19 +406,7 @@ def _train_patch_detector(ctx, cfg, train_ids, seed):
             labs.append(-1.0)
     if not rows:
         raise ValueError("segmented variant requires ground-truth boxes (synthetic corpus)")
-    return svm.train_linear_svm(
-        np.stack(rows), np.array(labs), svm.SvmTrainConfig(epochs=cfg.svm_epochs, lam=cfg.svm_lambda, seed=seed)
-    )
-
-
-def _segmented_region_features(ctx, cfg, rid, patch_detector):
-    img = ctx.images[rid]
-    mask = seg.segment_image(
-        img, patch_detector, ctx.params, ctx.pyramid, patch_size=cfg.patch_size
-    )
-    masked = seg.apply_mask(img, mask)
-    regions = ft.propose_regions(img.shape[1], img.shape[0], cfg.region_scales, cfg.region_stride)
-    return ft.extract_region_features(masked, regions, ctx.params, ctx.pyramid)
+    return _fit_detector(cfg, np.stack(rows), np.array(labs), seed)
 
 
 def _individual_run(ctx, cfg, man, classes, seed, balanced, segmented):
@@ -440,16 +416,19 @@ def _individual_run(ctx, cfg, man, classes, seed, balanced, segmented):
     train_man = mf.select_records(man, split.train)
     if balanced:
         train_man = mf.balance_classes(train_man, "individual", seed)
-    patch_detector = None
     feats = ctx.region_features
     if segmented:
         patch_detector = _train_patch_detector(ctx, cfg, train_man.ids(), seed)
-        cache = {}
 
         def feats(rid):
-            if rid not in cache:
-                cache[rid] = _segmented_region_features(ctx, cfg, rid, patch_detector)
-            return cache[rid]
+            """Region features of the image with its background grayed out."""
+            img = ctx.images[rid]
+            mask = seg.segment_image(
+                img, patch_detector, ctx.params, ctx.pyramid, patch_size=cfg.patch_size
+            )
+            masked = seg.apply_mask(img, mask)
+            regions = ft.propose_regions(img.shape[1], img.shape[0], cfg.region_scales, cfg.region_stride)
+            return ft.extract_region_features(masked, regions, ctx.params, ctx.pyramid)
 
     head_cfg = wsddn.HeadTrainConfig(
         epochs=cfg.head_epochs, learning_rate=cfg.head_lr, seed=seed, l2=cfg.head_l2
@@ -474,9 +453,7 @@ def _individual_rows(cm, classes, train_counts) -> List[dict]:
     for c in classes:
         bc = mt.binary_counts(cm, c)
         rows.append({"individual": c, "train_images": train_counts[c],
-                     "tp": bc.tp, "tn": bc.tn, "fp": bc.fp, "fn": bc.fn,
-                     "sensitivity": mt.sensitivity(bc), "specificity": mt.specificity(bc),
-                     "precision": mt.precision(bc), "accuracy": mt.accuracy(bc)})
+                     "tp": bc.tp, "tn": bc.tn, "fp": bc.fp, "fn": bc.fn, **mt.measures(bc)})
     return rows
 
 
@@ -519,8 +496,7 @@ def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] =
                 )
                 seed = cfg.base_seed
                 cm, _ = _individual_run(ctx, cfg, sub_man, subset, seed, True, False)
-                sens = [mt.sensitivity(mt.binary_counts(cm, c)) for c in subset]
-                accs = [mt.accuracy(mt.binary_counts(cm, c)) for c in subset]
+                ms = [mt.measures(mt.binary_counts(cm, c)) for c in subset]
                 report.rows.append(
                     {
                         "species": sp_name,
@@ -534,10 +510,10 @@ def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] =
                         "tn": 0,
                         "fp": 0,
                         "fn": 0,
-                        "sensitivity": _mean(sens),
+                        "sensitivity": _mean(m["sensitivity"] for m in ms),
                         "specificity": None,
                         "precision": None,
-                        "accuracy": _mean(accs),
+                        "accuracy": _mean(m["accuracy"] for m in ms),
                     }
                 )
     report.aggregates = _aggregate(

@@ -114,16 +114,18 @@ def accuracy(bc: BinaryCounts) -> Optional[float]:
 
 def fp_rate(bc: BinaryCounts) -> Optional[float]:
     """FP/TP as a percentage; undefined when TP = 0."""
-    if bc.tp == 0:
-        return None
-    return 100.0 * bc.fp / bc.tp
+    return _ratio(100.0 * bc.fp, bc.tp)
 
 
 def fn_rate(bc: BinaryCounts) -> Optional[float]:
     """FN/TP as a percentage; undefined when TP = 0."""
-    if bc.tp == 0:
-        return None
-    return 100.0 * bc.fn / bc.tp
+    return _ratio(100.0 * bc.fn, bc.tp)
+
+
+def measures(bc: BinaryCounts) -> Dict[str, Optional[float]]:
+    """Sensitivity, specificity, precision and accuracy, in that key order."""
+    return {"sensitivity": sensitivity(bc), "specificity": specificity(bc),
+            "precision": precision(bc), "accuracy": accuracy(bc)}
 
 
 def metrics_report(cm: ConfusionMatrix) -> MetricsReport:
@@ -131,10 +133,7 @@ def metrics_report(cm: ConfusionMatrix) -> MetricsReport:
     for name in cm.class_names:
         bc = binary_counts(cm, name)
         per_class[name] = ClassMetrics(
-            sensitivity=sensitivity(bc),
-            specificity=specificity(bc),
-            precision=precision(bc),
-            accuracy=accuracy(bc),
+            **measures(bc),
             fp_rate=fp_rate(bc),
             fn_rate=fn_rate(bc),
             support=bc.tp + bc.fn,

@@ -5,7 +5,6 @@ color similarity between patches."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -81,9 +80,7 @@ def compute_unary(
 ) -> np.ndarray:
     """Foreground probability per patch from the patch-trained detector."""
     rf = feat.extract_region_features(image, grid.regions(), params, pyramid)
-    margins = svm.predict_margins(detector, rf.matrix)
-    probs = 1.0 / (1.0 + np.exp(-scale * margins))
-    return probs.reshape(grid.ny, grid.nx)
+    return svm.margin_to_probability(detector, rf.matrix, scale).reshape(grid.ny, grid.nx)
 
 
 def _pairwise_kernel(grid: PatchGrid, colors: np.ndarray, pp: PairwiseParams) -> np.ndarray:

@@ -87,21 +87,21 @@ def predict_margin(model: LinearModel, feature: np.ndarray) -> float:
 
 def predict_margins(model: LinearModel, features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=float)
-    if features.shape[1] != model.dim:
-        raise ValueError("feature dim mismatch")
+    if features.ndim != 2 or features.shape[1] != model.dim:
+        raise ValueError(f"features of shape {features.shape} are not N x model dim {model.dim}")
     return features @ model.weights + model.bias
 
 
-def predict_label(model: LinearModel, feature: np.ndarray) -> int:
-    """Sign of the margin; an exact zero classifies as +1."""
-    return 1 if predict_margin(model, feature) >= 0.0 else -1
+def predict_labels(model: LinearModel, features: np.ndarray) -> np.ndarray:
+    """+1 or -1 per row by the sign of the margin; an exact zero classifies as +1."""
+    return np.where(predict_margins(model, features) >= 0.0, 1.0, -1.0)
 
 
-def margin_to_probability(model: LinearModel, feature: np.ndarray, scale: float = 1.0) -> float:
+def margin_to_probability(model: LinearModel, features: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Logistic of scale * margin, per row."""
     if scale <= 0:
-        raise ValueError("scale must be > 0")
-    m = predict_margin(model, feature)
-    return float(1.0 / (1.0 + np.exp(-scale * m)))
+        raise ValueError(f"scale must be > 0, got {scale!r}")
+    return 1.0 / (1.0 + np.exp(-scale * predict_margins(model, features)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -311,16 +312,28 @@ def write_ppm(path, pixels: np.ndarray) -> None:
         fh.write(data.tobytes())
 
 
+# Netpbm header separator: whitespace, or a `#` comment up to the end of its line
+_SEP = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_PPM_HEADER = re.compile(rb"P6" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)\s")
+
+
 def read_ppm(path) -> np.ndarray:
+    """Binary P6 portable pixel map scaled to [0, 1]: maxval 1..65535, with
+    2-byte big-endian samples above 255."""
     with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P6":
-            raise ValueError(f"{path}: not a P6 ppm")
-        dims = fh.readline().split()
-        w, h = int(dims[0]), int(dims[1])
-        maxval = int(fh.readline())
-        data = np.frombuffer(fh.read(w * h * 3), dtype=np.uint8)
-    return data.reshape(h, w, 3).astype(np.float64) / float(maxval)
+        data = fh.read()
+    header = _PPM_HEADER.match(data)
+    if header is None:
+        raise ValueError(f"{path}: not a P6 ppm" if data[:2] != b"P6" else f"{path}: malformed P6 header")
+    w, h, maxval = (int(g) for g in header.groups())
+    if w < 1 or h < 1 or not 1 <= maxval <= 65535:
+        raise ValueError(f"{path}: bad width {w}, height {h} or maxval {maxval}")
+    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+    need, have = w * h * 3 * dtype.itemsize, len(data) - header.end()
+    if have < need:
+        raise ValueError(f"{path}: raster has {have} bytes, expected {need}")
+    pixels = np.frombuffer(data, dtype=dtype, count=w * h * 3, offset=header.end())
+    return pixels.reshape(h, w, 3).astype(np.float64) / float(maxval)
 
 
 def load_images(manifest: Manifest, root) -> Dict[str, np.ndarray]:

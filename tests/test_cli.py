@@ -96,11 +96,14 @@ class TestConfigFile:
         assert '"n_seeds": 1' in (out / "config.json").read_text()
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
-        path = tmp_path / "c.toml"
-        path.write_text("bogus_key = 1\n")
-        code = cli.main(["experiment", "volume", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "bogus_key" in capsys.readouterr().err
+        # output_dir is not a key: --out decides where a report goes
+        for key, value in (("bogus_key", "1"), ("output_dir", "elsewhere")):
+            path = tmp_path / "c.toml"
+            path.write_text(f"{key} = {value}\n")
+            code = cli.main(["experiment", "volume", "--config", str(path), "--out", str(tmp_path / "o")])
+            assert code == 2, key
+            assert key in capsys.readouterr().err
+            assert not (tmp_path / "o").exists() and not (tmp_path / value).exists()
 
 
 class TestPipeline:
@@ -181,6 +184,19 @@ class TestPipeline:
                                 "--out", str(tmp_path / "m.pbm"), "--patch-size", "8"], capsys)
             assert code == 2, model.name
             assert str(model) in err
+
+    def test_segment_bad_scale_or_image_exit_2(self, corpus, tmp_path, capsys):
+        image = sorted(corpus.glob("tiger-*.ppm"))[0]
+        truncated = tmp_path / "truncated.ppm"
+        truncated.write_bytes(image.read_bytes()[:100])
+        model = tmp_path / "zero.model"
+        model.write_text("camtrap-linear-model v1\nlambda 0.001\nbias 0.0\ndim 80\n" + " ".join(["0.0"] * 80) + "\n")
+        for img, scale, named in ((image, "0", "scale"), (image, "-1", "scale"), (truncated, "1", str(truncated))):
+            code, _, err = run(["segment", "--image", str(img), "--detector", str(model),
+                                "--out", str(tmp_path / "m.pbm"), "--patch-size", "8", "--scale", scale], capsys)
+            assert code == 2, (img.name, scale)
+            assert named in err
+        assert not (tmp_path / "m.pbm").exists()
 
 
 class TestDeterminism:

@@ -53,8 +53,7 @@ class TestTraining:
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
         y = np.array([1.0, -1.0])
         model = svm.train_linear_svm(x, y, svm.SvmTrainConfig(epochs=50, lam=1e-3, seed=0))
-        assert svm.predict_label(model, x[0]) == 1
-        assert svm.predict_label(model, x[1]) == -1
+        assert np.array_equal(svm.predict_labels(model, x), y)
 
     def test_objective_near_grid_optimum(self):
         rng = np.random.default_rng(42)
@@ -129,49 +128,57 @@ class TestPrediction:
         assert abs(svm.predict_margin(model, x + y) - (fx + fy - model.bias)) < 1e-12
 
     def test_tie_rule_positive(self):
-        model = svm.LinearModel(weights=np.zeros(2), bias=0.0, lam=1.0)
-        assert svm.predict_label(model, np.ones(2)) == 1
+        # every row has margin exactly 0, from zero weights or from cancelling terms
+        for weights in (np.zeros(2), np.array([1.0, -1.0])):
+            model = svm.LinearModel(weights=weights, bias=0.0, lam=1.0)
+            x = np.array([[1.0, 1.0], [2.0, 2.0], [-0.5, -0.5]])
+            assert np.array_equal(svm.predict_margins(model, x), np.zeros(3))
+            assert np.array_equal(svm.predict_labels(model, x), np.ones(3))
 
     def test_scale_invariance_of_labels(self):
         rng = np.random.default_rng(0)
         model = svm.LinearModel(weights=rng.normal(size=4), bias=0.3, lam=1.0)
         scaled = svm.LinearModel(weights=3.0 * model.weights, bias=3.0 * model.bias, lam=1.0)
-        for _ in range(20):
-            x = rng.normal(size=4)
-            assert svm.predict_label(model, x) == svm.predict_label(scaled, x)
+        x = rng.normal(size=(20, 4))
+        assert np.array_equal(svm.predict_labels(model, x), svm.predict_labels(scaled, x))
 
     def test_sign_agreement(self):
         rng = np.random.default_rng(2)
         model = svm.LinearModel(weights=rng.normal(size=3), bias=-0.2, lam=1.0)
-        for _ in range(20):
-            x = rng.normal(size=3)
-            m = svm.predict_margin(model, x)
-            assert svm.predict_label(model, x) == (1 if m >= 0 else -1)
+        x = rng.normal(size=(20, 3))
+        expected = [1.0 if svm.predict_margin(model, row) >= 0 else -1.0 for row in x]
+        assert svm.predict_labels(model, x).tolist() == expected
 
     def test_dimension_mismatch(self):
         model = svm.LinearModel(weights=np.zeros(3), bias=0.0, lam=1.0)
         with pytest.raises(ValueError):
             svm.predict_margin(model, np.zeros(2))
+        # the N x D functions reject a wrong width and a single 1-D row
+        for bad in (np.zeros((4, 2)), np.zeros(3), np.zeros((1, 1, 3))):
+            for fn in (svm.predict_margins, svm.predict_labels, svm.margin_to_probability):
+                with pytest.raises(ValueError, match=r"model dim 3"):
+                    fn(model, bad)
 
 
 class TestProbability:
     def test_margin_zero_is_half(self):
         model = svm.LinearModel(weights=np.zeros(2), bias=0.0, lam=1.0)
-        assert svm.margin_to_probability(model, np.ones(2)) == 0.5
+        assert svm.margin_to_probability(model, np.ones((3, 2))).tolist() == [0.5, 0.5, 0.5]
 
     def test_monotone_in_margin(self):
         model = svm.LinearModel(weights=np.array([1.0]), bias=0.0, lam=1.0)
-        probs = [svm.margin_to_probability(model, np.array([m])) for m in (-2.0, -1.0, 0.0, 1.0, 2.0)]
-        assert all(a < b for a, b in zip(probs, probs[1:]))
+        probs = svm.margin_to_probability(model, np.array([[-2.0], [-1.0], [0.0], [1.0], [2.0]]))
+        assert (np.diff(probs) > 0).all()
 
     def test_logistic_five(self):
         model = svm.LinearModel(weights=np.array([1.0]), bias=0.0, lam=1.0)
-        assert svm.margin_to_probability(model, np.array([5.0])) > 0.99
+        assert svm.margin_to_probability(model, np.array([[5.0]]))[0] > 0.99
 
     def test_scale_validation(self):
         model = svm.LinearModel(weights=np.zeros(1), bias=0.0, lam=1.0)
-        with pytest.raises(ValueError):
-            svm.margin_to_probability(model, np.zeros(1), scale=0.0)
+        for scale in (0.0, -1.0):
+            with pytest.raises(ValueError, match="scale"):
+                svm.margin_to_probability(model, np.zeros((2, 1)), scale=scale)
 
 
 class TestSerialization:

@@ -5,6 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from camtrap import synth
 
@@ -120,6 +121,61 @@ class TestPpm:
         assert back.shape == (12, 9, 3)
         # 8-bit quantization error only
         assert np.abs(back - pixels).max() <= 1.0 / 255.0 + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.integers(1, 5),
+        w=st.integers(1, 5),
+        seps=st.lists(
+            st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\r\n", b"# a comment\n", b"#\r", b"#P6 1 1 255\n"]),
+                     min_size=1, max_size=3).map(b"".join),
+            min_size=3, max_size=3),
+        last=st.sampled_from([b" ", b"\t", b"\n", b"\r"]),
+        seed=st.integers(0, 99),
+    )
+    @example(h=4, w=3, seps=[b" ", b" ", b" "], last=b"\n", seed=1)
+    @example(h=4, w=3, seps=[b"\n# written by a camera\n", b"\t", b" # rows\r\n"], last=b" ", seed=1)
+    def test_header_variants_read_equal(self, tmp_path_factory, h, w, seps, last, seed):
+        """Any whitespace or # comments between header fields, and one-line
+        headers, read equal to the file write_ppm writes."""
+        tmp = tmp_path_factory.mktemp("ppm")
+        pixels = np.random.default_rng(seed).uniform(0, 1, size=(h, w, 3))
+        synth.write_ppm(tmp / "canonical.ppm", pixels)
+        canonical = synth.read_ppm(tmp / "canonical.ppm")
+        raster = (tmp / "canonical.ppm").read_bytes()[-h * w * 3:]
+        header = b"P6" + seps[0] + str(w).encode() + seps[1] + str(h).encode() + seps[2] + b"255" + last
+        (tmp / "variant.ppm").write_bytes(header + raster)
+        assert np.array_equal(synth.read_ppm(tmp / "variant.ppm"), canonical)
+        assert np.abs(canonical - pixels).max() <= 1.0 / 255.0 + 1e-12
+
+    def test_sixteen_bit_and_small_maxval(self, tmp_path):
+        # samples span 0..maxval; above maxval 255 each is 2 bytes, big-endian
+        for maxval in (65535, 1000, 256, 255, 63, 1):
+            samples = np.arange(2 * 3 * 3).reshape(2, 3, 3) * maxval // 17
+            path = tmp_path / f"m{maxval}.ppm"
+            raster = samples.astype(">u2" if maxval > 255 else np.uint8).tobytes()
+            path.write_bytes(f"P6\n3 2\n{maxval}\n".encode() + raster)
+            assert np.array_equal(synth.read_ppm(path), samples / float(maxval)), maxval
+
+    def test_malformed_files_name_the_path(self, tmp_path):
+        raster = bytes(2 * 2 * 3)
+        for n, data in enumerate((
+            b"",
+            b"P3\n2 2\n255\n" + raster,
+            b"P6",
+            b"P62 2 255\n" + raster,
+            b"P6\n2 x\n255\n" + raster,
+            b"P6\n2 2\n255",
+            b"P6\n0 2\n255\n",
+            b"P6\n2 2\n0\n" + raster,
+            b"P6\n2 2\n65536\n" + raster * 2,
+            b"P6\n2 2\n255\n" + raster[:-1],
+            b"P6\n2 2\n65535\n" + raster,
+        )):
+            path = tmp_path / f"bad{n}.ppm"
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match=path.name):
+                synth.read_ppm(path)
 
     def test_corpus_written_to_disk(self, tmp_path):
         man, images = synth.generate_corpus(small_config(), out_dir=tmp_path)
