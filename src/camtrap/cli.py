@@ -200,10 +200,8 @@ def _cmd_train_species(args) -> int:
 
 
 def _cmd_train_individual(args) -> int:
-    man = mf.load_manifest(args.manifest)
-    if args.species:
-        man = mf.filter_manifest(man, species=args.species.split(","))
-    labeled = mf.Manifest(tuple(r for r in man if r.individual), man.provenance)
+    species = args.species.split(",") if args.species else None
+    labeled = mf.filter_manifest(mf.load_manifest(args.manifest), species=species, min_images_per_individual=1)
     if not labeled:
         raise ValueError("manifest has no individual labels")
     classes = sorted({r.individual for r in labeled})
@@ -257,8 +255,8 @@ def _cmd_eval(args) -> int:
     classes = sorted({truth[i][0] for i in ids} | {pred[i][0] for i in ids})
     pairs = [(pred[i][0], truth[i][0]) for i in ids]
     cm = mt.accumulate(pairs, classes)
-    report = mt.metrics_report(cm)
-    sys.stdout.write(mt.format_summary(report))
+    rows = mt.metrics_report(cm)
+    sys.stdout.write(mt.format_summary(rows))
     if args.k > 1:
         rankings = [pred[i] for i in ids]
         acc = mt.topk_accuracy(rankings, [truth[i][0] for i in ids], args.k)
@@ -266,7 +264,7 @@ def _cmd_eval(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        mt.write_metrics_csv(report, out / "metrics.csv")
+        mt.write_rows_csv(out / "metrics.csv", rows)
         mt.write_confusion_csv(cm, out / "confusion.csv")
         print(f"wrote metrics.csv and confusion.csv to {out}")
     return EXIT_OK
@@ -295,9 +293,8 @@ def _experiment_config(args) -> ex.ExperimentConfig:
         )
     kwargs = {k: v for k, v in values.items() if k not in _CORPUS_KEYS}
     # normalize scalar config values where the field is a tuple
-    for key in ("fractions", "train_proportions", "split_ratios", "channels",
-                "pyramid_levels", "region_scales"):
-        if key in kwargs and not isinstance(kwargs[key], tuple):
+    for key, f in ex.ExperimentConfig.__dataclass_fields__.items():
+        if isinstance(f.default, tuple) and key in kwargs and not isinstance(kwargs[key], tuple):
             kwargs[key] = (kwargs[key],)
     # flags override file values
     kwargs["protocol"] = args.protocol

@@ -9,7 +9,6 @@ is accepted and ignored, kept so that existing configs and command lines run.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -137,6 +136,11 @@ def _presence_rows(ctx, ids):
 
 def _fit_detector(cfg, x, y, seed) -> svm.LinearModel:
     return svm.train_linear_svm(x, y, svm.SvmTrainConfig(epochs=cfg.svm_epochs, lam=cfg.svm_lambda, seed=seed))
+
+
+def _fit_head(cfg, ds, classes, seed) -> wsddn.TwoStreamHead:
+    head_cfg = wsddn.HeadTrainConfig(epochs=cfg.head_epochs, learning_rate=cfg.head_lr, seed=seed, l2=cfg.head_l2)
+    return wsddn.train_head(ds, classes, head_cfg)
 
 
 def _detector_metrics(ctx, train_ids, val_ids, seed) -> dict:
@@ -286,22 +290,19 @@ def _train_species_heads(ctx, cfg, train_ids, seed):
     by_id = ctx.by_id
     species = sorted({by_id[i].species for i in train_ids} - {"unclassified"})
     all_classes = species + ["unclassified"]
-    head_cfg = wsddn.HeadTrainConfig(
-        epochs=cfg.head_epochs, learning_rate=cfg.head_lr, seed=seed, l2=cfg.head_l2
-    )
     # (a) gate head: species only, image-level features, positives only
     pos_ids = [i for i in train_ids if by_id[i].has_animal]
     gate_ds = [(_image_level(ctx, i), wsddn.one_hot(by_id[i].species, species)) for i in pos_ids]
-    gate_head = wsddn.train_head(gate_ds, species, head_cfg)
+    gate_head = _fit_head(cfg, gate_ds, species, seed)
     # (b) direct head: all classes, image-level features
     direct_ds = [(_image_level(ctx, i), wsddn.one_hot(by_id[i].species, all_classes)) for i in train_ids]
-    direct_head = wsddn.train_head(direct_ds, all_classes, head_cfg)
+    direct_head = _fit_head(cfg, direct_ds, all_classes, seed)
     # (c/d) WSDDN head: all classes, region features
     region_ds = [
         (ctx.region_features(i), wsddn.one_hot(by_id[i].species, all_classes))
         for i in train_ids
     ]
-    region_head = wsddn.train_head(region_ds, all_classes, head_cfg)
+    region_head = _fit_head(cfg, region_ds, all_classes, seed)
     detector = _fit_detector(cfg, *_presence_rows(ctx, train_ids), seed)  # for the gate
     return species, all_classes, detector, gate_head, direct_head, region_head
 
@@ -430,11 +431,8 @@ def _individual_run(ctx, cfg, man, classes, seed, balanced, segmented):
             regions = ft.propose_regions(img.shape[1], img.shape[0], cfg.region_scales, cfg.region_stride)
             return ft.extract_region_features(masked, regions, ctx.params, ctx.pyramid)
 
-    head_cfg = wsddn.HeadTrainConfig(
-        epochs=cfg.head_epochs, learning_rate=cfg.head_lr, seed=seed, l2=cfg.head_l2
-    )
     ds = [(feats(i), wsddn.one_hot(by_id[i].individual, classes)) for i in train_man.ids()]
-    head = wsddn.train_head(ds, classes, head_cfg)
+    head = _fit_head(cfg, ds, classes, seed)
     agg_cfg = wsddn.AggregationConfig(k=cfg.k)
     pairs = []
     for i in split.validation:
@@ -471,8 +469,7 @@ def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] =
         species_opts.append(("joint", ("tiger", "leopard")))
 
     for sp_name, sp_set in species_opts:
-        man = mf.filter_manifest(ctx.manifest, species=sp_set)
-        man = mf.Manifest(tuple(r for r in man if r.individual), man.provenance)
+        man = mf.filter_manifest(ctx.manifest, species=sp_set, min_images_per_individual=1)
         classes = sorted({r.individual for r in man})
         if len(classes) < 2:
             raise ValueError(f"{sp_name}: need at least 2 individuals")
@@ -491,31 +488,16 @@ def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] =
         if cfg.sweep_individuals:
             for n in range(2, len(classes) + 1):
                 subset = classes[:n]
-                sub_man = mf.Manifest(
-                    tuple(r for r in man if r.individual in set(subset)), man.provenance
-                )
+                sub_man = mf.Manifest(tuple(r for r in man if r.individual in set(subset)))
                 seed = cfg.base_seed
                 cm, _ = _individual_run(ctx, cfg, sub_man, subset, seed, True, False)
                 ms = [mt.measures(mt.binary_counts(cm, c)) for c in subset]
-                report.rows.append(
-                    {
-                        "species": sp_name,
-                        "balanced": 1,
-                        "segmented": 0,
-                        "trial": -1,
-                        "seed": seed,
-                        "individual": f"sweep_n={n}",
-                        "train_images": 0,
-                        "tp": 0,
-                        "tn": 0,
-                        "fp": 0,
-                        "fn": 0,
-                        "sensitivity": _mean(m["sensitivity"] for m in ms),
-                        "specificity": None,
-                        "precision": None,
-                        "accuracy": _mean(m["accuracy"] for m in ms),
-                    }
-                )
+                # specificity and precision are absent, so written as undefined
+                report.rows.append({"species": sp_name, "balanced": 1, "segmented": 0, "trial": -1,
+                                    "seed": seed, "individual": f"sweep_n={n}", "train_images": 0,
+                                    "tp": 0, "tn": 0, "fp": 0, "fn": 0,
+                                    "sensitivity": _mean(m["sensitivity"] for m in ms),
+                                    "accuracy": _mean(m["accuracy"] for m in ms)})
     report.aggregates = _aggregate(
         [r for r in report.rows if r["trial"] >= 0],
         ["species", "balanced", "segmented", "individual"],
@@ -528,9 +510,7 @@ def run_joint_individuals(cfg: ExperimentConfig, ctx: Optional[PipelineContext] 
     """Single head over the union of tiger and leopard individuals;
     per-individual sensitivity and specificity, sorted by sensitivity."""
     ctx = ctx or PipelineContext(cfg)
-    man = mf.Manifest(
-        tuple(r for r in ctx.manifest if r.individual), ctx.manifest.provenance
-    )
+    man = mf.filter_manifest(ctx.manifest, min_images_per_individual=1)
     n_species = len({r.species for r in man})
     if n_species < 2:
         raise ValueError("joint study needs individuals from 2 species")
@@ -571,27 +551,6 @@ def run_protocol(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = None) -
 # report output
 
 
-def _csv_value(v):
-    if v is None:
-        return "undefined"
-    if isinstance(v, float):
-        return repr(float(v))
-    return v
-
-
-def _write_rows_csv(path, rows: List[dict]) -> None:
-    if not rows:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("")
-        return
-    fields = list(rows[0].keys())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_csv_value(row.get(f)) for f in fields])
-
-
 def write_report(report: Report, out_dir) -> List[str]:
     """Write trial CSV, aggregate CSV, confusion matrices, the resolved
     config and a run manifest; returns the file list."""
@@ -599,10 +558,10 @@ def write_report(report: Report, out_dir) -> List[str]:
     out.mkdir(parents=True, exist_ok=True)
     files = []
     trials_path = out / f"{report.protocol}_trials.csv"
-    _write_rows_csv(trials_path, report.rows)
+    mt.write_rows_csv(trials_path, report.rows)
     files.append(trials_path.name)
     agg_path = out / f"{report.protocol}_aggregate.csv"
-    _write_rows_csv(agg_path, report.aggregates)
+    mt.write_rows_csv(agg_path, report.aggregates)
     files.append(agg_path.name)
     for name, cm in report.confusions.items():
         p = out / f"{report.protocol}_confusion_{name}.csv"

@@ -12,7 +12,7 @@ import csv
 import math
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class ImageRecord:
 @dataclass(frozen=True)
 class Manifest:
     records: tuple
-    provenance: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
@@ -102,8 +101,6 @@ class Manifest:
 class SplitAssignment:
     train: tuple
     validation: tuple
-    seed: int
-    train_fraction: float
 
     def __post_init__(self):
         object.__setattr__(self, "train", tuple(self.train))
@@ -161,7 +158,7 @@ def load_manifest(path) -> Manifest:
             except (ManifestError, ValueError) as exc:
                 raise ManifestError(f"{path}:{lineno}: {exc}") from None
             records.append(rec)
-    return Manifest(records=tuple(records), provenance=str(path))
+    return Manifest(records=tuple(records))
 
 
 def save_manifest(manifest: Manifest, path) -> None:
@@ -201,9 +198,18 @@ def stratified_split(
         picked = [ids[i] for i in perm]
         train.extend(picked[:n_train])
         validation.extend(picked[n_train:])
-    return SplitAssignment(
-        train=tuple(train), validation=tuple(validation), seed=seed, train_fraction=train_fraction
-    )
+    return SplitAssignment(train=tuple(train), validation=tuple(validation))
+
+
+def _sample_per_stratum(m: Manifest, stratify_by: str, seed: int, count: Callable[[int], int]) -> Manifest:
+    """Seeded draw of count(stratum size) records from every stratum, in
+    stratum order, keeping the survivors in manifest order."""
+    rng = np.random.default_rng(np.uint64(seed))
+    keep = set()
+    for recs in _group_by_stratum(m.records, stratify_by).values():
+        chosen = rng.choice(len(recs), size=count(len(recs)), replace=False)
+        keep.update(recs[i].id for i in chosen)
+    return Manifest(records=tuple(r for r in m.records if r.id in keep))
 
 
 def balance_classes(m: Manifest, class_key: str, seed: int) -> Manifest:
@@ -211,17 +217,8 @@ def balance_classes(m: Manifest, class_key: str, seed: int) -> Manifest:
     relative order of surviving records."""
     if len(m) == 0:
         return m
-    groups = _group_by_stratum(m.records, class_key)
-    min_count = min(len(v) for v in groups.values())
-    rng = np.random.default_rng(np.uint64(seed))
-    keep = set()
-    for key, recs in groups.items():
-        chosen = rng.choice(len(recs), size=min_count, replace=False)
-        keep.update(recs[i].id for i in chosen)
-    return Manifest(
-        records=tuple(r for r in m.records if r.id in keep),
-        provenance=m.provenance,
-    )
+    min_count = min(len(v) for v in _group_by_stratum(m.records, class_key).values())
+    return _sample_per_stratum(m, class_key, seed, lambda n: min_count)
 
 
 def subsample_fraction(m: Manifest, fraction: float, seed: int, stratify_by: str = "presence") -> Manifest:
@@ -230,17 +227,7 @@ def subsample_fraction(m: Manifest, fraction: float, seed: int, stratify_by: str
         raise ValueError(f"fraction must be in (0,1], got {fraction}")
     if fraction == 1.0:
         return m
-    groups = _group_by_stratum(m.records, stratify_by)
-    rng = np.random.default_rng(np.uint64(seed))
-    keep = set()
-    for key, recs in groups.items():
-        n = _round_half_up(fraction * len(recs))
-        chosen = rng.choice(len(recs), size=n, replace=False)
-        keep.update(recs[i].id for i in chosen)
-    return Manifest(
-        records=tuple(r for r in m.records if r.id in keep),
-        provenance=m.provenance,
-    )
+    return _sample_per_stratum(m, stratify_by, seed, lambda n: _round_half_up(fraction * n))
 
 
 def filter_manifest(
@@ -271,7 +258,7 @@ def filter_manifest(
             if r.individual is not None
             and counts[(r.species, r.individual)] >= min_images_per_individual
         ]
-    return Manifest(records=tuple(records), provenance=m.provenance)
+    return Manifest(records=tuple(records))
 
 
 def select_records(m: Manifest, ids: Iterable[str]) -> Manifest:
@@ -280,4 +267,4 @@ def select_records(m: Manifest, ids: Iterable[str]) -> Manifest:
     missing = wanted - set(m.ids())
     if missing:
         raise ValueError(f"ids not in manifest: {sorted(missing)[:5]}")
-    return Manifest(records=tuple(r for r in m.records if r.id in wanted), provenance=m.provenance)
+    return Manifest(records=tuple(r for r in m.records if r.id in wanted))

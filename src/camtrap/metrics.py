@@ -49,23 +49,6 @@ class BinaryCounts:
         return self.tp + self.tn + self.fp + self.fn
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
-    sensitivity: Optional[float]
-    specificity: Optional[float]
-    precision: Optional[float]
-    accuracy: Optional[float]
-    fp_rate: Optional[float]  # FP/TP as a percentage
-    fn_rate: Optional[float]  # FN/TP as a percentage
-    support: int  # true-class count (TP+FN)
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    per_class: Dict[str, ClassMetrics]
-    class_names: Tuple[str, ...]
-
-
 def accumulate(pairs: Sequence[Tuple[str, str]], class_names: Sequence[str]) -> ConfusionMatrix:
     names = tuple(class_names)
     index = {n: i for i, n in enumerate(names)}
@@ -128,17 +111,14 @@ def measures(bc: BinaryCounts) -> Dict[str, Optional[float]]:
             "precision": precision(bc), "accuracy": accuracy(bc)}
 
 
-def metrics_report(cm: ConfusionMatrix) -> MetricsReport:
-    per_class = {}
+def metrics_report(cm: ConfusionMatrix) -> List[dict]:
+    """One row per class, in class order; the keys are the metrics.csv header."""
+    rows = []
     for name in cm.class_names:
         bc = binary_counts(cm, name)
-        per_class[name] = ClassMetrics(
-            **measures(bc),
-            fp_rate=fp_rate(bc),
-            fn_rate=fn_rate(bc),
-            support=bc.tp + bc.fn,
-        )
-    return MetricsReport(per_class=per_class, class_names=cm.class_names)
+        rows.append({"class": name, "support": bc.tp + bc.fn, **measures(bc),
+                     "fp_rate_pct": fp_rate(bc), "fn_rate_pct": fn_rate(bc)})
+    return rows
 
 
 def topk_accuracy(rankings: Sequence[Sequence[str]], truths: Sequence[str], k: int) -> float:
@@ -158,24 +138,25 @@ def topk_accuracy(rankings: Sequence[Sequence[str]], truths: Sequence[str], k: i
 # ---------------------------------------------------------------------------
 # CSV output
 
-_UNDEF = "undefined"
+def _csv_value(v):
+    if v is None:
+        return "undefined"
+    if isinstance(v, float):
+        return repr(float(v))
+    return v
 
 
-def _fmt(v: Optional[float]) -> str:
-    return _UNDEF if v is None else repr(v)
-
-
-def write_metrics_csv(report: MetricsReport, path) -> None:
+def write_rows_csv(path, rows: List[dict]) -> None:
+    """Header from the first row's keys; None written as "undefined", floats
+    by repr; no rows give an empty file."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
+        if not rows:
+            return
+        fields = list(rows[0].keys())
         writer = csv.writer(fh)
-        writer.writerow(
-            ["class", "support", "sensitivity", "specificity", "precision", "accuracy", "fp_rate_pct", "fn_rate_pct"]
-        )
-        for name in report.class_names:
-            m = report.per_class[name]
-            writer.writerow(
-                [name, m.support, _fmt(m.sensitivity), _fmt(m.specificity), _fmt(m.precision), _fmt(m.accuracy), _fmt(m.fp_rate), _fmt(m.fn_rate)]
-            )
+        writer.writerow(fields)
+        for row in rows:
+            writer.writerow([_csv_value(row.get(f)) for f in fields])
 
 
 def write_confusion_csv(cm: ConfusionMatrix, path) -> None:
@@ -190,15 +171,11 @@ def write_confusion_csv(cm: ConfusionMatrix, path) -> None:
         writer.writerow(["TP+FN"] + [int(v) for v in cm.counts.sum(axis=0)] + [cm.total])
 
 
-def format_summary(report: MetricsReport) -> str:
+def format_summary(rows: List[dict]) -> str:
+    """The metrics_report rows as text, 4 decimals, undefined spelled out."""
     lines = ["class support sensitivity specificity precision accuracy"]
-    for name in report.class_names:
-        m = report.per_class[name]
-
-        def s(v):
-            return _UNDEF if v is None else f"{v:.4f}"
-
-        lines.append(
-            f"{name} {m.support} {s(m.sensitivity)} {s(m.specificity)} {s(m.precision)} {s(m.accuracy)}"
-        )
+    for row in rows:
+        cells = [row[k] for k in ("sensitivity", "specificity", "precision", "accuracy")]
+        lines.append(" ".join([row["class"], str(row["support"])]
+                              + [_csv_value(v if v is None else f"{v:.4f}") for v in cells]))
     return "\n".join(lines) + "\n"

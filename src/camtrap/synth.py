@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .manifest import ImageRecord, Manifest, INDIVIDUAL_SPECIES
+from .manifest import ImageRecord, Manifest, INDIVIDUAL_SPECIES, save_manifest
 
 _FAMILIES = ("stripes", "spots", "checker")
 
@@ -280,14 +280,12 @@ def generate_corpus(cfg: SynthConfig, out_dir=None):
     for i in range(cfg.n_negatives):
         add(f"unclassified-xx-{i:03d}", "unclassified", None, i in nights)
 
-    manifest = Manifest(records=tuple(records), provenance=f"synthetic seed={cfg.seed}")
+    manifest = Manifest(records=tuple(records))
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for rid, im in images.items():
             write_ppm(out_dir / im.record.path, im.pixels)
-        from .manifest import save_manifest
-
         save_manifest(manifest, out_dir / "manifest.csv")
     return manifest, images
 
@@ -337,6 +335,13 @@ def read_ppm(path) -> np.ndarray:
 
 
 def load_images(manifest: Manifest, root) -> Dict[str, np.ndarray]:
-    """Read all manifest images (PPM) from a root directory."""
-    root = Path(root)
-    return {r.id: read_ppm(root / r.path) for r in manifest}
+    """Read all manifest images (PPM) from a root directory; each must have
+    the width and height its record gives."""
+    images = {}
+    for r in manifest:
+        path = Path(root) / r.path
+        images[r.id] = read_ppm(path)
+        h, w = images[r.id].shape[:2]
+        if (w, h) != (r.width, r.height):
+            raise ValueError(f"{path}: image is {w}x{h}, manifest says {r.width}x{r.height}")
+    return images

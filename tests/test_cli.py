@@ -52,6 +52,19 @@ class TestExitCodes:
         assert code == 2
         assert "does-not-exist.csv" in capsys.readouterr().err
 
+    def test_manifest_size_mismatch_exit_2_names_image(self, corpus, tmp_path, capsys):
+        lines = (corpus / "manifest.csv").read_text().splitlines(keepends=True)
+        fields = lines[1].rstrip("\n").split(",")
+        image = fields[1]
+        lines[1] = ",".join(fields[:-2] + ["96", "96"]) + "\n"  # the PPMs are 64 x 64
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("".join(lines))
+        code, _, err = run(["train-detect", "--manifest", str(manifest), "--images", str(corpus),
+                            "--out", str(tmp_path / "det.model"), "--epochs", "1"], capsys)
+        assert code == 2
+        assert str(corpus / image) in err and "64x64" in err
+        assert not (tmp_path / "det.model").exists()
+
     def test_unknown_subcommand_exit_1(self):
         assert cli.main(["frobnicate"]) == 1
 

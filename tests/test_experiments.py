@@ -9,6 +9,7 @@ import pytest
 
 from camtrap import experiments as ex
 from camtrap import features as ft
+from camtrap import metrics as mt
 from camtrap import svm
 from camtrap import synth
 
@@ -218,5 +219,5 @@ class TestReports:
         assert "volume_trials.csv" in manifest
 
     def test_undefined_rendered_in_csv(self, tmp_path):
-        ex._write_rows_csv(tmp_path / "x.csv", [{"a": None, "b": 0.5}])
+        mt.write_rows_csv(tmp_path / "x.csv", [{"a": None, "b": 0.5}])
         assert "undefined" in (tmp_path / "x.csv").read_text()

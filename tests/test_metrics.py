@@ -145,9 +145,9 @@ class TestMetricFormulas:
 
     def test_report_renders_undefined(self):
         cm = mt.accumulate([("a", "a")], ["a", "b"])
-        report = mt.metrics_report(cm)
-        assert report.per_class["b"].sensitivity is None
-        assert "undefined" in mt.format_summary(report)
+        rows = mt.metrics_report(cm)
+        assert rows[1]["class"] == "b" and rows[1]["sensitivity"] is None
+        assert "undefined" in mt.format_summary(rows)
 
 
 class TestTopK:
@@ -191,7 +191,7 @@ class TestCsvOutput:
     def test_metrics_csv_roundtrip_values(self, tmp_path):
         cm = load_survey_matrix()
         path = tmp_path / "metrics.csv"
-        mt.write_metrics_csv(mt.metrics_report(cm), path)
+        mt.write_rows_csv(path, mt.metrics_report(cm))
         rows = {r["class"]: r for r in csv.DictReader(open(path))}
         assert float(rows["bear"]["precision"]) == 108 / 126
         assert rows["bear"]["support"] == "131"
