@@ -116,14 +116,14 @@ def _net_and_pyramid(args):
 
 
 def _add_net_flags(p):
-    p.add_argument("--channels", type=_int_tuple, default=(3, 8, 16), help="conv channel chain, e.g. 3,8,16")
-    p.add_argument("--levels", type=_int_tuple, default=(1, 2), help="pyramid grid sizes, e.g. 1,2")
-    p.add_argument("--net-seed", type=int, default=0, help="seed for the frozen conv weights")
+    p.add_argument("--channels", type=_int_tuple, default=ex.ExperimentConfig.channels, help="conv channel chain, e.g. 3,8,16")
+    p.add_argument("--levels", type=_int_tuple, default=ex.ExperimentConfig.pyramid_levels, help="pyramid grid sizes, e.g. 1,2")
+    p.add_argument("--net-seed", type=int, default=ex.ExperimentConfig.feature_seed, help="seed for the frozen conv weights")
 
 
 def _add_region_flags(p):
-    p.add_argument("--scales", type=_float_tuple, default=(0.5,), help="window scales, e.g. 0.5,0.75")
-    p.add_argument("--stride", type=float, default=0.5, help="stride as a fraction of the window")
+    p.add_argument("--scales", type=_float_tuple, default=ex.ExperimentConfig.region_scales, help="window scales, e.g. 0.5,0.75")
+    p.add_argument("--stride", type=float, default=ex.ExperimentConfig.region_stride, help="stride as a fraction of the window")
 
 
 # ---------------------------------------------------------------------------
@@ -270,32 +270,43 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-_CORPUS_KEYS = ("image_size", "n_negatives", "night_fraction", "corpus_seed",
-                "individuals", "images_per_individual")
+# corpus keys of an experiment config file and their defaults (corpus_seed: --seed)
+_CORPUS_DEFAULTS = {
+    "image_size": synth.SynthConfig.image_size, "n_negatives": synth.SynthConfig.n_negatives,
+    "night_fraction": synth.SynthConfig.night_fraction, "corpus_seed": 0,
+    "individuals": 4, "images_per_individual": 10,
+}
+# value types a config key takes, by the type of its default; any other default takes a str
+_VALUE_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
 
 
 def _experiment_config(args) -> ex.ExperimentConfig:
     values = parse_config_file(args.config) if args.config else {}
-    unknown = set(values) - set(ex.ExperimentConfig.__dataclass_fields__) - set(_CORPUS_KEYS)
+    defaults = {**{k: f.default for k, f in ex.ExperimentConfig.__dataclass_fields__.items()}, **_CORPUS_DEFAULTS}
+    unknown = set(values) - set(defaults)
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"{args.config}: unknown config keys: {sorted(unknown)}")
+    kwargs = {}
+    for key, value in values.items():
+        default = defaults[key]
+        many = isinstance(default, tuple)  # a scalar is wrapped where the default is a tuple
+        items = value if isinstance(value, tuple) else (value,)
+        types = _VALUE_TYPES.get(type(default[0] if many else default), (str,))
+        if (isinstance(value, tuple) and not many) or not all(
+                isinstance(v, types) and isinstance(v, bool) == (bool in types) for v in items):
+            raise ValueError(f"{args.config}: {key} = {value!r}: expected {types[-1].__name__}{' values' if many else ''}")
+        if key not in _CORPUS_DEFAULTS:
+            kwargs[key] = items if many else value
     synth_cfg = None
     if "manifest_path" not in values and not args.manifest:
-        specs = synth.default_species_specs(
-            int(values.get("individuals", 4)), int(values.get("images_per_individual", 10))
-        )
+        corpus = {**_CORPUS_DEFAULTS, "corpus_seed": args.seed, **values}
         synth_cfg = synth.SynthConfig(
-            image_size=int(values.get("image_size", 96)),
-            species_specs=specs,
-            n_negatives=int(values.get("n_negatives", 40)),
-            night_fraction=float(values.get("night_fraction", 0.0)),
-            seed=int(values.get("corpus_seed", args.seed)),
+            image_size=corpus["image_size"],
+            species_specs=synth.default_species_specs(corpus["individuals"], corpus["images_per_individual"]),
+            n_negatives=corpus["n_negatives"],
+            night_fraction=float(corpus["night_fraction"]),
+            seed=corpus["corpus_seed"],
         )
-    kwargs = {k: v for k, v in values.items() if k not in _CORPUS_KEYS}
-    # normalize scalar config values where the field is a tuple
-    for key, f in ex.ExperimentConfig.__dataclass_fields__.items():
-        if isinstance(f.default, tuple) and key in kwargs and not isinstance(kwargs[key], tuple):
-            kwargs[key] = (kwargs[key],)
     # flags override file values
     kwargs["protocol"] = args.protocol
     kwargs["base_seed"] = args.seed
@@ -329,11 +340,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate the synthetic corpus")
     p.add_argument("--out", default=_default_out(), help=f"output directory (default ${OUT_ENV} or .)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--image-size", type=int, default=96)
-    p.add_argument("--individuals", type=int, default=4, help="individuals per tagged species")
-    p.add_argument("--images-per-individual", type=int, default=10)
-    p.add_argument("--negatives", type=int, default=40, help="images with no animal")
-    p.add_argument("--night-fraction", type=float, default=0.0)
+    p.add_argument("--image-size", type=int, default=synth.SynthConfig.image_size)
+    p.add_argument("--individuals", type=int, default=_CORPUS_DEFAULTS["individuals"], help="individuals per tagged species")
+    p.add_argument("--images-per-individual", type=int, default=_CORPUS_DEFAULTS["images_per_individual"])
+    p.add_argument("--negatives", type=int, default=synth.SynthConfig.n_negatives, help="images with no animal")
+    p.add_argument("--night-fraction", type=float, default=synth.SynthConfig.night_fraction)
     p.set_defaults(fn=_cmd_synth)
 
     p = sub.add_parser("split", help="stratified train/validation split")
@@ -349,8 +360,8 @@ def build_parser() -> _Parser:
     p.add_argument("--images", default=None, help="image root (default: manifest directory)")
     p.add_argument("--out", required=True, help="model output path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--lam", type=float, default=1e-3, help="regularization strength")
+    p.add_argument("--epochs", type=int, default=ex.ExperimentConfig.svm_epochs)
+    p.add_argument("--lam", type=float, default=ex.ExperimentConfig.svm_lambda, help="regularization strength")
     _add_net_flags(p)
     p.set_defaults(fn=_cmd_train_detect)
 
@@ -363,9 +374,9 @@ def build_parser() -> _Parser:
         p.add_argument("--images", default=None)
         p.add_argument("--out", required=True, help="head output path")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--epochs", type=int, default=1200)
-        p.add_argument("--lr", type=float, default=8.0)
-        p.add_argument("--l2", type=float, default=1e-4)
+        p.add_argument("--epochs", type=int, default=ex.ExperimentConfig.head_epochs)
+        p.add_argument("--lr", type=float, default=ex.ExperimentConfig.head_lr)
+        p.add_argument("--l2", type=float, default=ex.ExperimentConfig.head_l2)
         if name == "train-individual":
             p.add_argument("--species", default=None, help="comma list, e.g. tiger,leopard")
         _add_net_flags(p)
@@ -377,10 +388,10 @@ def build_parser() -> _Parser:
     p.add_argument("--detector", required=True, help="patch-level linear model; none is trained by a subcommand yet")
     p.add_argument("--out", required=True, help="PBM mask output")
     p.add_argument("--patch-size", type=int, default=16)
-    p.add_argument("--w", type=float, default=2.0, help="pairwise coupling weight")
-    p.add_argument("--theta-pos", type=float, default=2.0)
-    p.add_argument("--theta-color", type=float, default=0.15)
-    p.add_argument("--iterations", type=int, default=5)
+    p.add_argument("--w", type=float, default=seg.PairwiseParams.w, help="pairwise coupling weight")
+    p.add_argument("--theta-pos", type=float, default=seg.PairwiseParams.theta_pos)
+    p.add_argument("--theta-color", type=float, default=seg.PairwiseParams.theta_color)
+    p.add_argument("--iterations", type=int, default=seg.PairwiseParams.iterations)
     p.add_argument("--tau", type=float, default=0.5, help="foreground threshold")
     p.add_argument("--scale", type=float, default=1.0, help="margin-to-probability scale, > 0")
     _add_net_flags(p)

@@ -10,6 +10,7 @@ is accepted and ignored, kept so that existing configs and command lines run.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -83,9 +84,7 @@ class ExperimentConfig:
 
 @dataclass
 class Report:
-    protocol: str
-    config: dict
-    version: str
+    cfg: ExperimentConfig  # the run's settings and the report's header
     rows: List[dict] = field(default_factory=list)
     aggregates: List[dict] = field(default_factory=list)
     confusions: Dict[str, mt.ConfusionMatrix] = field(default_factory=dict)
@@ -127,6 +126,26 @@ class PipelineContext:
         return self._region_feats[rid]
 
 
+# the config fields a PipelineContext is built from
+_CONTEXT_FIELDS = ("synth_config", "manifest_path", "images_root", "channels",
+                   "pyramid_levels", "region_scales", "region_stride", "feature_seed")
+
+
+def _context(cfg: ExperimentConfig, ctx: Optional[PipelineContext]) -> PipelineContext:
+    """A new context for `cfg`, or `ctx` once checked to match `cfg`'s corpus and feature fields."""
+    if ctx is None:
+        return PipelineContext(cfg)
+    differ = [f for f in _CONTEXT_FIELDS if getattr(ctx.cfg, f) != getattr(cfg, f)]
+    if differ:
+        raise ValueError(f"context and config differ in {', '.join(differ)}")
+    return ctx
+
+
+def _trials(cfg: ExperimentConfig):
+    """(trial index, seed) of each trial: the seed is base_seed + index."""
+    return [(t, cfg.base_seed + t) for t in range(cfg.n_seeds)]
+
+
 def _presence_rows(ctx, ids):
     """Full-image feature rows and their +1 (animal) / -1 (no animal) labels."""
     x = np.stack([ctx.image_feature(i) for i in ids])
@@ -143,9 +162,9 @@ def _fit_head(cfg, ds, classes, seed) -> wsddn.TwoStreamHead:
     return wsddn.train_head(ds, classes, head_cfg)
 
 
-def _detector_metrics(ctx, train_ids, val_ids, seed) -> dict:
+def _detector_metrics(ctx, cfg, train_ids, val_ids, seed) -> dict:
     train = _presence_rows(ctx, train_ids)
-    model = _fit_detector(ctx.cfg, *train, seed)
+    model = _fit_detector(cfg, *train, seed)
     out = {}
     for tag, (x, y) in (("train", train), ("test", _presence_rows(ctx, val_ids))):
         pairs = [
@@ -217,22 +236,15 @@ def run_detector_sweep(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = N
     corpus volume (subsample, then split), training proportion against a
     fixed validation set, or train:validation ratio (best ratio marked)."""
     key, values_field, split_fn = _SWEEPS[cfg.protocol]
-    ctx = ctx or PipelineContext(cfg)
+    ctx = _context(cfg, ctx)
     rows = []
     for value in getattr(cfg, values_field):
-        for trial_idx in range(cfg.n_seeds):
-            seed = cfg.base_seed + trial_idx
+        for trial_idx, seed in _trials(cfg):
             train_ids, val_ids, extra = split_fn(ctx, cfg, value, seed)
-            m = _detector_metrics(ctx, train_ids, val_ids, seed)
+            m = _detector_metrics(ctx, cfg, train_ids, val_ids, seed)
             rows.append({key: value, "trial": trial_idx, "seed": seed, **extra, **m["test"]})
     metrics_keys = ["sensitivity", "specificity", "precision", "accuracy"]
-    report = Report(
-        protocol=cfg.protocol,
-        config=cfg.resolved(),
-        version=__version__,
-        rows=rows,
-        aggregates=_aggregate(rows, [key], metrics_keys),
-    )
+    report = Report(cfg, rows, _aggregate(rows, [key], metrics_keys))
     if cfg.protocol == "split":
         best = max(report.aggregates, key=lambda a: (a["accuracy_mean"], -a["train_ratio"]))
         for a in report.aggregates:
@@ -247,33 +259,26 @@ run_volume_sweep = run_proportion_sweep = run_split_sweep = run_detector_sweep
 def run_illumination_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = None) -> Report:
     """Day-only, night-only and mixed detector runs, balanced positives and
     negatives, training and test accuracy per sub-dataset."""
-    ctx = ctx or PipelineContext(cfg)
+    ctx = _context(cfg, ctx)
     rows = []
     for name, illum in (("daylight", "day"), ("night", "night"), ("mixed", None)):
         man = ctx.manifest if illum is None else mf.filter_manifest(ctx.manifest, illumination=illum)
         n_pos = sum(r.has_animal for r in man)
         skip = n_pos < 2 or len(man) - n_pos < 2
-        for trial_idx in range(cfg.n_seeds):
-            seed = cfg.base_seed + trial_idx
+        for trial_idx, seed in _trials(cfg):
             row = {"subset": name, "trial": trial_idx, "seed": seed, "n_images": len(man),
                    "training_accuracy": None, "test_accuracy": None, "skipped": int(skip)}
             if not skip:
                 balanced = mf.balance_classes(man, "presence", seed)
                 split = mf.stratified_split(balanced, cfg.split_fraction, seed, "presence")
-                m = _detector_metrics(ctx, split.train, split.validation, seed)
+                m = _detector_metrics(ctx, cfg, split.train, split.validation, seed)
                 row.update(n_images=len(balanced), training_accuracy=m["train"]["accuracy"],
                            test_accuracy=m["test"]["accuracy"])
             rows.append(row)
     aggregates = _aggregate(rows, ["subset"], ["training_accuracy", "test_accuracy"])
     for agg in aggregates:
         agg["skipped"] = int(all(r["skipped"] for r in rows if r["subset"] == agg["subset"]))
-    return Report(
-        protocol="illumination",
-        config=cfg.resolved(),
-        version=__version__,
-        rows=rows,
-        aggregates=aggregates,
-    )
+    return Report(cfg, rows, aggregates)
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +322,12 @@ def run_species_comparison(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
                       top-k accuracy = fraction of that class's images whose
                       top-k ranking contains it
     """
-    ctx = ctx or PipelineContext(cfg)
+    ctx = _context(cfg, ctx)
     by_id = ctx.by_id
     agg_cfg = wsddn.AggregationConfig(k=cfg.k)
-    report = Report(protocol="species", config=cfg.resolved(), version=__version__)
+    report = Report(cfg)
 
-    for trial_idx in range(cfg.n_seeds):
-        seed = cfg.base_seed + trial_idx
+    for trial_idx, seed in _trials(cfg):
         split = mf.stratified_split(ctx.manifest, cfg.split_fraction, seed, "species")
         species, all_classes, detector, gate_head, direct_head, region_head = _train_species_heads(
             ctx, cfg, list(split.train), seed
@@ -439,10 +443,7 @@ def _individual_run(ctx, cfg, man, classes, seed, balanced, segmented):
         s = wsddn.score_regions(feats(i), head)
         pairs.append((wsddn.predict_topk(wsddn.aggregate_topk(s, classes, agg_cfg), 1)[0], by_id[i].individual))
     cm = mt.accumulate(pairs, classes)
-    train_counts = {c: 0 for c in classes}
-    for i in train_man.ids():
-        train_counts[by_id[i].individual] += 1
-    return cm, train_counts
+    return cm, Counter(by_id[i].individual for i in train_man.ids())
 
 
 def _individual_rows(cm, classes, train_counts) -> List[dict]:
@@ -458,9 +459,8 @@ def _individual_rows(cm, classes, train_counts) -> List[dict]:
 def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = None) -> Report:
     """{balanced, unbalanced} x {raw, segmented} x {tiger, leopard, joint}
     individual-recognition grid, per-individual counts and measures."""
-    ctx = ctx or PipelineContext(cfg)
-    by_id = ctx.by_id
-    report = Report(protocol="individual", config=cfg.resolved(), version=__version__)
+    ctx = _context(cfg, ctx)
+    report = Report(cfg)
     species_opts = []
     for sp in ("tiger", "leopard"):
         if any(r.species == sp and r.individual for r in ctx.manifest):
@@ -475,8 +475,7 @@ def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] =
             raise ValueError(f"{sp_name}: need at least 2 individuals")
         for balanced in (False, True):
             for segmented in (False, True) if cfg.segment else (False,):
-                for trial_idx in range(cfg.n_seeds):
-                    seed = cfg.base_seed + trial_idx
+                for trial_idx, seed in _trials(cfg):
                     cm, train_counts = _individual_run(
                         ctx, cfg, man, classes, seed, balanced, segmented
                     )
@@ -509,16 +508,15 @@ def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] =
 def run_joint_individuals(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = None) -> Report:
     """Single head over the union of tiger and leopard individuals;
     per-individual sensitivity and specificity, sorted by sensitivity."""
-    ctx = ctx or PipelineContext(cfg)
+    ctx = _context(cfg, ctx)
     man = mf.filter_manifest(ctx.manifest, min_images_per_individual=1)
     n_species = len({r.species for r in man})
     if n_species < 2:
         raise ValueError("joint study needs individuals from 2 species")
     classes = sorted({r.individual for r in man})
-    report = Report(protocol="joint-individuals", config=cfg.resolved(), version=__version__)
+    report = Report(cfg)
     keep = ("individual", "train_images", "sensitivity", "specificity", "accuracy")
-    for trial_idx in range(cfg.n_seeds):
-        seed = cfg.base_seed + trial_idx
+    for trial_idx, seed in _trials(cfg):
         cm, train_counts = _individual_run(
             ctx, cfg, man, classes, seed, cfg.balance, cfg.segment
         )
@@ -533,9 +531,7 @@ def run_joint_individuals(cfg: ExperimentConfig, ctx: Optional[PipelineContext] 
 
 
 RUNNERS = {
-    "volume": run_detector_sweep,
-    "proportion": run_detector_sweep,
-    "split": run_detector_sweep,
+    **dict.fromkeys(_SWEEPS, run_detector_sweep),
     "illumination": run_illumination_study,
     "species": run_species_comparison,
     "individual": run_individual_study,
@@ -554,27 +550,28 @@ def run_protocol(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = None) -
 def write_report(report: Report, out_dir) -> List[str]:
     """Write trial CSV, aggregate CSV, confusion matrices, the resolved
     config and a run manifest; returns the file list."""
+    protocol = report.cfg.protocol
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = []
-    trials_path = out / f"{report.protocol}_trials.csv"
+    trials_path = out / f"{protocol}_trials.csv"
     mt.write_rows_csv(trials_path, report.rows)
     files.append(trials_path.name)
-    agg_path = out / f"{report.protocol}_aggregate.csv"
+    agg_path = out / f"{protocol}_aggregate.csv"
     mt.write_rows_csv(agg_path, report.aggregates)
     files.append(agg_path.name)
     for name, cm in report.confusions.items():
-        p = out / f"{report.protocol}_confusion_{name}.csv"
+        p = out / f"{protocol}_confusion_{name}.csv"
         mt.write_confusion_csv(cm, p)
         files.append(p.name)
     cfg_path = out / "config.json"
     with open(cfg_path, "w", encoding="utf-8") as fh:
-        json.dump({"version": report.version, "config": report.config}, fh, indent=2, sort_keys=True, default=repr)
+        json.dump({"version": __version__, "config": report.cfg.resolved()}, fh, indent=2, sort_keys=True, default=repr)
         fh.write("\n")
     files.append(cfg_path.name)
     man_path = out / "run_manifest.txt"
     with open(man_path, "w", encoding="utf-8") as fh:
-        fh.write(f"camtrap-run v1\nprotocol {report.protocol}\nversion {report.version}\n")
+        fh.write(f"camtrap-run v1\nprotocol {protocol}\nversion {__version__}\n")
         for note in report.notes:
             fh.write(f"note {note}\n")
         for f in files:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np

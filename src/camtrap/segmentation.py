@@ -120,12 +120,8 @@ def threshold_mask(pf: np.ndarray, tau: float = 0.5) -> np.ndarray:
 
 def upsample_mask(mask: np.ndarray, grid: PatchGrid) -> np.ndarray:
     """Nearest-neighbor upsample of a patch mask to pixel resolution."""
-    pixels = np.zeros((grid.height, grid.width), dtype=np.uint8)
-    for r in range(grid.ny):
-        for c in range(grid.nx):
-            reg = grid.patch_region(r, c)
-            pixels[reg.y0 : reg.y1, reg.x0 : reg.x1] = mask[r, c]
-    return pixels
+    blocks = np.repeat(np.repeat(mask, grid.patch_size, axis=0), grid.patch_size, axis=1)
+    return blocks[: grid.height, : grid.width].astype(np.uint8)
 
 
 def apply_mask(image: np.ndarray, mask: np.ndarray) -> np.ndarray:

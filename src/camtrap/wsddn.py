@@ -71,14 +71,9 @@ class ClassScores:
             raise ValueError("one value per class required")
 
 
-def _softmax_rows(u: np.ndarray) -> np.ndarray:
-    e = np.exp(u - u.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _softmax_cols(v: np.ndarray) -> np.ndarray:
-    e = np.exp(v - v.max(axis=-2, keepdims=True))
-    return e / e.sum(axis=-2, keepdims=True)
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def score_regions(rf: RegionFeatures, head: TwoStreamHead) -> RegionScoreMatrix:
@@ -86,8 +81,8 @@ def score_regions(rf: RegionFeatures, head: TwoStreamHead) -> RegionScoreMatrix:
         raise ValueError(
             f"feature dim {rf.matrix.shape[1]} does not match head dim {head.dim}"
         )
-    rec = _softmax_rows(rf.matrix @ head.w_rec)
-    det = _softmax_cols(rf.matrix @ head.w_det)
+    rec = _softmax(rf.matrix @ head.w_rec, -1)
+    det = _softmax(rf.matrix @ head.w_det, -2)
     return RegionScoreMatrix(scores=rec * det, recognition=rec, detection=det)
 
 
@@ -138,8 +133,8 @@ def _bce_loss_and_grad(x: np.ndarray, targets: np.ndarray, a: np.ndarray, b: np.
     n = x.shape[0]
     u = x @ a
     v = x @ b
-    p = _softmax_rows(u)
-    q = _softmax_cols(v)
+    p = _softmax(u, -1)
+    q = _softmax(v, -2)
     s = p * q
     ysum = s.sum(axis=1)
     y = np.clip(ysum, EPS, 1.0 - EPS)

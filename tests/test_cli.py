@@ -115,8 +115,22 @@ class TestConfigFile:
             path.write_text(f"{key} = {value}\n")
             code = cli.main(["experiment", "volume", "--config", str(path), "--out", str(tmp_path / "o")])
             assert code == 2, key
-            assert key in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert key in err and str(path) in err, key
             assert not (tmp_path / "o").exists() and not (tmp_path / value).exists()
+
+    def test_wrong_typed_value_exit_2(self, tmp_path, capsys):
+        bad = ("segment = maybe", "balance = 2", "fractions = abc", "fractions = 0.5, abc",
+               "k = big", "k = 1, 2", "split_fraction = half", "head_epochs = 1.5",
+               "n_seeds = two", "n_seeds = true", "image_size = 1.5", "night_fraction = dark")
+        for line in bad:
+            path = tmp_path / "c.toml"
+            path.write_text(line + "\n")
+            code = cli.main(["experiment", "volume", "--config", str(path), "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert code == 2, line
+            assert str(path) in err and line.split(" =")[0] in err, line
+            assert not (tmp_path / "o").exists(), line
 
 
 class TestPipeline:

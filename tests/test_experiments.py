@@ -52,6 +52,26 @@ class TestConfig:
     def test_resolved_excludes_jobs(self):
         assert "jobs" not in config("volume", jobs=4).resolved()
 
+    def test_runner_config_is_the_only_config(self, ctx, monkeypatch):
+        # the shared context is built with svm_epochs 8 and svm_lambda 1e-3
+        train = svm.train_linear_svm
+        fits = []
+
+        def recording_train(x, y, cfg):
+            fits.append((cfg.epochs, cfg.lam))
+            return train(x, y, cfg)
+
+        monkeypatch.setattr(svm, "train_linear_svm", recording_train)
+        for protocol in ("volume", "proportion", "split", "illumination", "species"):
+            fits.clear()
+            ex.run_protocol(config(protocol, svm_epochs=3, svm_lambda=1e-2, n_seeds=1, head_epochs=5), ctx)
+            assert fits and set(fits) == {(3, 1e-2)}, protocol
+        with pytest.raises(ValueError, match="channels"):
+            ex.run_protocol(config("volume", channels=(3, 4)), ctx)
+        other_corpus = synth.SynthConfig(image_size=64, species_specs=SMALL_SPECS, n_negatives=16, seed=99)
+        with pytest.raises(ValueError, match="synth_config"):
+            ex.run_protocol(config("volume", synth_config=other_corpus), ctx)
+
 
 class TestDetectorSweeps:
     def test_volume_row_count(self, ctx):

@@ -1,0 +1,33 @@
+"""Source hygiene, stdlib only: no module-level import goes unused."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "camtrap").glob("*.py"))
+
+
+def unused_imports(source: str):
+    """Names bound by module-level imports that the module never reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detector_sees_unused_and_used_names():
+    src = "import os\nimport numpy as np\nfrom typing import List, Dict\nx: List = np.zeros(1)\n"
+    assert unused_imports(src) == [(1, "os"), (3, "Dict")]

@@ -3,6 +3,7 @@ check), thresholding, masking and IoU."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from camtrap import features as ft
 from camtrap import segmentation as seg
@@ -145,6 +146,19 @@ class TestThresholdAndMask:
         pixels = seg.upsample_mask(mask, grid)
         assert pixels.shape == (8, 16)
         assert pixels[:, :8].all() and not pixels[:, 8:].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(patch=st.integers(4, 12), width=st.integers(1, 50), height=st.integers(1, 50), seed=st.integers(0, 2**16))
+    def test_upsample_matches_per_patch_reference(self, patch, width, height, seed):
+        grid = seg.PatchGrid(patch_size=patch, width=width, height=height)
+        mask = (np.random.default_rng(seed).uniform(size=(grid.ny, grid.nx)) > 0.5).astype(np.uint8)
+        expected = np.zeros((height, width), dtype=np.uint8)
+        for r in range(grid.ny):
+            for c in range(grid.nx):
+                reg = grid.patch_region(r, c)
+                expected[reg.y0 : reg.y1, reg.x0 : reg.x1] = mask[r, c]
+        pixels = seg.upsample_mask(mask, grid)
+        assert pixels.dtype == np.uint8 and np.array_equal(pixels, expected)
 
     def test_apply_mask_full_and_empty(self):
         rng = np.random.default_rng(1)
