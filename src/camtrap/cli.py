@@ -176,6 +176,7 @@ def _cmd_train_detect(args) -> int:
 
 def _train_head_command(args, man, label_of, class_names) -> int:
     """Train a two-stream head on the region features of every record in `man`."""
+    cfg = wsddn.HeadTrainConfig(args.epochs, args.lr, args.seed, args.l2)
     images = _load_images(args, man)
     params, pyramid = _net_and_pyramid(args)
     ds = []
@@ -184,7 +185,6 @@ def _train_head_command(args, man, label_of, class_names) -> int:
         regions = ft.propose_regions(img.shape[1], img.shape[0], args.scales, args.stride)
         rf = ft.extract_region_features(img, regions, params, pyramid)
         ds.append((rf, wsddn.one_hot(label_of(r), class_names)))
-    cfg = wsddn.HeadTrainConfig(args.epochs, args.lr, args.seed, args.l2)
     head = wsddn.train_head(ds, class_names, cfg)
     wsddn.save_head(head, args.out)
     print(f"saved {args.out}; classes {' '.join(class_names)}; final loss {float(head.loss_by_epoch[-1])!r}")

@@ -20,6 +20,8 @@ import numpy as np
 from .features import RegionFeatures
 
 EPS = 1e-6
+# rows per block of the head-gradient reduction (see _bce_loss_and_grad)
+GRAD_ROW_BLOCK = 160
 
 
 @dataclass
@@ -123,18 +125,31 @@ class HeadTrainConfig:
     l2: float = 1e-4
 
     def __post_init__(self):
-        if self.epochs < 1 or self.learning_rate <= 0 or self.l2 < 0:
-            raise ValueError("bad training config")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
+        if self.l2 < 0:
+            raise ValueError(f"l2 must be >= 0, got {self.l2!r}")
 
 
 def _bce_loss_and_grad(x: np.ndarray, targets: np.ndarray, a: np.ndarray, b: np.ndarray, l2: float):
     """Loss and gradients for stacked features x (N,R,D) and one-hot targets
-    (N,C) through the sum-aggregated two-stream scores."""
-    n = x.shape[0]
-    u = x @ a
-    v = x @ b
-    p = _softmax(u, -1)
-    q = _softmax(v, -2)
+    (N,C) through the sum-aggregated two-stream scores.
+
+    Matrix form: with x viewed as (N·R, D) rows, one GEMM against [a | b]
+    gives both streams' logits and one GEMM of the rows against [du | dv]
+    gives both gradients.  That second GEMM reduces over the rows; it is
+    summed over fixed blocks of GRAD_ROW_BLOCK rows, in order, because
+    OpenBLAS splits one long reduction differently at different thread
+    counts and the result would then depend on them in the last ulp.
+    """
+    n, r, d = x.shape
+    c = a.shape[1]
+    x2 = x.reshape(n * r, d)
+    uv = (x2 @ np.concatenate([a, b], axis=1)).reshape(n, r, 2 * c)
+    p = _softmax(uv[..., :c], -1)
+    q = _softmax(uv[..., c:], -2)
     s = p * q
     ysum = s.sum(axis=1)
     y = np.clip(ysum, EPS, 1.0 - EPS)
@@ -148,8 +163,12 @@ def _bce_loss_and_grad(x: np.ndarray, targets: np.ndarray, a: np.ndarray, b: np.
     dq = ds * p
     du = p * (dp - (dp * p).sum(axis=2, keepdims=True))
     dv = q * (dq - (dq * q).sum(axis=1, keepdims=True))
-    ga = np.einsum("nrd,nrc->dc", x, du) / n + l2 * a
-    gb = np.einsum("nrd,nrc->dc", x, dv) / n + l2 * b
+    duv = np.concatenate([du, dv], axis=2).reshape(n * r, 2 * c)
+    g = np.zeros((d, 2 * c))
+    for i in range(0, n * r, GRAD_ROW_BLOCK):
+        g += x2[i : i + GRAD_ROW_BLOCK].T @ duv[i : i + GRAD_ROW_BLOCK]
+    ga = g[:, :c] / n + l2 * a
+    gb = g[:, c:] / n + l2 * b
     return loss, ga, gb
 
 
@@ -167,13 +186,15 @@ def train_head(
     c = len(class_names)
     if c < 2:
         raise ValueError("need at least 2 classes")
+    if not dataset:
+        raise ValueError("dataset is empty")
     dims = {rf.matrix.shape[1] for rf, _ in dataset}
     if len(dims) != 1:
         raise ValueError(f"inconsistent feature dims {sorted(dims)}")
     d = dims.pop()
     counts = {rf.matrix.shape[0] for rf, _ in dataset}
     if len(counts) != 1:
-        raise ValueError("all images must have the same region count")
+        raise ValueError(f"all images must have the same region count, found {sorted(counts)}")
     targets = np.stack([t for _, t in dataset]).astype(float)
     if targets.shape[1] != c:
         raise ValueError("target width must equal the number of classes")

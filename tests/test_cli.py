@@ -166,6 +166,21 @@ class TestPipeline:
         assert code == 0
         assert "tiger one" in wsddn.load_head(head).class_names
 
+    def test_bad_head_training_value_exit_2_names_field(self, corpus, tmp_path, capsys, monkeypatch):
+        # the config is checked before any image is read or any feature extracted
+        def no_images(*_):
+            raise AssertionError("images loaded before the training config was checked")
+
+        monkeypatch.setattr(cli, "_load_images", no_images)
+        head = tmp_path / "species.head"
+        for flag, value, field in (("--lr", "0", "learning_rate"), ("--epochs", "0", "epochs"),
+                                   ("--l2", "-1", "l2")):
+            code, _, err = run(["train-species", "--manifest", str(corpus / "manifest.csv"),
+                                "--images", str(corpus), "--out", str(head), flag, value], capsys)
+            assert code == 2
+            assert field in err and value in err
+            assert not head.exists()
+
     def test_eval_identical_files_all_ones(self, tmp_path, capsys):
         truth = tmp_path / "t.csv"
         truth.write_text("id,label\na,tiger\nb,leopard\nc,tiger\n")

@@ -1,8 +1,15 @@
 """Two-stream region scoring: softmax-product structure, aggregation rules,
 tie-breaking, permutation equivariance, training gradients."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from camtrap import wsddn
 from camtrap.features import Region, RegionFeatures
@@ -261,8 +268,103 @@ class TestTraining:
             (make_rf(rng.normal(size=(2, 3))), np.array([1.0, 0.0])),
             (make_rf(rng.normal(size=(3, 3))), np.array([0.0, 1.0])),
         ]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"region count.*\[2, 3\]"):
             wsddn.train_head(ds, ("a", "b"))
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            wsddn.train_head([], ("a", "b"))
+
+    @staticmethod
+    def einsum_reference(x, targets, a, b, l2):
+        """The two-product, two-einsum step that the matrix form replaced."""
+        n = x.shape[0]
+        u = x @ a
+        v = x @ b
+        p = wsddn._softmax(u, -1)
+        q = wsddn._softmax(v, -2)
+        s = p * q
+        ysum = s.sum(axis=1)
+        y = np.clip(ysum, wsddn.EPS, 1.0 - wsddn.EPS)
+        loss = -(targets * np.log(y) + (1.0 - targets) * np.log(1.0 - y)).sum(axis=1).mean()
+        loss += 0.5 * l2 * (float((a * a).sum()) + float((b * b).sum()))
+        g_y = (y - targets) / (y * (1.0 - y))
+        g_y = np.where((ysum < wsddn.EPS) | (ysum > 1.0 - wsddn.EPS), 0.0, g_y)
+        ds = g_y[:, None, :]
+        dp = ds * q
+        dq = ds * p
+        du = p * (dp - (dp * p).sum(axis=2, keepdims=True))
+        dv = q * (dq - (dq * q).sum(axis=1, keepdims=True))
+        ga = np.einsum("nrd,nrc->dc", x, du) / n + l2 * a
+        gb = np.einsum("nrd,nrc->dc", x, dv) / n + l2 * b
+        return loss, ga, gb
+
+    # (N, R) with N·R below one row block, exactly one, several, and a
+    # partial last block; R = 1 is the image-level species heads' case
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nr=st.sampled_from([(1, 1), (3, 5), (16, 10), (160, 1), (32, 10), (17, 10), (161, 1), (7, 50)]),
+        c=st.sampled_from([2, 3, 24]),
+        d=st.integers(1, 96),
+        scale=st.floats(1.0, 8.0),
+        seed=st.integers(0, 2**16),
+    )
+    @example(nr=(17, 10), c=24, d=160, scale=1.0, seed=0)
+    @example(nr=(161, 1), c=2, d=5, scale=8.0, seed=1)
+    def test_matrix_form_matches_einsum_reference(self, nr, c, d, scale, seed):
+        """Rows as the pipeline makes them (non-negative, L2-normalized) and
+        Glorot-range weights up to 8x wider.  Where BLAS returns the same
+        logits for [a | b] on (N·R, D) rows as for the per-image products,
+        the loss is bit-equal; otherwise it differs only by their rounding.
+        Gradients change summation order and agree to 1e-12 of their
+        largest entry."""
+        n, r = nr
+        rng = np.random.default_rng(seed)
+        x = np.abs(rng.normal(size=(n, r, d)))
+        x /= np.linalg.norm(x, axis=2, keepdims=True)
+        targets = np.zeros((n, c))
+        targets[np.arange(n), rng.integers(c, size=n)] = 1.0
+        bound = scale * np.sqrt(6.0 / (d + c))
+        a = rng.uniform(-bound, bound, size=(d, c))
+        b = rng.uniform(-bound, bound, size=(d, c))
+        loss, ga, gb = wsddn._bce_loss_and_grad(x, targets, a, b, 1e-4)
+        ref_loss, ref_ga, ref_gb = self.einsum_reference(x, targets, a, b, 1e-4)
+        uv = x.reshape(n * r, d) @ np.concatenate([a, b], axis=1)
+        if np.array_equal(uv, np.concatenate([x @ a, x @ b], axis=2).reshape(n * r, 2 * c)):
+            assert loss == ref_loss
+        else:
+            assert abs(loss - ref_loss) <= 1e-14 * abs(ref_loss)
+        for g, ref in ((ga, ref_ga), (gb, ref_gb)):
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_blas_thread_count_leaves_head_bytes(self):
+        # 2000 rows x 80 dims against 48 gradient columns: one unblocked
+        # reduction of this shape rounds differently at 1 and 2 OpenBLAS threads
+        script = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from camtrap import wsddn
+            from camtrap.features import Region, RegionFeatures
+            rng = np.random.default_rng(7)
+            names = tuple(f"c{j}" for j in range(24))
+            regions = tuple(Region(0, i, 1, i + 1) for i in range(10))
+            ds = [(RegionFeatures(regions, rng.normal(size=(10, 80))), wsddn.one_hot(names[i % 24], names))
+                  for i in range(200)]
+            head = wsddn.train_head(ds, names, wsddn.HeadTrainConfig(epochs=3, learning_rate=2.0, seed=1))
+            h = hashlib.sha256()
+            for arr in (head.w_rec, head.w_det, np.array(head.loss_by_epoch)):
+                h.update(arr.tobytes())
+            print(h.hexdigest())
+        """)
+        src = str(Path(wsddn.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2", "3"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, check=True, timeout=120)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestHelpers:
