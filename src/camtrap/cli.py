@@ -297,16 +297,6 @@ def _experiment_config(args) -> ex.ExperimentConfig:
             raise ValueError(f"{args.config}: {key} = {value!r}: expected {types[-1].__name__}{' values' if many else ''}")
         if key not in _CORPUS_DEFAULTS:
             kwargs[key] = items if many else value
-    synth_cfg = None
-    if "manifest_path" not in values and not args.manifest:
-        corpus = {**_CORPUS_DEFAULTS, "corpus_seed": args.seed, **values}
-        synth_cfg = synth.SynthConfig(
-            image_size=corpus["image_size"],
-            species_specs=synth.default_species_specs(corpus["individuals"], corpus["images_per_individual"]),
-            n_negatives=corpus["n_negatives"],
-            night_fraction=float(corpus["night_fraction"]),
-            seed=corpus["corpus_seed"],
-        )
     # flags override file values
     kwargs["protocol"] = args.protocol
     kwargs["base_seed"] = args.seed
@@ -316,8 +306,22 @@ def _experiment_config(args) -> ex.ExperimentConfig:
         kwargs["images_root"] = args.images
     if args.n_seeds is not None:
         kwargs["n_seeds"] = args.n_seeds
-    kwargs["synth_config"] = synth_cfg
-    return ex.ExperimentConfig(**kwargs)
+    try:
+        kwargs["synth_config"] = None
+        if "manifest_path" not in values and not args.manifest:
+            corpus = {**_CORPUS_DEFAULTS, "corpus_seed": args.seed, **values}
+            kwargs["synth_config"] = synth.SynthConfig(
+                image_size=corpus["image_size"],
+                species_specs=synth.default_species_specs(corpus["individuals"], corpus["images_per_individual"]),
+                n_negatives=corpus["n_negatives"],
+                night_fraction=float(corpus["night_fraction"]),
+                seed=corpus["corpus_seed"],
+            )
+        return ex.ExperimentConfig(**kwargs)
+    except ValueError as exc:  # a value out of range, named with the file it came from
+        if args.config:
+            raise ValueError(f"{args.config}: {exc}") from exc
+        raise
 
 
 def _cmd_experiment(args) -> int:

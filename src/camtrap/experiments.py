@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ValueError("fractions must lie in (0,1]")
         if self.synth_config is None and self.manifest_path is None:
             raise ValueError("either synth_config or manifest_path is required")
+        if self.patch_size < 4:
+            raise ValueError(f"patch_size must be >= 4, got {self.patch_size}")
 
     def resolved(self) -> dict:
         d = asdict(self)
@@ -92,7 +94,8 @@ class Report:
 
 
 class PipelineContext:
-    """Corpus images plus a shared, lazily built region-feature cache."""
+    """Corpus images plus shared, lazily built caches of each image's
+    region features and patch-grid rows."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -109,6 +112,7 @@ class PipelineContext:
         self.params = ft.init_convnet(cfg.channels, seed=cfg.feature_seed)
         self.pyramid = ft.PyramidConfig(cfg.pyramid_levels)
         self._region_feats: Dict[str, ft.RegionFeatures] = {}
+        self._patch_rows: Dict[Tuple[str, int], np.ndarray] = {}
 
     def image_feature(self, rid: str) -> np.ndarray:
         # the full image is the last proposed region, so one conv pass serves both
@@ -124,6 +128,17 @@ class PipelineContext:
                 img, regions, self.params, self.pyramid
             )
         return self._region_feats[rid]
+
+    def patch_rows(self, rid: str, patch_size: int) -> np.ndarray:
+        """Feature rows of the image's patch grid, row-major.  Only runs that
+        use a patch grid pay for this cache; feature maps are not cached,
+        because one per image raised peak memory on every workload."""
+        key = (rid, patch_size)
+        if key not in self._patch_rows:
+            img = self.images[rid]
+            regions = seg.grid_for(img, patch_size).regions()
+            self._patch_rows[key] = ft.extract_region_features(img, regions, self.params, self.pyramid).matrix
+        return self._patch_rows[key]
 
 
 # the config fields a PipelineContext is built from
@@ -390,12 +405,10 @@ def _train_patch_detector(ctx, cfg, train_ids, seed):
         box = ctx.boxes.get(i)
         if box is None:
             continue
-        img = ctx.images[i]
-        grid = seg.grid_for(img, cfg.patch_size)
-        rf = ft.extract_region_features(img, grid.regions(), ctx.params, ctx.pyramid)
+        patch = ctx.patch_rows(i, cfg.patch_size)
         x0, y0, x1, y1 = box
         pos, neg = [], []
-        for idx, reg in enumerate(rf.regions):
+        for idx, reg in enumerate(seg.grid_for(ctx.images[i], cfg.patch_size).regions()):
             if reg.x0 >= x0 and reg.x1 <= x1 and reg.y0 >= y0 and reg.y1 <= y1:
                 pos.append(idx)
             elif reg.x1 <= x0 or reg.x0 >= x1 or reg.y1 <= y0 or reg.y0 >= y1:
@@ -404,10 +417,10 @@ def _train_patch_detector(ctx, cfg, train_ids, seed):
         if take == 0:
             continue
         for idx in rng.choice(pos, take, replace=False):
-            rows.append(rf.matrix[idx])
+            rows.append(patch[idx])
             labs.append(1.0)
         for idx in rng.choice(neg, take, replace=False):
-            rows.append(rf.matrix[idx])
+            rows.append(patch[idx])
             labs.append(-1.0)
     if not rows:
         raise ValueError("segmented variant requires ground-truth boxes (synthetic corpus)")
@@ -428,10 +441,10 @@ def _individual_run(ctx, cfg, man, classes, seed, balanced, segmented):
         def feats(rid):
             """Region features of the image with its background grayed out."""
             img = ctx.images[rid]
-            mask = seg.segment_image(
-                img, patch_detector, ctx.params, ctx.pyramid, patch_size=cfg.patch_size
-            )
-            masked = seg.apply_mask(img, mask)
+            grid = seg.grid_for(img, cfg.patch_size)
+            rows = ctx.patch_rows(rid, cfg.patch_size)
+            unary = svm.margin_to_probability(patch_detector, rows).reshape(grid.ny, grid.nx)
+            masked = seg.apply_mask(img, seg.mask_from_unary(unary, img, grid))
             regions = ft.propose_regions(img.shape[1], img.shape[0], cfg.region_scales, cfg.region_stride)
             return ft.extract_region_features(masked, regions, ctx.params, ctx.pyramid)
 

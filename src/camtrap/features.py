@@ -229,6 +229,44 @@ def spp_pool(fmap: np.ndarray, region: Region, pyramid: PyramidConfig, downsampl
     return out
 
 
+def _cell_spans(lo: np.ndarray, hi: np.ndarray, g: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Start and end of the g cells of each [lo, hi) span, (..., g) each: the
+    edges of `_cell_edges`, an empty cell widened as in `spp_pool`."""
+    edges = lo[..., None] + np.round(np.arange(g + 1) * (hi - lo)[..., None] / g).astype(np.int64)
+    a, b = edges[..., :-1], edges[..., 1:]
+    empty = b <= a
+    a = np.where(empty, np.minimum(a, hi[..., None] - 1), a)
+    return a, np.where(empty, a + 1, b)
+
+
+def spp_pool_regions(
+    fmap: np.ndarray, regions: Sequence[Region], pyramid: PyramidConfig, downsample: int = 1
+) -> np.ndarray:
+    """`spp_pool` of every region as one (R, C * n_cells) array.  The cells of
+    all regions are grouped by height and width, and each group is one gather
+    of its cells' pixels and one max: the same maxima over the same cells."""
+    fh, fw, c = fmap.shape
+    size = np.array([fh, fw])
+    box = np.array([(r.y0, r.x0, r.y1, r.x1) for r in regions], dtype=np.int64).reshape(-1, 4)
+    lo = np.minimum(box[:, :2] // downsample, size - 1)  # (R, 2): y, x
+    hi = np.maximum(np.minimum(-(-box[:, 2:] // downsample), size), lo + 1)
+    shape, corner = [], []  # per cell: height and width as one key; top-left row in `pixels`
+    for g in pyramid.levels:  # cells level-major, then row-major
+        a, b = _cell_spans(lo, hi, g)  # (R, 2, g): row spans, then column spans
+        h, w = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+        shape.append((h[:, :, None] * (fw + 1) + w[:, None, :]).reshape(-1, g * g))
+        corner.append((a[:, 0, :, None] * fw + a[:, 1, None, :]).reshape(-1, g * g))
+    shape, corner = np.concatenate(shape, axis=1), np.concatenate(corner, axis=1)
+    pixels = fmap.reshape(fh * fw, c)
+    out = np.empty((len(box), pyramid.n_cells, c))
+    for key in set(shape.ravel().tolist()):  # np.unique imports numpy.ma: ~1 MiB of RSS
+        sel = shape == key
+        hh, ww = divmod(key, fw + 1)
+        offsets = (np.arange(hh)[:, None] * fw + np.arange(ww)).ravel()
+        out[sel] = pixels[corner[sel][:, None] + offsets].max(axis=1)
+    return out.reshape(len(box), -1)
+
+
 def feature_dim(params: ConvNetParams, pyramid: PyramidConfig) -> int:
     return params.out_channels * pyramid.n_cells
 
@@ -241,9 +279,7 @@ def extract_region_features(
 ) -> RegionFeatures:
     """Pooled, L2-normalized feature row per region (zero rows left zero)."""
     fmap = forward(image, params)
-    rows = np.stack(
-        [spp_pool(fmap, r, pyramid, downsample=params.downsample) for r in regions]
-    )
+    rows = spp_pool_regions(fmap, regions, pyramid, downsample=params.downsample)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return RegionFeatures(regions=tuple(regions), matrix=rows / norms)

@@ -61,12 +61,22 @@ def grid_for(image: np.ndarray, patch_size: int = 16) -> PatchGrid:
     return PatchGrid(patch_size=patch_size, width=image.shape[1], height=image.shape[0])
 
 
+def _patch_runs(size: int, p: int):
+    """(first patch, patch count, extent) of the full patches along one axis
+    and of a clipped last patch, leaving out an empty run."""
+    runs = ((0, size // p, p), (size // p, 1, size % p))
+    return [r for r in runs if r[1] and r[2]]
+
+
 def patch_mean_colors(image: np.ndarray, grid: PatchGrid) -> np.ndarray:
+    """Mean color per patch; each run of equal-sized patches is one reshape
+    and one mean, adding each patch's pixels in the order of its own slice."""
+    p = grid.patch_size
     colors = np.empty((grid.ny, grid.nx, 3))
-    for r in range(grid.ny):
-        for c in range(grid.nx):
-            reg = grid.patch_region(r, c)
-            colors[r, c] = image[reg.y0 : reg.y1, reg.x0 : reg.x1].mean(axis=(0, 1))
+    for r0, nr, h in _patch_runs(grid.height, p):
+        for c0, nc, w in _patch_runs(grid.width, p):
+            block = image[r0 * p : r0 * p + nr * h, c0 * p : c0 * p + nc * w]
+            colors[r0 : r0 + nr, c0 : c0 + nc] = block.reshape(nr, h, nc, w, 3).mean(axis=(1, 3))
     return colors
 
 
@@ -88,7 +98,10 @@ def _pairwise_kernel(grid: PatchGrid, colors: np.ndarray, pp: PairwiseParams) ->
     rows, cols = np.divmod(np.arange(n), grid.nx)
     dpos2 = (rows[:, None] - rows[None, :]) ** 2 + (cols[:, None] - cols[None, :]) ** 2
     flat = colors.reshape(n, 3)
-    dcol2 = ((flat[:, None, :] - flat[None, :, :]) ** 2).sum(axis=2)
+    # channel by channel: the addition order of .sum(axis=2), no (n, n, 3) temporary
+    dcol2 = (flat[:, None, 0] - flat[None, :, 0]) ** 2
+    for ch in (1, 2):
+        dcol2 += (flat[:, None, ch] - flat[None, :, ch]) ** 2
     k = np.exp(-dpos2 / (2 * pp.theta_pos**2) - dcol2 / (2 * pp.theta_color**2))
     k[dpos2 > (3 * pp.theta_pos) ** 2] = 0.0  # truncated neighborhood
     np.fill_diagonal(k, 0.0)
@@ -155,6 +168,17 @@ def segment_image(
     """Full pipeline: unary -> mean-field -> threshold -> pixel mask."""
     grid = grid_for(image, patch_size)
     unary = compute_unary(image, grid, detector, params, pyramid, scale)
+    return mask_from_unary(unary, image, grid, pp, tau)
+
+
+def mask_from_unary(
+    unary: np.ndarray,
+    image: np.ndarray,
+    grid: PatchGrid,
+    pp: PairwiseParams = PairwiseParams(),
+    tau: float = 0.5,
+) -> np.ndarray:
+    """Pixel mask of a patch unary: mean-field -> threshold -> upsample."""
     refined = refine_mean_field(unary, image, grid, pp)
     return upsample_mask(threshold_mask(refined, tau), grid)
 

@@ -132,6 +132,23 @@ class TestConfigFile:
             assert str(path) in err and line.split(" =")[0] in err, line
             assert not (tmp_path / "o").exists(), line
 
+    def test_out_of_range_value_exit_2_names_file(self, tmp_path, capsys, monkeypatch):
+        # checked before the corpus is rendered
+        def no_render(*args, **kwargs):
+            raise AssertionError("corpus rendered before the config was checked")
+
+        monkeypatch.setattr(cli.synth, "generate_corpus", no_render)
+        for text, key in (("segment = true\npatch_size = 2\n", "patch_size"),
+                          ("fractions = 1.5\n", "fractions"),
+                          ("image_size = 0\n", "image_size")):
+            path = tmp_path / "c.toml"
+            path.write_text(text)
+            code = cli.main(["experiment", "individual", "--config", str(path), "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert code == 2, text
+            assert str(path) in err and key in err, (text, err)
+            assert not (tmp_path / "o").exists(), text
+
 
 class TestPipeline:
     def test_synth_writes_manifest(self, corpus):

@@ -4,12 +4,15 @@ and short training budgets."""
 
 import filecmp
 import threading
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from camtrap import experiments as ex
 from camtrap import features as ft
 from camtrap import metrics as mt
+from camtrap import segmentation as seg
 from camtrap import svm
 from camtrap import synth
 
@@ -193,6 +196,52 @@ class TestIndividual:
         raw_rows = [r for r in report.rows if r["segmented"] == 0]
         assert seg_rows and raw_rows
         assert set(seg_rows[0]) == set(raw_rows[0])
+
+    def test_segmented_forward_counts(self, monkeypatch):
+        # at most two forwards per raw image (its region set and its patch
+        # grid), one per masked image, each image masked once per segmented
+        # run, and no per-region pooling
+        forward, apply_mask = ft.forward, seg.apply_mask
+        forwards, masks = [], []  # both lists keep their arrays alive, so ids stay unique
+
+        def counting_forward(image, params, return_cache=False):
+            forwards.append(image)
+            return forward(image, params, return_cache)
+
+        def recording_mask(image, mask):
+            masks.append((image, apply_mask(image, mask)))
+            return masks[-1][1]
+
+        def no_spp_pool(*args, **kwargs):
+            raise AssertionError("spp_pool called")
+
+        monkeypatch.setattr(ft, "forward", counting_forward)
+        monkeypatch.setattr(seg, "apply_mask", recording_mask)
+        monkeypatch.setattr(ft, "spp_pool", no_spp_pool)
+        cfg = config("individual", n_seeds=1, head_epochs=5, segment=True)
+        ctx = ex.PipelineContext(cfg)
+        ex.run_individual_study(cfg, ctx)
+        raw = {id(img) for img in ctx.images.values()}
+        masked = {id(out) for _, out in masks}
+        per_image = Counter(id(img) for img in forwards)
+        assert set(per_image) <= raw | masked
+        assert max(per_image[i] for i in raw) <= 2
+        assert all(per_image[i] == 1 for i in masked)
+        # each image is in 4 segmented runs: its species and joint, unbalanced and balanced
+        per_source = Counter(id(src) for src, _ in masks)
+        assert masks and set(per_source) <= raw and max(per_source.values()) <= 4
+
+    def test_segmented_run_matches_reference_pooler(self, monkeypatch, tmp_path):
+        def reference_pooler(fmap, regions, pyramid, downsample=1):
+            return np.stack([ft.spp_pool(fmap, r, pyramid, downsample=downsample) for r in regions])
+
+        cfg = config("individual", n_seeds=1, head_epochs=10, segment=True)
+        ex.write_report(ex.run_individual_study(cfg), tmp_path / "array")
+        monkeypatch.setattr(ft, "spp_pool_regions", reference_pooler)
+        ex.write_report(ex.run_individual_study(cfg), tmp_path / "reference")
+        names = sorted(f.name for f in (tmp_path / "array").iterdir())
+        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "array", tmp_path / "reference", names, shallow=False)
+        assert match == names and not mismatch and not errors
 
 
 class TestJoint:

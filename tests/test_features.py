@@ -208,6 +208,28 @@ class TestSppPool:
         after = ft.spp_pool(bumped, region, pyramid)
         assert np.all(after >= base - 1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_array_pooler_matches_reference(self, data):
+        # maps of 1-12 px a side, regions that overhang the map and cells
+        # that collapse to width 0 (more cells than map columns)
+        fh, fw = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        c = data.draw(st.integers(1, 3))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        fmap = np.random.default_rng(seed).uniform(-1, 1, size=(fh, fw, c))
+        ds = data.draw(st.sampled_from((1, 2, 4, 8)))
+        pyramid = ft.PyramidConfig(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+        origin_x, origin_y = st.integers(0, fw * ds + 4), st.integers(0, fh * ds + 4)
+        regions = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            x0, y0 = data.draw(origin_x), data.draw(origin_y)
+            regions.append(ft.Region(x0, y0, x0 + data.draw(st.integers(1, fw * ds + 8)),
+                                     y0 + data.draw(st.integers(1, fh * ds + 8))))
+        ref = np.stack([ft.spp_pool(fmap, r, pyramid, downsample=ds) for r in regions])
+        got = ft.spp_pool_regions(fmap, regions, pyramid, downsample=ds)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
 
 class TestExtract:
     def test_duplicate_regions_identical(self):

@@ -40,6 +40,23 @@ class TestPatchGrid:
         assert np.allclose(colors[0, 0], 0.0)
         assert np.allclose(colors[0, 1], 1.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        patch=st.integers(4, 12),
+        width=st.integers(1, 60),
+        height=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_patch_mean_colors_match_per_patch_loop(self, patch, width, height, seed):
+        img = np.random.default_rng(seed).uniform(size=(height, width, 3))
+        grid = seg.PatchGrid(patch_size=patch, width=width, height=height)
+        ref = np.empty((grid.ny, grid.nx, 3))
+        for r in range(grid.ny):
+            for c in range(grid.nx):
+                reg = grid.patch_region(r, c)
+                ref[r, c] = img[reg.y0 : reg.y1, reg.x0 : reg.x1].mean(axis=(0, 1))
+        assert seg.patch_mean_colors(img, grid).tobytes() == ref.tobytes()
+
 
 class TestUnary:
     def test_zero_detector_uniform_half(self):
@@ -102,6 +119,19 @@ class TestMeanField:
         assert k[0, 3] > 0.0  # distance 3 = 3*theta is kept
         assert k[0, 4] == 0.0  # distance 4 > 3*theta truncated
         assert np.all(np.diag(k) == 0.0)
+
+    def test_kernel_color_distance_matches_channel_sum(self):
+        rng = np.random.default_rng(4)
+        grid = seg.PatchGrid(patch_size=8, width=72, height=40)
+        colors = rng.uniform(size=(grid.ny, grid.nx, 3))
+        pp = seg.PairwiseParams(theta_pos=1e9)  # no truncation
+        flat = colors.reshape(-1, 3)
+        rows, cols = np.divmod(np.arange(len(flat)), grid.nx)
+        dpos2 = (rows[:, None] - rows[None, :]) ** 2 + (cols[:, None] - cols[None, :]) ** 2
+        dcol2 = ((flat[:, None, :] - flat[None, :, :]) ** 2).sum(axis=2)
+        ref = np.exp(-dpos2 / (2 * pp.theta_pos**2) - dcol2 / (2 * pp.theta_color**2))
+        np.fill_diagonal(ref, 0.0)
+        assert seg._pairwise_kernel(grid, colors, pp).tobytes() == ref.tobytes()
 
     def test_outputs_stay_in_unit_interval(self):
         rng = np.random.default_rng(2)
