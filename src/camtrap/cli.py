@@ -286,7 +286,6 @@ def _experiment_config(args) -> ex.ExperimentConfig:
     unknown = set(values) - set(defaults)
     if unknown:
         raise ValueError(f"{args.config}: unknown config keys: {sorted(unknown)}")
-    kwargs = {}
     for key, value in values.items():
         default = defaults[key]
         many = isinstance(default, tuple)  # a scalar is wrapped where the default is a tuple
@@ -295,33 +294,37 @@ def _experiment_config(args) -> ex.ExperimentConfig:
         if (isinstance(value, tuple) and not many) or not all(
                 isinstance(v, types) and isinstance(v, bool) == (bool in types) for v in items):
             raise ValueError(f"{args.config}: {key} = {value!r}: expected {types[-1].__name__}{' values' if many else ''}")
-        if key not in _CORPUS_DEFAULTS:
-            kwargs[key] = items if many else value
-    # flags override file values
-    kwargs["protocol"] = args.protocol
-    kwargs["base_seed"] = args.seed
-    kwargs["jobs"] = args.jobs
+        values[key] = items if many else value
+    flags = {"protocol": args.protocol, "base_seed": args.seed, "jobs": args.jobs}
     if args.manifest:
-        kwargs["manifest_path"] = args.manifest
-        kwargs["images_root"] = args.images
+        flags.update(manifest_path=args.manifest, images_root=args.images)
     if args.n_seeds is not None:
-        kwargs["n_seeds"] = args.n_seeds
+        flags["n_seeds"] = args.n_seeds
     try:
-        kwargs["synth_config"] = None
-        if "manifest_path" not in values and not args.manifest:
-            corpus = {**_CORPUS_DEFAULTS, "corpus_seed": args.seed, **values}
-            kwargs["synth_config"] = synth.SynthConfig(
-                image_size=corpus["image_size"],
-                species_specs=synth.default_species_specs(corpus["individuals"], corpus["images_per_individual"]),
-                n_negatives=corpus["n_negatives"],
-                night_fraction=float(corpus["night_fraction"]),
-                seed=corpus["corpus_seed"],
-            )
-        return ex.ExperimentConfig(**kwargs)
-    except ValueError as exc:  # a value out of range, named with the file it came from
-        if args.config:
+        return _config_from(values, flags)
+    except ValueError as exc:  # a value out of range
+        if values:
+            try:
+                _config_from({}, flags)
+            except ValueError:
+                raise exc  # the flags alone fail: the file is not to blame
             raise ValueError(f"{args.config}: {exc}") from exc
         raise
+
+
+def _config_from(values: dict, flags: dict) -> ex.ExperimentConfig:
+    """The config of a file's checked `values`, flags overriding them."""
+    kwargs = {**{k: v for k, v in values.items() if k not in _CORPUS_DEFAULTS}, **flags, "synth_config": None}
+    if "manifest_path" not in kwargs:
+        corpus = {**_CORPUS_DEFAULTS, "corpus_seed": flags["base_seed"], **values}
+        kwargs["synth_config"] = synth.SynthConfig(
+            image_size=corpus["image_size"],
+            species_specs=synth.default_species_specs(corpus["individuals"], corpus["images_per_individual"]),
+            n_negatives=corpus["n_negatives"],
+            night_fraction=float(corpus["night_fraction"]),
+            seed=corpus["corpus_seed"],
+        )
+    return ex.ExperimentConfig(**kwargs)
 
 
 def _cmd_experiment(args) -> int:

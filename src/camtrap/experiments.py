@@ -75,8 +75,7 @@ class ExperimentConfig:
             raise ValueError("fractions must lie in (0,1]")
         if self.synth_config is None and self.manifest_path is None:
             raise ValueError("either synth_config or manifest_path is required")
-        if self.patch_size < 4:
-            raise ValueError(f"patch_size must be >= 4, got {self.patch_size}")
+        seg.check_patch_size(self.patch_size)
 
     def resolved(self) -> dict:
         d = asdict(self)
@@ -443,7 +442,7 @@ def _individual_run(ctx, cfg, man, classes, seed, balanced, segmented):
             img = ctx.images[rid]
             grid = seg.grid_for(img, cfg.patch_size)
             rows = ctx.patch_rows(rid, cfg.patch_size)
-            unary = svm.margin_to_probability(patch_detector, rows).reshape(grid.ny, grid.nx)
+            unary = seg.compute_unary(rows, grid, patch_detector)
             masked = seg.apply_mask(img, seg.mask_from_unary(unary, img, grid))
             regions = ft.propose_regions(img.shape[1], img.shape[0], cfg.region_scales, cfg.region_stride)
             return ft.extract_region_features(masked, regions, ctx.params, ctx.pyramid)

@@ -201,9 +201,9 @@ def _cell_edges(lo: int, hi: int, g: int) -> List[int]:
     return [lo + round(i * (hi - lo) / g) for i in range(g + 1)]
 
 
-def spp_pool(fmap: np.ndarray, region: Region, pyramid: PyramidConfig, downsample: int = 1) -> np.ndarray:
-    """Max-pool the region over nested g x g grids; concatenated level-major,
-    cells row-major, channels fastest."""
+def spp_pool_loop(fmap: np.ndarray, region: Region, pyramid: PyramidConfig, downsample: int = 1) -> np.ndarray:
+    """One region's row of `spp_pool`, cell by cell: the reference the array
+    form is tested against."""
     fh, fw, c = fmap.shape
     x0 = min(region.x0 // downsample, fw - 1)
     y0 = min(region.y0 // downsample, fh - 1)
@@ -231,7 +231,7 @@ def spp_pool(fmap: np.ndarray, region: Region, pyramid: PyramidConfig, downsampl
 
 def _cell_spans(lo: np.ndarray, hi: np.ndarray, g: int) -> Tuple[np.ndarray, np.ndarray]:
     """Start and end of the g cells of each [lo, hi) span, (..., g) each: the
-    edges of `_cell_edges`, an empty cell widened as in `spp_pool`."""
+    edges of `_cell_edges`, an empty cell widened as in `spp_pool_loop`."""
     edges = lo[..., None] + np.round(np.arange(g + 1) * (hi - lo)[..., None] / g).astype(np.int64)
     a, b = edges[..., :-1], edges[..., 1:]
     empty = b <= a
@@ -239,12 +239,13 @@ def _cell_spans(lo: np.ndarray, hi: np.ndarray, g: int) -> Tuple[np.ndarray, np.
     return a, np.where(empty, a + 1, b)
 
 
-def spp_pool_regions(
+def spp_pool(
     fmap: np.ndarray, regions: Sequence[Region], pyramid: PyramidConfig, downsample: int = 1
 ) -> np.ndarray:
-    """`spp_pool` of every region as one (R, C * n_cells) array.  The cells of
+    """Max-pool each region over nested g x g grids, one (R, C * n_cells) row
+    per region: level-major, cells row-major, channels fastest.  The cells of
     all regions are grouped by height and width, and each group is one gather
-    of its cells' pixels and one max: the same maxima over the same cells."""
+    of its cells' pixels and one max."""
     fh, fw, c = fmap.shape
     size = np.array([fh, fw])
     box = np.array([(r.y0, r.x0, r.y1, r.x1) for r in regions], dtype=np.int64).reshape(-1, 4)
@@ -279,7 +280,7 @@ def extract_region_features(
 ) -> RegionFeatures:
     """Pooled, L2-normalized feature row per region (zero rows left zero)."""
     fmap = forward(image, params)
-    rows = spp_pool_regions(fmap, regions, pyramid, downsample=params.downsample)
+    rows = spp_pool(fmap, regions, pyramid, downsample=params.downsample)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return RegionFeatures(regions=tuple(regions), matrix=rows / norms)

@@ -12,6 +12,11 @@ from . import features as feat
 from . import svm
 
 
+def check_patch_size(patch_size: int) -> None:
+    if patch_size < 4:
+        raise ValueError(f"patch_size must be >= 4, got {patch_size}")
+
+
 @dataclass(frozen=True)
 class PatchGrid:
     patch_size: int
@@ -19,8 +24,7 @@ class PatchGrid:
     height: int
 
     def __post_init__(self):
-        if self.patch_size < 4:
-            raise ValueError("patch_size must be >= 4")
+        check_patch_size(self.patch_size)
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image dims must be positive")
 
@@ -80,17 +84,10 @@ def patch_mean_colors(image: np.ndarray, grid: PatchGrid) -> np.ndarray:
     return colors
 
 
-def compute_unary(
-    image: np.ndarray,
-    grid: PatchGrid,
-    detector: svm.LinearModel,
-    params: feat.ConvNetParams,
-    pyramid: feat.PyramidConfig = feat.PyramidConfig(),
-    scale: float = 1.0,
-) -> np.ndarray:
-    """Foreground probability per patch from the patch-trained detector."""
-    rf = feat.extract_region_features(image, grid.regions(), params, pyramid)
-    return svm.margin_to_probability(detector, rf.matrix, scale).reshape(grid.ny, grid.nx)
+def compute_unary(rows: np.ndarray, grid: PatchGrid, detector: svm.LinearModel, scale: float = 1.0) -> np.ndarray:
+    """Foreground probability per patch from the patch-trained detector, given
+    the feature rows of `grid.regions()`."""
+    return svm.margin_to_probability(detector, rows, scale).reshape(grid.ny, grid.nx)
 
 
 def _pairwise_kernel(grid: PatchGrid, colors: np.ndarray, pp: PairwiseParams) -> np.ndarray:
@@ -167,7 +164,8 @@ def segment_image(
 ) -> np.ndarray:
     """Full pipeline: unary -> mean-field -> threshold -> pixel mask."""
     grid = grid_for(image, patch_size)
-    unary = compute_unary(image, grid, detector, params, pyramid, scale)
+    rows = feat.extract_region_features(image, grid.regions(), params, pyramid).matrix
+    unary = compute_unary(rows, grid, detector, scale)
     return mask_from_unary(unary, image, grid, pp, tau)
 
 

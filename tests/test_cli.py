@@ -148,6 +148,13 @@ class TestConfigFile:
             assert code == 2, text
             assert str(path) in err and key in err, (text, err)
             assert not (tmp_path / "o").exists(), text
+        # a bad flag value is not blamed on the file
+        path.write_text("segment = true\n")
+        code = cli.main(["experiment", "individual", "--config", str(path), "--n-seeds", "0",
+                         "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2 and "seed" in err and str(path) not in err, err
+        assert not (tmp_path / "o").exists()
 
 
 class TestPipeline:

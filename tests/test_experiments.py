@@ -200,9 +200,9 @@ class TestIndividual:
     def test_segmented_forward_counts(self, monkeypatch):
         # at most two forwards per raw image (its region set and its patch
         # grid), one per masked image, each image masked once per segmented
-        # run, and no per-region pooling
-        forward, apply_mask = ft.forward, seg.apply_mask
-        forwards, masks = [], []  # both lists keep their arrays alive, so ids stay unique
+        # run, and one array-form pooling per forward, none per region
+        forward, apply_mask, pool = ft.forward, seg.apply_mask, ft.spp_pool
+        forwards, masks, pools = [], [], []  # the lists keep their arrays alive, so ids stay unique
 
         def counting_forward(image, params, return_cache=False):
             forwards.append(image)
@@ -212,12 +212,17 @@ class TestIndividual:
             masks.append((image, apply_mask(image, mask)))
             return masks[-1][1]
 
-        def no_spp_pool(*args, **kwargs):
-            raise AssertionError("spp_pool called")
+        def counting_pool(fmap, regions, pyramid, downsample=1):
+            pools.append(fmap)
+            return pool(fmap, regions, pyramid, downsample)
+
+        def no_pool_loop(*args, **kwargs):
+            raise AssertionError("per-region pooling called")
 
         monkeypatch.setattr(ft, "forward", counting_forward)
         monkeypatch.setattr(seg, "apply_mask", recording_mask)
-        monkeypatch.setattr(ft, "spp_pool", no_spp_pool)
+        monkeypatch.setattr(ft, "spp_pool", counting_pool)
+        monkeypatch.setattr(ft, "spp_pool_loop", no_pool_loop)
         cfg = config("individual", n_seeds=1, head_epochs=5, segment=True)
         ctx = ex.PipelineContext(cfg)
         ex.run_individual_study(cfg, ctx)
@@ -227,17 +232,18 @@ class TestIndividual:
         assert set(per_image) <= raw | masked
         assert max(per_image[i] for i in raw) <= 2
         assert all(per_image[i] == 1 for i in masked)
+        assert len(pools) == len(forwards)
         # each image is in 4 segmented runs: its species and joint, unbalanced and balanced
         per_source = Counter(id(src) for src, _ in masks)
         assert masks and set(per_source) <= raw and max(per_source.values()) <= 4
 
     def test_segmented_run_matches_reference_pooler(self, monkeypatch, tmp_path):
         def reference_pooler(fmap, regions, pyramid, downsample=1):
-            return np.stack([ft.spp_pool(fmap, r, pyramid, downsample=downsample) for r in regions])
+            return np.stack([ft.spp_pool_loop(fmap, r, pyramid, downsample=downsample) for r in regions])
 
         cfg = config("individual", n_seeds=1, head_epochs=10, segment=True)
         ex.write_report(ex.run_individual_study(cfg), tmp_path / "array")
-        monkeypatch.setattr(ft, "spp_pool_regions", reference_pooler)
+        monkeypatch.setattr(ft, "spp_pool", reference_pooler)
         ex.write_report(ex.run_individual_study(cfg), tmp_path / "reference")
         names = sorted(f.name for f in (tmp_path / "array").iterdir())
         match, mismatch, errors = filecmp.cmpfiles(tmp_path / "array", tmp_path / "reference", names, shallow=False)

@@ -174,26 +174,26 @@ class TestProposeRegions:
 class TestSppPool:
     def test_constant_map(self):
         fmap = np.full((4, 4, 2), 0.7)
-        out = ft.spp_pool(fmap, ft.Region(0, 0, 4, 4), ft.PyramidConfig((1, 2)))
+        out = ft.spp_pool(fmap, [ft.Region(0, 0, 4, 4)], ft.PyramidConfig((1, 2)))[0]
         assert out.shape == (2 * 5,)
         assert np.allclose(out, 0.7)
 
     def test_level1_global_max(self):
         rng = np.random.default_rng(0)
         fmap = rng.uniform(size=(6, 6, 3))
-        out = ft.spp_pool(fmap, ft.Region(0, 0, 6, 6), ft.PyramidConfig((1,)))
+        out = ft.spp_pool(fmap, [ft.Region(0, 0, 6, 6)], ft.PyramidConfig((1,)))[0]
         assert np.allclose(out, fmap.max(axis=(0, 1)))
 
     def test_hot_quadrant(self):
         fmap = np.zeros((4, 4, 1))
         fmap[3, 0, 0] = 5.0  # bottom-left quadrant
-        out = ft.spp_pool(fmap, ft.Region(0, 0, 4, 4), ft.PyramidConfig((2,)))
+        out = ft.spp_pool(fmap, [ft.Region(0, 0, 4, 4)], ft.PyramidConfig((2,)))[0]
         # cells row-major: TL, TR, BL, BR
         assert list(out) == [0.0, 0.0, 5.0, 0.0]
 
     def test_degenerate_cell_expanded(self):
         fmap = np.arange(4.0).reshape(1, 4, 1)
-        out = ft.spp_pool(fmap, ft.Region(0, 0, 4, 1), ft.PyramidConfig((2,)))
+        out = ft.spp_pool(fmap, [ft.Region(0, 0, 4, 1)], ft.PyramidConfig((2,)))[0]
         assert out.shape == (4,)
         assert np.isfinite(out).all()
 
@@ -202,10 +202,10 @@ class TestSppPool:
         fmap = rng.uniform(size=(8, 8, 2))
         pyramid = ft.PyramidConfig((1, 2))
         region = ft.Region(0, 0, 8, 8)
-        base = ft.spp_pool(fmap, region, pyramid)
+        base = ft.spp_pool(fmap, [region], pyramid)[0]
         bumped = fmap.copy()
         bumped[3, 5, 1] += 1.0
-        after = ft.spp_pool(bumped, region, pyramid)
+        after = ft.spp_pool(bumped, [region], pyramid)[0]
         assert np.all(after >= base - 1e-12)
 
     @settings(max_examples=300, deadline=None)
@@ -225,8 +225,8 @@ class TestSppPool:
             x0, y0 = data.draw(origin_x), data.draw(origin_y)
             regions.append(ft.Region(x0, y0, x0 + data.draw(st.integers(1, fw * ds + 8)),
                                      y0 + data.draw(st.integers(1, fh * ds + 8))))
-        ref = np.stack([ft.spp_pool(fmap, r, pyramid, downsample=ds) for r in regions])
-        got = ft.spp_pool_regions(fmap, regions, pyramid, downsample=ds)
+        ref = np.stack([ft.spp_pool_loop(fmap, r, pyramid, downsample=ds) for r in regions])
+        got = ft.spp_pool(fmap, regions, pyramid, downsample=ds)
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
 

@@ -66,7 +66,8 @@ class TestUnary:
         detector = svm.LinearModel(weights=np.zeros(ft.feature_dim(params, pyramid)), bias=0.0, lam=1.0)
         img = rng.uniform(size=(32, 32, 3))
         grid = seg.grid_for(img, 8)
-        unary = seg.compute_unary(img, grid, detector, params, pyramid)
+        rows = ft.extract_region_features(img, grid.regions(), params, pyramid).matrix
+        unary = seg.compute_unary(rows, grid, detector)
         assert unary.shape == (4, 4)
         assert np.allclose(unary, 0.5)
 
@@ -77,7 +78,9 @@ class TestUnary:
         d = ft.feature_dim(params, pyramid)
         detector = svm.LinearModel(weights=rng.normal(size=d), bias=0.1, lam=1.0)
         img = rng.uniform(size=(32, 32, 3))
-        unary = seg.compute_unary(img, seg.grid_for(img, 8), detector, params, pyramid)
+        grid = seg.grid_for(img, 8)
+        rows = ft.extract_region_features(img, grid.regions(), params, pyramid).matrix
+        unary = seg.compute_unary(rows, grid, detector)
         assert np.all(unary > 0.0) and np.all(unary < 1.0)
 
 
