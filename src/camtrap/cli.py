@@ -158,6 +158,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train_detect(args) -> int:
+    cfg = svm.SvmTrainConfig(args.epochs, args.lam, args.seed)
     man = mf.load_manifest(args.manifest)
     images = _load_images(args, man)
     params, pyramid = _net_and_pyramid(args)
@@ -167,7 +168,7 @@ def _cmd_train_detect(args) -> int:
         rows.append(ft.extract_region_features(img, [ft.full_image_region(img)], params, pyramid).matrix[0])
     x = np.stack(rows)
     y = np.array([1.0 if r.has_animal else -1.0 for r in man])
-    model = svm.train_linear_svm(x, y, svm.SvmTrainConfig(args.epochs, args.lam, args.seed))
+    model = svm.train_linear_svm(x, y, cfg)
     svm.save_model(model, args.out)
     pred = svm.predict_labels(model, x)
     print(f"saved {args.out}; training accuracy {float((pred == y).mean())!r}")

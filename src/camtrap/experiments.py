@@ -76,6 +76,7 @@ class ExperimentConfig:
         if self.synth_config is None and self.manifest_path is None:
             raise ValueError("either synth_config or manifest_path is required")
         seg.check_patch_size(self.patch_size)
+        svm.check_train_values(self.svm_epochs, self.svm_lambda, ("svm_epochs", "svm_lambda"))
 
     def resolved(self) -> dict:
         d = asdict(self)
@@ -176,17 +177,29 @@ def _fit_head(cfg, ds, classes, seed) -> wsddn.TwoStreamHead:
     return wsddn.train_head(ds, classes, head_cfg)
 
 
-def _detector_metrics(ctx, cfg, train_ids, val_ids, seed) -> dict:
-    train = _presence_rows(ctx, train_ids)
-    model = _fit_detector(cfg, *train, seed)
-    out = {}
-    for tag, (x, y) in (("train", train), ("test", _presence_rows(ctx, val_ids))):
-        pairs = [
-            ("animal" if p > 0 else "unclassified", "animal" if t > 0 else "unclassified")
-            for p, t in zip(svm.predict_labels(model, x), y)
-        ]
-        cm = mt.accumulate(pairs, ["animal", "unclassified"])
-        out[tag] = mt.measures(mt.binary_counts(cm, "animal"))
+def _detector_metrics(ctx, cfg, plans) -> List[dict]:
+    """Train and test measures of one detector per (train ids, validation ids,
+    seed) plan; the detectors are fitted in lockstep on one matrix of the
+    plans' full-image rows."""
+    if not plans:
+        return []
+    ids = list(dict.fromkeys(i for train, val, _ in plans for i in (*train, *val)))
+    row_of = {rid: n for n, rid in enumerate(ids)}
+    x, y = _presence_rows(ctx, ids)
+    index = [([row_of[i] for i in train], [row_of[i] for i in val]) for train, val, _ in plans]
+    fits = [(rows, y[rows], seed) for (rows, _), (_, _, seed) in zip(index, plans)]
+    models = svm.train_linear_svms(x, fits, cfg.svm_epochs, cfg.svm_lambda)
+    out = []
+    for model, (train_rows, val_rows) in zip(models, index):
+        m = {}
+        for tag, rows in (("train", train_rows), ("test", val_rows)):
+            pairs = [
+                ("animal" if p > 0 else "unclassified", "animal" if t > 0 else "unclassified")
+                for p, t in zip(svm.predict_labels(model, x[rows]), y[rows])
+            ]
+            cm = mt.accumulate(pairs, ["animal", "unclassified"])
+            m[tag] = mt.measures(mt.binary_counts(cm, "animal"))
+        out.append(m)
     return out
 
 
@@ -251,12 +264,11 @@ def run_detector_sweep(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = N
     fixed validation set, or train:validation ratio (best ratio marked)."""
     key, values_field, split_fn = _SWEEPS[cfg.protocol]
     ctx = _context(cfg, ctx)
-    rows = []
-    for value in getattr(cfg, values_field):
-        for trial_idx, seed in _trials(cfg):
-            train_ids, val_ids, extra = split_fn(ctx, cfg, value, seed)
-            m = _detector_metrics(ctx, cfg, train_ids, val_ids, seed)
-            rows.append({key: value, "trial": trial_idx, "seed": seed, **extra, **m["test"]})
+    cells = [(value, trial_idx, seed, split_fn(ctx, cfg, value, seed))
+             for value in getattr(cfg, values_field) for trial_idx, seed in _trials(cfg)]
+    metrics = _detector_metrics(ctx, cfg, [(train, val, seed) for _, _, seed, (train, val, _) in cells])
+    rows = [{key: value, "trial": trial_idx, "seed": seed, **extra, **m["test"]}
+            for (value, trial_idx, seed, (_, _, extra)), m in zip(cells, metrics)]
     metrics_keys = ["sensitivity", "specificity", "precision", "accuracy"]
     report = Report(cfg, rows, _aggregate(rows, [key], metrics_keys))
     if cfg.protocol == "split":
@@ -274,7 +286,7 @@ def run_illumination_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
     """Day-only, night-only and mixed detector runs, balanced positives and
     negatives, training and test accuracy per sub-dataset."""
     ctx = _context(cfg, ctx)
-    rows = []
+    rows, plans, planned = [], [], []
     for name, illum in (("daylight", "day"), ("night", "night"), ("mixed", None)):
         man = ctx.manifest if illum is None else mf.filter_manifest(ctx.manifest, illumination=illum)
         n_pos = sum(r.has_animal for r in man)
@@ -285,10 +297,12 @@ def run_illumination_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
             if not skip:
                 balanced = mf.balance_classes(man, "presence", seed)
                 split = mf.stratified_split(balanced, cfg.split_fraction, seed, "presence")
-                m = _detector_metrics(ctx, cfg, split.train, split.validation, seed)
-                row.update(n_images=len(balanced), training_accuracy=m["train"]["accuracy"],
-                           test_accuracy=m["test"]["accuracy"])
+                row["n_images"] = len(balanced)
+                plans.append((split.train, split.validation, seed))
+                planned.append(row)
             rows.append(row)
+    for row, m in zip(planned, _detector_metrics(ctx, cfg, plans)):
+        row.update(training_accuracy=m["train"]["accuracy"], test_accuracy=m["test"]["accuracy"])
     aggregates = _aggregate(rows, ["subset"], ["training_accuracy", "test_accuracy"])
     for agg in aggregates:
         agg["skipped"] = int(all(r["skipped"] for r in rows if r["subset"] == agg["subset"]))

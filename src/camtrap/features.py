@@ -126,11 +126,12 @@ def forward(image: np.ndarray, params: ConvNetParams, return_cache: bool = False
         )
     if min(image.shape[0], image.shape[1]) < params.downsample:
         raise ValueError("image smaller than the network's receptive field")
-    x = image.astype(float)
-    cache = {"image": x, "layers": []}
+    x = np.asarray(image, dtype=float)
+    cache = {"image": x, "layers": []} if return_cache else None
     for w, b in zip(params.weights, params.biases):
         pre = _conv3x3(x, w, b)
-        cache["layers"].append({"input": x, "pre": pre})
+        if return_cache:
+            cache["layers"].append({"input": x, "pre": pre})
         x = _pool_windows(np.maximum(pre, 0.0)).max(axis=2)
     if return_cache:
         return x, cache

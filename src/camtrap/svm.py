@@ -4,6 +4,10 @@ Pegasos-style stochastic subgradient descent on
 (lambda/2)*||w||^2 + mean hinge loss, step size 1/(lambda*t), one seeded
 shuffled pass per epoch, final iterate returned.  The bias is an
 unregularized extra coordinate.
+
+`train_linear_svm` fits one model with a per-row loop.  `train_linear_svms`
+fits many models on rows of one shared matrix in lockstep, one array step
+per global step for every fit still running, with the same bytes per model.
 """
 
 from __future__ import annotations
@@ -14,6 +18,14 @@ from typing import List
 import numpy as np
 
 
+def check_train_values(epochs: int, lam: float, names=("epochs", "lam")) -> None:
+    """The one rule for Pegasos epochs and lambda; `names` are the caller's names for the two values."""
+    if epochs < 1:
+        raise ValueError(f"{names[0]} must be >= 1, got {epochs!r}")
+    if lam <= 0:
+        raise ValueError(f"{names[1]} must be > 0, got {lam!r}")
+
+
 @dataclass(frozen=True)
 class SvmTrainConfig:
     epochs: int = 30
@@ -21,10 +33,7 @@ class SvmTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.lam <= 0:
-            raise ValueError("lambda must be > 0")
+        check_train_values(self.epochs, self.lam)
 
 
 @dataclass
@@ -45,7 +54,8 @@ def svm_objective(weights: np.ndarray, bias: float, lam: float, x: np.ndarray, y
     return 0.5 * lam * float(weights @ weights) + float(hinge.mean())
 
 
-def train_linear_svm(features: np.ndarray, labels: np.ndarray, cfg: SvmTrainConfig = SvmTrainConfig()) -> LinearModel:
+def _checked_rows(features, labels):
+    """Training rows as an N x D float array and their labels, or the ValueError naming what is wrong."""
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     if x.ndim != 2 or y.shape != (x.shape[0],):
@@ -57,7 +67,11 @@ def train_linear_svm(features: np.ndarray, labels: np.ndarray, cfg: SvmTrainConf
     present = set(np.sign(y).tolist())
     if present != {1.0, -1.0}:
         raise ValueError("both classes (+1 and -1) must be present")
+    return x, y
 
+
+def train_linear_svm(features: np.ndarray, labels: np.ndarray, cfg: SvmTrainConfig = SvmTrainConfig()) -> LinearModel:
+    x, y = _checked_rows(features, labels)
     n, d = x.shape
     w = np.zeros(d)
     b = 0.0
@@ -76,6 +90,81 @@ def train_linear_svm(features: np.ndarray, labels: np.ndarray, cfg: SvmTrainConf
                 b += eta * y[i]
         objective.append(svm_objective(w, b, cfg.lam, x, y))
     return LinearModel(weights=w, bias=float(b), lam=cfg.lam, objective_by_epoch=objective)
+
+
+def _row_dots(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x[j] @ w[j]`` for every row j, rounded exactly like that 1-D product
+    (``einsum("kd,kd->k")`` and ``(x * w).sum(1)`` round differently)."""
+    return np.matmul(x[:, None, :], w[:, :, None])[:, 0, 0]
+
+
+def train_linear_svms(features: np.ndarray, fits, epochs: int, lam: float) -> List[LinearModel]:
+    """One model per fit `(row indices, labels, seed)` on rows of the shared
+    `features`, each byte-identical to
+    ``train_linear_svm(features[rows], labels, SvmTrainConfig(epochs, lam, seed))``.
+
+    Every fit is checked before any step.  The fits then run in lockstep:
+    global step t is step t of every fit still running.  Their current rows
+    form a (K, D) block; all K margins come from one batched product that
+    reduces like the single fit's ``x[i] @ w``, the shrink applies to all K
+    weight rows, and the update to the rows whose margin is below 1.  Fits
+    are sorted longest first, so those still running are a prefix.
+    """
+    check_train_values(epochs, lam)
+    f = np.asarray(features, dtype=float)
+    checked = []
+    for rows, labels, seed in fits:
+        rows = np.asarray(rows, dtype=np.intp)
+        checked.append((rows, _checked_rows(f[rows], labels)[1], seed))
+    if not checked:
+        return []
+    order = sorted(range(len(checked)), key=lambda j: -len(checked[j][0]))
+    rows_of, y_of, seeds = zip(*(checked[j] for j in order))
+    rngs = [np.random.default_rng(np.uint64(seed)) for seed in seeds]
+    n = [len(rows) for rows in rows_of]
+    k_all = len(order)
+    w = np.zeros((k_all, f.shape[1]))
+    b = np.zeros(k_all)
+    # each fit's current epoch: the feature row and label it visits at each position
+    visit_rows = np.zeros((k_all, n[0]), dtype=np.intp)
+    visit_y = np.zeros(visit_rows.shape)
+
+    def next_epoch(p):
+        perm = rngs[p].permutation(n[p])
+        visit_rows[p, : n[p]] = rows_of[p][perm]
+        visit_y[p, : n[p]] = y_of[p][perm]
+
+    epoch_ends = {}  # global step -> the fits that end an epoch there
+    for p in range(k_all):
+        next_epoch(p)
+        for e in range(1, epochs + 1):
+            epoch_ends.setdefault(e * n[p], []).append(p)
+    n_arr = np.array(n, dtype=np.intp)
+    fit_idx = np.arange(k_all)
+    objectives = [[] for _ in order]
+    k = k_all
+    for t in range(1, epochs * n[0] + 1):
+        eta = 1.0 / (lam * t)
+        col = (t - 1) % n_arr[:k]  # each fit's position in its current epoch
+        xr = f[visit_rows[fit_idx[:k], col]]
+        yr = visit_y[fit_idx[:k], col]
+        wk, bk = w[:k], b[:k]
+        margin = yr * (_row_dots(xr, wk) + bk)
+        wk *= 1.0 - eta * lam
+        hit = margin < 1.0
+        step = eta * yr
+        np.add(wk, step[:, None] * xr, out=wk, where=hit[:, None])
+        np.add(bk, step, out=bk, where=hit)
+        for p in epoch_ends.get(t, ()):
+            objectives[p].append(svm_objective(w[p], b[p], lam, f[rows_of[p]], y_of[p]))
+            if len(objectives[p]) < epochs:
+                next_epoch(p)
+        while k and epochs * n[k - 1] == t:
+            k -= 1
+    models = [None] * k_all
+    for p, j in enumerate(order):
+        models[j] = LinearModel(weights=w[p].copy(), bias=float(b[p]), lam=lam, objective_by_epoch=objectives[p])
+    return models
 
 
 def predict_margin(model: LinearModel, feature: np.ndarray) -> float:

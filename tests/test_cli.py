@@ -2,7 +2,11 @@
 
 import csv
 import filecmp
+import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,7 +144,9 @@ class TestConfigFile:
         monkeypatch.setattr(cli.synth, "generate_corpus", no_render)
         for text, key in (("segment = true\npatch_size = 2\n", "patch_size"),
                           ("fractions = 1.5\n", "fractions"),
-                          ("image_size = 0\n", "image_size")):
+                          ("image_size = 0\n", "image_size"),
+                          ("svm_epochs = 0\n", "svm_epochs must be >= 1, got 0"),
+                          ("svm_lambda = 0.0\n", "svm_lambda must be > 0, got 0.0")):
             path = tmp_path / "c.toml"
             path.write_text(text)
             code = cli.main(["experiment", "individual", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -204,6 +210,22 @@ class TestPipeline:
             assert code == 2
             assert field in err and value in err
             assert not head.exists()
+
+    def test_bad_detector_training_value_exit_2_names_field(self, corpus, tmp_path, capsys, monkeypatch):
+        # the config is checked before any image is read or any feature extracted
+        def no_images(*_):
+            raise AssertionError("images loaded before the training config was checked")
+
+        monkeypatch.setattr(cli, "_load_images", no_images)
+        model = tmp_path / "det.model"
+        for flag, value, message in (("--epochs", "0", "epochs must be >= 1, got 0"),
+                                     ("--lam", "0", "lam must be > 0, got 0.0"),
+                                     ("--lam", "-0.5", "lam must be > 0, got -0.5")):
+            code, _, err = run(["train-detect", "--manifest", str(corpus / "manifest.csv"),
+                                "--images", str(corpus), "--out", str(model), flag, value], capsys)
+            assert code == 2
+            assert message in err, err
+            assert not model.exists()
 
     def test_eval_identical_files_all_ones(self, tmp_path, capsys):
         truth = tmp_path / "t.csv"
@@ -290,6 +312,27 @@ class TestDeterminism:
         for other in dirs[1:]:
             match, mismatch, errors = filecmp.cmpfiles(dirs[0], other, names, shallow=False)
             assert not mismatch and not errors
+
+    def test_sweep_bytes_independent_of_blas_threads(self, tmp_path):
+        cfg = tmp_path / "c.toml"
+        cfg.write_text(
+            "image_size = 64\nindividuals = 2\nimages_per_individual = 4\n"
+            "n_negatives = 8\nn_seeds = 3\nsvm_epochs = 5\nfractions = 0.5, 1.0\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "camtrap.cli", "experiment", "volume", "--config", str(cfg),
+                            "--seed", "5", "--out", str(out)], env=env, capture_output=True, check=True,
+                           timeout=120)
+            h = hashlib.sha256()
+            for f in sorted(out.iterdir()):
+                h.update(f.name.encode() + b"\0" + f.read_bytes())
+            digests.add(h.hexdigest())
+        assert len(digests) == 1
 
     def test_output_env_var_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.OUT_ENV, str(tmp_path / "envout"))

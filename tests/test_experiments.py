@@ -56,15 +56,21 @@ class TestConfig:
         assert "jobs" not in config("volume", jobs=4).resolved()
 
     def test_runner_config_is_the_only_config(self, ctx, monkeypatch):
-        # the shared context is built with svm_epochs 8 and svm_lambda 1e-3
-        train = svm.train_linear_svm
+        # the shared context is built with svm_epochs 8 and svm_lambda 1e-3;
+        # single fits and lockstep fits are both recorded
+        train, train_many = svm.train_linear_svm, svm.train_linear_svms
         fits = []
 
         def recording_train(x, y, cfg):
             fits.append((cfg.epochs, cfg.lam))
             return train(x, y, cfg)
 
+        def recording_train_many(x, plans, epochs, lam):
+            fits.extend((epochs, lam) for _ in plans)
+            return train_many(x, plans, epochs, lam)
+
         monkeypatch.setattr(svm, "train_linear_svm", recording_train)
+        monkeypatch.setattr(svm, "train_linear_svms", recording_train_many)
         for protocol in ("volume", "proportion", "split", "illumination", "species"):
             fits.clear()
             ex.run_protocol(config(protocol, svm_epochs=3, svm_lambda=1e-2, n_seeds=1, head_epochs=5), ctx)
@@ -106,15 +112,17 @@ class TestDetectorSweeps:
         assert report.aggregates == rerun.aggregates
 
     def test_jobs_parity(self, ctx, monkeypatch):
-        # jobs is accepted and ignored: every fit runs on the calling thread
-        train = svm.train_linear_svm
+        # jobs is accepted and ignored: every fit, single or lockstep, runs on the calling thread
         threads = []
 
-        def recording_train(*args, **kwargs):
-            threads.append(threading.get_ident())
-            return train(*args, **kwargs)
+        def recording(train):
+            def recording_train(*args, **kwargs):
+                threads.append(threading.get_ident())
+                return train(*args, **kwargs)
+            return recording_train
 
-        monkeypatch.setattr(svm, "train_linear_svm", recording_train)
+        for name in ("train_linear_svm", "train_linear_svms"):
+            monkeypatch.setattr(svm, name, recording(getattr(svm, name)))
         sweeps = dict(fractions=(0.5, 1.0), train_proportions=(0.5, 1.0), split_ratios=(0.5, 0.7))
         for protocol in ("volume", "proportion", "split", "illumination"):
             a = ex.run_protocol(config(protocol, jobs=1, **sweeps), ctx)

@@ -1,8 +1,12 @@
-"""Linear SVM trainer against a dense grid-search oracle, plus prediction
-semantics (tie rule, probabilities, serialization)."""
+"""Linear SVM trainer against a dense grid-search oracle, the lockstep
+trainer against the single-fit trainer, plus prediction semantics (tie rule,
+probabilities, serialization)."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from camtrap import svm
 
@@ -114,6 +118,127 @@ class TestTraining:
             svm.train_linear_svm(np.zeros((3, 2)), np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             svm.train_linear_svm(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.array([1.0, -1.0]))
+
+
+class TestConfig:
+    def test_bad_values_name_field_and_value(self):
+        with pytest.raises(ValueError, match=r"^epochs must be >= 1, got 0$"):
+            svm.SvmTrainConfig(epochs=0)
+        with pytest.raises(ValueError, match=r"^lam must be > 0, got 0\.0$"):
+            svm.SvmTrainConfig(lam=0.0)
+
+
+def lockstep_case(data_seed, n_rows, dim, lengths):
+    """A shared row matrix and one (rows, labels, seed) fit per length: rows
+    drawn with repeats from the shared matrix, so fits share rows, and both
+    classes present in every fit."""
+    rng = np.random.default_rng(data_seed)
+    features = rng.normal(size=(n_rows, dim)) * rng.uniform(0.05, 20.0)
+    fits = []
+    for n in lengths:
+        rows = rng.integers(0, n_rows, size=n)
+        labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        labels[rng.permutation(n)[:2]] = (1.0, -1.0)
+        fits.append((rows, labels, int(rng.integers(0, 2**63))))
+    return features, fits
+
+
+def single_fits(features, fits, epochs, lam):
+    return [svm.train_linear_svm(features[rows], labels, svm.SvmTrainConfig(epochs, lam, seed))
+            for rows, labels, seed in fits]
+
+
+def assert_same_models(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.bias == b.bias and a.lam == b.lam
+        assert a.objective_by_epoch == b.objective_by_epoch
+
+
+lockstep_cases = st.tuples(
+    st.integers(0, 2**32 - 1),  # data seed
+    st.integers(2, 60),  # shared rows
+    st.sampled_from((1, 2, 3, 7, 16, 80)),  # feature dim
+    st.lists(st.integers(2, 70), min_size=1, max_size=30),  # rows per fit
+    st.integers(1, 4),  # epochs
+    st.sampled_from((1e-3, 0.1, 1.0, 7.5)),  # lambda
+)
+
+
+class TestLockstep:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 200), st.integers(0, 2**32 - 1))
+    def test_row_dots_round_like_one_dot(self, k, dim, data_seed):
+        # a margin that rounded otherwise could flip an update at margin 1
+        rng = np.random.default_rng(data_seed)
+        x = rng.normal(size=(k, dim)) * rng.uniform(0.01, 100.0)
+        w = rng.normal(size=(k + 3, dim))[3:]  # a slice, as in the trainer
+        want = np.array([x[j] @ w[j] for j in range(k)])
+        assert svm._row_dots(x, w).tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(lockstep_cases)
+    @example((5, 40, 80, [70, 2, 3, 2, 9], 3, 1e-3))  # one long fit and several short ones
+    @example((6, 3, 1, [2], 1, 1.0))
+    def test_bytes_equal_single_fits(self, case):
+        data_seed, n_rows, dim, lengths, epochs, lam = case
+        features, fits = lockstep_case(data_seed, n_rows, dim, lengths)
+        assert_same_models(svm.train_linear_svms(features, fits, epochs, lam),
+                           single_fits(features, fits, epochs, lam))
+
+    @settings(max_examples=25, deadline=None)
+    @given(lockstep_cases, st.randoms(use_true_random=False))
+    def test_order_and_split_leave_bytes(self, case, random):
+        data_seed, n_rows, dim, lengths, epochs, lam = case
+        features, fits = lockstep_case(data_seed, n_rows, dim, lengths)
+        want = svm.train_linear_svms(features, fits, epochs, lam)
+        perm = list(range(len(fits)))
+        random.shuffle(perm)
+        shuffled = svm.train_linear_svms(features, [fits[j] for j in perm], epochs, lam)
+        assert_same_models([shuffled[perm.index(j)] for j in range(len(fits))], want)
+        cut = random.randint(0, len(fits))
+        split = (svm.train_linear_svms(features, fits[:cut], epochs, lam)
+                 + svm.train_linear_svms(features, fits[cut:], epochs, lam))
+        assert_same_models(split, want)
+
+    def bad_fits(self):
+        """(rows, labels) pairs that train_linear_svm rejects on features[rows]."""
+        return [
+            (np.array([0]), np.array([1.0])),  # one row
+            (np.array([], dtype=int), np.array([])),  # no rows
+            (np.array([0, 1, 2]), np.array([1.0, -1.0])),  # a label short
+            (np.array([0, 1, 2]), np.array([1.0, 1.0, 1.0])),  # one class
+            (np.array([0, 1, 2]), np.array([1.0, 0.0, -1.0])),  # a zero label
+            (np.array([0, 8, 2]), np.array([1.0, -1.0, 1.0])),  # the non-finite row
+        ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    def test_bad_fit_anywhere_raises_the_single_fit_error_before_any_step(self, which, at, data_seed):
+        features, fits = lockstep_case(data_seed, 8, 3, [4, 8, 2, 5, 3, 6])
+        features = np.vstack([features, [0.0, np.inf, 0.0]])  # row 8, in no good fit
+        rows, labels = self.bad_fits()[which]
+        with pytest.raises(ValueError) as single:
+            svm.train_linear_svm(features[rows], labels)
+        fits.insert(at, (rows, labels, 1))
+        # every fit is seeded before the first step: no generator, no step
+        with mock.patch.object(svm.np.random, "default_rng", side_effect=AssertionError("stepped")):
+            with pytest.raises(ValueError) as lockstep:
+                svm.train_linear_svms(features, fits, 2, 0.1)
+        assert str(lockstep.value) == str(single.value)
+
+    def test_bad_epochs_or_lambda_raise_the_config_error(self):
+        features, fits = lockstep_case(0, 6, 2, [3, 4])
+        for epochs, lam in ((0, 0.1), (2, 0.0), (2, -1.0)):
+            with pytest.raises(ValueError) as single:
+                svm.SvmTrainConfig(epochs, lam)
+            with pytest.raises(ValueError) as lockstep:
+                svm.train_linear_svms(features, fits, epochs, lam)
+            assert str(lockstep.value) == str(single.value)
+
+    def test_no_fits(self):
+        assert svm.train_linear_svms(np.zeros((3, 2)), [], 5, 0.1) == []
 
 
 class TestPrediction:
