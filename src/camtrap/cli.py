@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -33,12 +34,23 @@ EXIT_DATA = 2
 OUT_ENV = "CAMTRAP_OUT"
 
 
+# a negative number, plain or in exponent form, or a comma list of numbers starting with one
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NEGATIVE_VALUE = re.compile(rf"^-{_NUMBER}(?:,[+-]?{_NUMBER})*$")
+
+
 class _UsageError(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad flags; we reserve 2 for data errors."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads `-1e-3` (and `-0.5,0.75`) as an unknown flag, not a
+        # value; widen its negative-number test so such values reach the checks
+        self._negative_number_matcher = _NEGATIVE_VALUE
 
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}")
@@ -178,6 +190,7 @@ def _cmd_train_detect(args) -> int:
 def _train_head_command(args, man, label_of, class_names) -> int:
     """Train a two-stream head on the region features of every record in `man`."""
     cfg = wsddn.HeadTrainConfig(args.epochs, args.lr, args.seed, args.l2)
+    ft.check_region_values(args.scales, args.stride)
     images = _load_images(args, man)
     params, pyramid = _net_and_pyramid(args)
     ds = []

@@ -100,13 +100,27 @@ def init_convnet(channels: Sequence[int] = (3, 8, 16), seed: int = 0) -> ConvNet
 
 
 def _conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One GEMM per tap, summed in tap order onto the first tap plus the bias
+    (t0 + b is b + t0 bit for bit); the later taps share one buffer."""
     h, wd = x.shape[:2]
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    out = np.tile(b, (h, wd, 1)).astype(float)
-    for dy in range(3):
-        for dx in range(3):
-            out += xp[dy : dy + h, dx : dx + wd] @ w[dy, dx]
+    xp = np.zeros((h + 2, wd + 2, x.shape[2]))  # zero padding, without np.pad's per-call overhead
+    xp[1:-1, 1:-1] = x
+    out = xp[:h, :wd] @ w[0, 0]
+    out += b
+    tap = np.empty_like(out)
+    for t in range(1, 9):
+        dy, dx = divmod(t, 3)
+        out += np.matmul(xp[dy : dy + h, dx : dx + wd], w[dy, dx], out=tap)
     return out
+
+
+def _pool_max(x: np.ndarray) -> np.ndarray:
+    """2x2 stride-2 max of x, windows read in `_pool_windows` order; an odd
+    last row or column is dropped."""
+    h2, w2 = x.shape[0] // 2, x.shape[1] // 2
+    out = np.maximum(x[0 : 2 * h2 : 2, 0 : 2 * w2 : 2], x[0 : 2 * h2 : 2, 1 : 2 * w2 : 2])
+    np.maximum(out, x[1 : 2 * h2 : 2, 0 : 2 * w2 : 2], out=out)
+    return np.maximum(out, x[1 : 2 * h2 : 2, 1 : 2 * w2 : 2], out=out)
 
 
 def _pool_windows(x: np.ndarray) -> np.ndarray:
@@ -132,7 +146,8 @@ def forward(image: np.ndarray, params: ConvNetParams, return_cache: bool = False
         pre = _conv3x3(x, w, b)
         if return_cache:
             cache["layers"].append({"input": x, "pre": pre})
-        x = _pool_windows(np.maximum(pre, 0.0)).max(axis=2)
+        x = _pool_max(pre)
+        np.maximum(x, 0.0, out=x)  # ReLU after the pooling max: the two commute
     if return_cache:
         return x, cache
     return x
@@ -172,6 +187,15 @@ def backward(grad_out: np.ndarray, cache: dict, params: ConvNetParams):
     return g, grad_w, grad_b
 
 
+def check_region_values(scales: Sequence[float], stride_fraction: float, names=("scales", "stride")) -> None:
+    """The one rule for window scales and stride (fractions of the short side
+    and of the window); `names` are the caller's names for the two values."""
+    if any(s <= 0 for s in scales):
+        raise ValueError(f"{names[0]} must be > 0, got {tuple(scales)!r}")
+    if stride_fraction <= 0:
+        raise ValueError(f"{names[1]} must be > 0, got {stride_fraction!r}")
+
+
 def propose_regions(
     width: int,
     height: int,
@@ -181,6 +205,7 @@ def propose_regions(
     """Square sliding windows at each scale plus the full image, appended last."""
     if width <= 0 or height <= 0:
         raise ValueError("image dimensions must be positive")
+    check_region_values(scales, stride_fraction)
     short = min(width, height)
     seen = {}  # insertion-ordered set
     for s in scales:

@@ -4,6 +4,7 @@ color similarity between patches."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,14 @@ class PatchGrid:
     def regions(self):
         return [self.patch_region(r, c) for r in range(self.ny) for c in range(self.nx)]
 
+    def boxes(self) -> np.ndarray:
+        """(ny * nx, 4) int array of (x0, y0, x1, y1) per patch, row-major:
+        the boxes of `regions()`."""
+        p = self.patch_size
+        rows, cols = np.divmod(np.arange(self.ny * self.nx), self.nx)
+        x0, y0 = cols * p, rows * p
+        return np.stack([x0, y0, np.minimum(x0 + p, self.width), np.minimum(y0 + p, self.height)], axis=1)
+
 
 @dataclass(frozen=True)
 class PairwiseParams:
@@ -54,11 +63,12 @@ class PairwiseParams:
 
     def __post_init__(self):
         if self.w < 0:
-            raise ValueError("coupling weight must be >= 0")
-        if self.theta_pos <= 0 or self.theta_color <= 0:
-            raise ValueError("bandwidths must be positive")
+            raise ValueError(f"w (coupling weight) must be >= 0, got {self.w!r}")
+        for name in ("theta_pos", "theta_color"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} (bandwidth) must be > 0, got {getattr(self, name)!r}")
         if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+            raise ValueError(f"iterations must be >= 0, got {self.iterations!r}")
 
 
 def grid_for(image: np.ndarray, patch_size: int = 16) -> PatchGrid:
@@ -90,19 +100,34 @@ def compute_unary(rows: np.ndarray, grid: PatchGrid, detector: svm.LinearModel, 
     return svm.margin_to_probability(detector, rows, scale).reshape(grid.ny, grid.nx)
 
 
-def _pairwise_kernel(grid: PatchGrid, colors: np.ndarray, pp: PairwiseParams) -> np.ndarray:
-    n = grid.ny * grid.nx
-    rows, cols = np.divmod(np.arange(n), grid.nx)
+@functools.lru_cache(maxsize=4)
+def _neighbour_pairs(ny: int, nx: int, theta_pos: float):
+    """Patch pairs of a row-major ny x nx grid with 0 < dpos^2 <= (3 theta_pos)^2:
+    their rows i, columns j and flat indices i * n + j in the (n, n) kernel,
+    and -dpos^2 / (2 theta_pos^2) of each; all read-only."""
+    n = ny * nx
+    rows, cols = np.divmod(np.arange(n), nx)
     dpos2 = (rows[:, None] - rows[None, :]) ** 2 + (cols[:, None] - cols[None, :]) ** 2
-    flat = colors.reshape(n, 3)
-    # channel by channel: the addition order of .sum(axis=2), no (n, n, 3) temporary
-    dcol2 = (flat[:, None, 0] - flat[None, :, 0]) ** 2
-    for ch in (1, 2):
-        dcol2 += (flat[:, None, ch] - flat[None, :, ch]) ** 2
-    k = np.exp(-dpos2 / (2 * pp.theta_pos**2) - dcol2 / (2 * pp.theta_color**2))
-    k[dpos2 > (3 * pp.theta_pos) ** 2] = 0.0  # truncated neighborhood
-    np.fill_diagonal(k, 0.0)
-    return k
+    i, j = np.nonzero((dpos2 > 0) & (dpos2 <= (3 * theta_pos) ** 2))
+    pairs = (i, j, i * n + j, -dpos2[i, j] / (2 * theta_pos**2))
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
+def _pairwise_kernel(grid: PatchGrid, colors: np.ndarray, pp: PairwiseParams) -> np.ndarray:
+    """Dense (n, n) kernel, zero beyond 3 theta_pos and on the diagonal.  exp is
+    taken on the kept pairs only, each value by the dense form's operations."""
+    n = grid.ny * grid.nx
+    i, j, flat, spatial = _neighbour_pairs(grid.ny, grid.nx, pp.theta_pos)
+    channels = colors.reshape(n, 3).T.copy()
+    # channel by channel: the addition order of .sum(axis=2)
+    dcol2 = (channels[0][i] - channels[0][j]) ** 2
+    for c in channels[1:]:
+        dcol2 += (c[i] - c[j]) ** 2
+    k = np.zeros(n * n)
+    k[flat] = np.exp(spatial - dcol2 / (2 * pp.theta_color**2))
+    return k.reshape(n, n)
 
 
 def refine_mean_field(unary: np.ndarray, image: np.ndarray, grid: PatchGrid, pp: PairwiseParams = PairwiseParams()) -> np.ndarray:
@@ -135,12 +160,12 @@ def upsample_mask(mask: np.ndarray, grid: PatchGrid) -> np.ndarray:
 
 
 def apply_mask(image: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Gray out the background (mask == 0); foreground pixels unchanged."""
+    """Gray out the background (mask == 0); foreground pixels unchanged.  The
+    result has the image's dtype, and the image may be 2-D or (H, W, C)."""
     if mask.shape != image.shape[:2]:
         raise ValueError("mask must be at pixel resolution")
-    out = np.full_like(image, 0.5)
-    out[mask.astype(bool)] = image[mask.astype(bool)]
-    return out
+    keep = mask.astype(bool).reshape(mask.shape + (1,) * (image.ndim - 2))
+    return np.where(keep, image, image.dtype.type(0.5))
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
@@ -150,6 +175,17 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     if union == 0:
         return 1.0
     return float(np.logical_and(a, b).sum() / union)
+
+
+def patch_mask(
+    unary: np.ndarray,
+    image: np.ndarray,
+    grid: PatchGrid,
+    pp: PairwiseParams = PairwiseParams(),
+    tau: float = 0.5,
+) -> np.ndarray:
+    """(ny, nx) uint8 mask of a patch unary: mean-field -> threshold."""
+    return threshold_mask(refine_mean_field(unary, image, grid, pp), tau)
 
 
 def segment_image(
@@ -166,19 +202,7 @@ def segment_image(
     grid = grid_for(image, patch_size)
     rows = feat.extract_region_features(image, grid.regions(), params, pyramid).matrix
     unary = compute_unary(rows, grid, detector, scale)
-    return mask_from_unary(unary, image, grid, pp, tau)
-
-
-def mask_from_unary(
-    unary: np.ndarray,
-    image: np.ndarray,
-    grid: PatchGrid,
-    pp: PairwiseParams = PairwiseParams(),
-    tau: float = 0.5,
-) -> np.ndarray:
-    """Pixel mask of a patch unary: mean-field -> threshold -> upsample."""
-    refined = refine_mean_field(unary, image, grid, pp)
-    return upsample_mask(threshold_mask(refined, tau), grid)
+    return upsample_mask(patch_mask(unary, image, grid, pp, tau), grid)
 
 
 def write_pbm(path, mask: np.ndarray) -> None:

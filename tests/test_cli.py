@@ -47,6 +47,37 @@ class TestExitCodes:
         assert code == 1
         assert "--fraction" in capsys.readouterr().err
 
+    def test_negative_exponent_values_reach_value_checks(self, corpus, tmp_path, capsys):
+        # argparse alone reads `-1e-3` as an unknown flag and exits 1 with
+        # "expected one argument"; every float flag must see its value checked
+        manifest = str(corpus / "manifest.csv")
+        image = str(sorted(corpus.glob("tiger-*.ppm"))[0])
+        model = tmp_path / "zero.model"
+        model.write_text("camtrap-linear-model v1\nlambda 0.001\nbias 0.0\ndim 80\n" + " ".join(["0.0"] * 80) + "\n")
+        train = ["--manifest", manifest, "--out", str(tmp_path / "out"), "--epochs", "1"]
+        segment = ["segment", "--image", image, "--detector", str(model), "--out", str(tmp_path / "m.pbm"),
+                   "--patch-size", "8"]
+        cases = [(["synth", "--out", str(tmp_path / "s")], "--night-fraction", 2, "night_fraction"),
+                 (["split", "--manifest", manifest, "--out", str(tmp_path / "sp")], "--fraction", 1, "--fraction"),
+                 (["train-detect"] + train, "--lam", 2, "lam must be > 0, got -0.001")]
+        for sub in ("train-species", "train-individual"):
+            cases += [([sub] + train, "--lr", 2, "learning_rate must be > 0, got -0.001"),
+                      ([sub] + train, "--l2", 2, "l2 must be >= 0, got -0.001"),
+                      ([sub] + train, "--stride", 2, "stride must be > 0, got -0.001"),
+                      ([sub] + train, "--scales", 2, "scales must be > 0, got (-0.001,)")]
+        cases += [(segment, "--w", 2, "w (coupling weight) must be >= 0, got -0.001"),
+                  (segment, "--theta-pos", 2, "theta_pos (bandwidth) must be > 0, got -0.001"),
+                  (segment, "--theta-color", 2, "theta_color (bandwidth) must be > 0, got -0.001"),
+                  (segment, "--tau", 2, "tau must lie in (0,1)"),
+                  (segment, "--scale", 2, "scale must be > 0, got -0.001")]
+        for argv, flag, want_code, named in cases:
+            code, _, err = run(argv + [flag, "-1e-3"], capsys)
+            assert (code, "expected one argument" in err) == (want_code, False), (flag, err)
+            assert named in err, (flag, err)
+        code, _, err = run(["train-species"] + train + ["--scales", "-1e-3,0.5"], capsys)
+        assert code == 2 and "scales must be > 0, got (-0.001, 0.5)" in err, err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "m.pbm").exists()
+
     def test_unknown_flag_exit_1(self, capsys):
         assert cli.main(["synth", "--bogus"]) == 1
         assert "error" in capsys.readouterr().err

@@ -258,6 +258,98 @@ class TestIndividual:
         assert match == names and not mismatch and not errors
 
 
+    def test_masked_feature_cache_same_bytes_fewer_forwards(self, monkeypatch, tmp_path):
+        # runs that reach the same patch mask share one masked forward; the
+        # uncached reference masks and extracts on every call
+        forward, apply_mask = ft.forward, seg.apply_mask
+        forwards, masks = [], []
+
+        def counting_forward(image, params, return_cache=False):
+            forwards.append(image.shape)
+            return forward(image, params, return_cache)
+
+        def counting_mask(image, mask):
+            masks.append(image.shape)
+            return apply_mask(image, mask)
+
+        def uncached(self, rid, patch_size, mask):
+            img = self.images[rid]
+            masked = seg.apply_mask(img, seg.upsample_mask(mask, seg.grid_for(img, patch_size)))
+            regions = ft.propose_regions(img.shape[1], img.shape[0], self.cfg.region_scales, self.cfg.region_stride)
+            return ft.extract_region_features(masked, regions, self.params, self.pyramid)
+
+        monkeypatch.setattr(ft, "forward", counting_forward)
+        monkeypatch.setattr(seg, "apply_mask", counting_mask)
+        cfg = config("individual", n_seeds=1, head_epochs=10, segment=True)
+        counts = {}
+        for name in ("cached", "uncached"):
+            if name == "uncached":
+                monkeypatch.setattr(ex.PipelineContext, "masked_features", uncached)
+            forwards.clear()
+            masks.clear()
+            ex.write_report(ex.run_individual_study(cfg), tmp_path / name)
+            counts[name] = len(forwards), len(masks)
+        names = sorted(f.name for f in (tmp_path / "cached").iterdir())
+        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "cached", tmp_path / "uncached", names, shallow=False)
+        assert match == names and not mismatch and not errors
+        # every individual has 8 images, so balancing is the identity and each
+        # balanced run reaches its unbalanced run's masks: half the masked
+        # forwards or more go, and only masked forwards go
+        (fwd, masked), (ref_fwd, ref_masked) = counts["cached"], counts["uncached"]
+        assert 2 * masked <= ref_masked and ref_fwd - fwd == ref_masked - masked
+
+    def test_masked_feature_cache_key(self, monkeypatch):
+        cfg = config("individual", n_seeds=1, segment=True)
+        ctx = ex.PipelineContext(cfg)
+        rid = next(iter(ctx.images))  # 64 px: patch 8 and patch 9 both give an 8 x 8 grid
+        mask = np.ones((8, 8), dtype=np.uint8)
+        mask[5:, 2:] = 0
+        forward = ft.forward
+        forwards = []
+        monkeypatch.setattr(ft, "forward", lambda image, params: forwards.append(1) or forward(image, params))
+        a = ctx.masked_features(rid, 8, mask)
+        assert ctx.masked_features(rid, 8, mask.copy()) is a and len(forwards) == 1
+        b = ctx.masked_features(rid, 9, mask)  # same mask bytes, other patch size: a miss
+        assert len(forwards) == 2 and not np.array_equal(a.matrix, b.matrix)
+        mask[0, 0] = 0
+        ctx.masked_features(rid, 8, mask)
+        assert len(forwards) == 3
+        with pytest.raises(ValueError):
+            ctx.masked_features(rid, 16, mask)
+
+    def test_patch_detector_matches_per_region_reference(self, ctx):
+        # the per-Region selection the array form replaced, rng draws in the same order
+        cfg = config("individual", patch_size=8)
+        ids = [rid for rid in sorted(ctx.images) if rid in ctx.boxes][:12]
+
+        def reference(seed):
+            rng = np.random.default_rng(np.uint64(seed))
+            rows, labs = [], []
+            for i in ids:
+                x0, y0, x1, y1 = ctx.boxes[i]
+                patch = ctx.patch_rows(i, cfg.patch_size)
+                pos, neg = [], []
+                for idx, reg in enumerate(seg.grid_for(ctx.images[i], cfg.patch_size).regions()):
+                    if reg.x0 >= x0 and reg.x1 <= x1 and reg.y0 >= y0 and reg.y1 <= y1:
+                        pos.append(idx)
+                    elif reg.x1 <= x0 or reg.x0 >= x1 or reg.y1 <= y0 or reg.y0 >= y1:
+                        neg.append(idx)
+                take = min(len(pos), len(neg), 8)
+                if take == 0:
+                    continue
+                for idx in rng.choice(pos, take, replace=False):
+                    rows.append(patch[idx])
+                    labs.append(1.0)
+                for idx in rng.choice(neg, take, replace=False):
+                    rows.append(patch[idx])
+                    labs.append(-1.0)
+            return ex._fit_detector(cfg, np.stack(rows), np.array(labs), seed)
+
+        for seed in (0, 7):
+            got, ref = ex._train_patch_detector(ctx, cfg, ids, seed), reference(seed)
+            assert got.weights.tobytes() == ref.weights.tobytes() and got.bias == ref.bias
+
+
 class TestJoint:
     def test_rows_sorted_by_sensitivity(self, ctx):
         report = ex.run_joint_individuals(config("joint-individuals", n_seeds=1, head_epochs=40), ctx)

@@ -63,6 +63,66 @@ class TestForward:
             ft.forward(np.zeros((8, 8, 1)), params)
 
 
+def reference_conv3x3(x, w, b):
+    """The bias-tiled conv the lean forward replaced: its bytes are the oracle."""
+    h, wd = x.shape[:2]
+    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    out = np.tile(b, (h, wd, 1)).astype(float)
+    for dy in range(3):
+        for dx in range(3):
+            out += xp[dy : dy + h, dx : dx + wd] @ w[dy, dx]
+    return out
+
+
+def reference_pool_windows(x):
+    h2, w2 = x.shape[0] // 2, x.shape[1] // 2
+    win = x[: 2 * h2, : 2 * w2].reshape(h2, 2, w2, 2, -1).transpose(0, 2, 1, 3, 4)
+    return win.reshape(h2, w2, 4, -1)
+
+
+def reference_forward(image, params):
+    """Feature map and per-layer pre-activations: ReLU, then the max of each window."""
+    x = np.asarray(image[:, :, None] if image.ndim == 2 else image, dtype=float)
+    pres = []
+    for w, b in zip(params.weights, params.biases):
+        pres.append(reference_conv3x3(x, w, b))
+        x = reference_pool_windows(np.maximum(pres[-1], 0.0)).max(axis=2)
+    return x, pres
+
+
+class TestForwardOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_forward_matches_reference_bytes(self, data):
+        # odd sizes, 2-D images, nonzero biases, negative inputs, 1-3 layers.
+        # A -0.0 bias is left out (v + 0.0 maps it to +0.0): with any other
+        # bias a pre-activation is never -0.0, and only there could a ReLU
+        # after the max give a zero of the other sign.
+        n_layers = data.draw(st.integers(1, 3))
+        two_d = data.draw(st.booleans())
+        channels = [1 if two_d else data.draw(st.integers(1, 4))]
+        channels += [data.draw(st.integers(1, 6)) for _ in range(n_layers)]
+        params = ft.init_convnet(channels, seed=data.draw(st.integers(0, 2**16)))
+        bias = st.floats(-1, 1, allow_nan=False).map(lambda v: v + 0.0)
+        params.biases = [np.array([data.draw(bias) for _ in range(len(b))]) for b in params.biases]
+        h = data.draw(st.integers(params.downsample, 37))
+        w = data.draw(st.integers(params.downsample, 37))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        image = rng.uniform(-1, 1, size=(h, w) if two_d else (h, w, channels[0]))
+        ref, ref_pres = reference_forward(image, params)
+        got, cache = ft.forward(image, params, return_cache=True)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        assert ft.forward(image, params).tobytes() == ref.tobytes()
+        for layer, pre in zip(cache["layers"], ref_pres):
+            assert layer["pre"].tobytes() == pre.tobytes()
+
+    def test_feature_bytes_match_reference_at_160px(self):
+        params = ft.init_convnet((3, 8, 16), seed=0)
+        image = np.random.default_rng(3).uniform(size=(160, 160, 3))
+        assert ft.forward(image, params).tobytes() == reference_forward(image, params)[0].tobytes()
+
+
 def fd_check_directional(fn, x0, grad, rng, n_dirs=4, eps=1e-6, tol=1e-4):
     """Compare analytic gradient projections against central differences."""
     for _ in range(n_dirs):

@@ -1,9 +1,14 @@
 """Patch grids, unary fields, mean-field refinement (closed-form single-sweep
 check), thresholding, masking and IoU."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from camtrap import features as ft
 from camtrap import segmentation as seg
@@ -27,6 +32,14 @@ class TestPatchGrid:
         assert len(regions) == 4
         assert regions[0].as_tuple() == (0, 0, 8, 8)
         assert regions[1].as_tuple() == (8, 0, 16, 8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(patch=st.integers(4, 12), width=st.integers(1, 60), height=st.integers(1, 60))
+    def test_boxes_are_the_regions(self, patch, width, height):
+        grid = seg.PatchGrid(patch_size=patch, width=width, height=height)
+        boxes = grid.boxes()
+        assert boxes.shape == (grid.ny * grid.nx, 4)
+        assert boxes.tolist() == [list(r.as_tuple()) for r in grid.regions()]
 
     def test_patch_size_minimum(self):
         with pytest.raises(ValueError):
@@ -84,6 +97,22 @@ class TestUnary:
         assert np.all(unary > 0.0) and np.all(unary < 1.0)
 
 
+def dense_reference_kernel(grid, colors, pp):
+    """The all-pairs kernel the neighbour-pair form replaced: exp on every
+    pair, then zeroed beyond 3 theta_pos and on the diagonal."""
+    n = grid.ny * grid.nx
+    rows, cols = np.divmod(np.arange(n), grid.nx)
+    dpos2 = (rows[:, None] - rows[None, :]) ** 2 + (cols[:, None] - cols[None, :]) ** 2
+    flat = colors.reshape(n, 3)
+    dcol2 = (flat[:, None, 0] - flat[None, :, 0]) ** 2
+    for ch in (1, 2):
+        dcol2 += (flat[:, None, ch] - flat[None, :, ch]) ** 2
+    k = np.exp(-dpos2 / (2 * pp.theta_pos**2) - dcol2 / (2 * pp.theta_color**2))
+    k[dpos2 > (3 * pp.theta_pos) ** 2] = 0.0
+    np.fill_diagonal(k, 0.0)
+    return k
+
+
 class TestMeanField:
     def test_w_zero_is_bit_identical(self):
         rng = np.random.default_rng(0)
@@ -135,6 +164,36 @@ class TestMeanField:
         ref = np.exp(-dpos2 / (2 * pp.theta_pos**2) - dcol2 / (2 * pp.theta_color**2))
         np.fill_diagonal(ref, 0.0)
         assert seg._pairwise_kernel(grid, colors, pp).tobytes() == ref.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        patch=st.integers(4, 9),
+        width=st.integers(1, 90),
+        height=st.integers(1, 90),
+        theta_pos=st.one_of(st.sampled_from([0.2, 1 / 3 - 1e-9, 1 / 3, 1.0, 2.0, 1e9]), st.floats(0.05, 20.0)),
+        theta_color=st.floats(0.01, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(patch=8, width=8, height=8, theta_pos=2.0, theta_color=0.15, seed=0)  # 1 x 1
+    @example(patch=8, width=80, height=8, theta_pos=2.0, theta_color=0.15, seed=1)  # 1 x n
+    @example(patch=8, width=5, height=80, theta_pos=1e9, theta_color=0.15, seed=2)  # n x 1, clipped
+    @example(patch=8, width=80, height=80, theta_pos=0.2, theta_color=0.15, seed=3)  # no neighbour
+    def test_kernel_matches_dense_reference_bytes(self, patch, width, height, theta_pos, theta_color, seed):
+        # 1x1 and 1xn grids, clipped last patches, no neighbour at all
+        # (theta_pos < 1/3), every pair kept (1e9)
+        grid = seg.PatchGrid(patch_size=patch, width=width, height=height)
+        colors = np.random.default_rng(seed).uniform(size=(grid.ny, grid.nx, 3))
+        pp = seg.PairwiseParams(theta_pos=theta_pos, theta_color=theta_color)
+        got = seg._pairwise_kernel(grid, colors, pp)
+        ref = dense_reference_kernel(grid, colors, pp)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        if 3 * theta_pos < 1:
+            assert not got.any()
+
+    def test_neighbour_pairs_are_read_only(self):
+        for a in seg._neighbour_pairs(5, 7, 2.0):
+            with pytest.raises(ValueError):
+                a[...] = 0
 
     def test_outputs_stay_in_unit_interval(self):
         rng = np.random.default_rng(2)
@@ -201,6 +260,18 @@ class TestThresholdAndMask:
         empty = seg.apply_mask(img, np.zeros((8, 8), dtype=np.uint8))
         assert np.all(empty == 0.5)
 
+    def test_apply_mask_keeps_dtype_and_takes_2d(self):
+        rng = np.random.default_rng(3)
+        mask = (rng.uniform(size=(6, 9)) > 0.5).astype(np.uint8)
+        for img in (rng.uniform(size=(6, 9, 3)), rng.uniform(size=(6, 9)),
+                    rng.uniform(size=(6, 9, 3)).astype(np.float32),
+                    rng.integers(1, 255, size=(6, 9, 3)).astype(np.uint8)):
+            out = seg.apply_mask(img, mask)
+            ref = np.full_like(img, 0.5)  # the per-pixel form: gray canvas, foreground copied
+            ref[mask.astype(bool)] = img[mask.astype(bool)]
+            assert out.dtype == img.dtype and out.shape == img.shape
+            assert out.tobytes() == ref.tobytes()
+
     def test_apply_mask_shape_check(self):
         with pytest.raises(ValueError):
             seg.apply_mask(np.zeros((8, 8, 3)), np.zeros((4, 4)))
@@ -251,3 +322,33 @@ class TestPbm:
         bits = np.unpackbits(np.frombuffer(data[len(b"P4\n3 2\n"):], dtype=np.uint8))
         back = bits.reshape(2, 8)[:, :3]
         assert np.array_equal(back, mask)
+
+
+BLAS_PROBE = """
+import hashlib
+import numpy as np
+from camtrap import features as ft, segmentation as seg
+rng = np.random.default_rng(5)
+h = hashlib.sha256()
+image = rng.uniform(size=(160, 160, 3))
+for channels in ((3, 8, 16), (3, 32, 64)):
+    h.update(ft.forward(image, ft.init_convnet(channels, seed=1)).tobytes())
+grid = seg.grid_for(image, 8)
+unary = rng.uniform(size=(grid.ny, grid.nx))
+for pp in (seg.PairwiseParams(), seg.PairwiseParams(theta_pos=1e9)):
+    h.update(seg._pairwise_kernel(grid, seg.patch_mean_colors(image, grid), pp).tobytes())
+    h.update(seg.refine_mean_field(unary, image, grid, pp).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_forward_and_kernel_bytes_independent_of_blas_threads():
+    src = str(Path(seg.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
