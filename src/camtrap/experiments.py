@@ -71,12 +71,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}")
         if self.n_seeds < 1:
             raise ValueError("need at least one seed")
-        if any(not 0.0 < f <= 1.0 for f in self.fractions):
-            raise ValueError("fractions must lie in (0,1]")
         if self.synth_config is None and self.manifest_path is None:
             raise ValueError("either synth_config or manifest_path is required")
+        mf.check_train_fraction(self.split_fraction, "split_fraction")
+        for name, rule in (("fractions", mf.check_fraction), ("train_proportions", mf.check_fraction),
+                           ("split_ratios", mf.check_train_fraction)):
+            for value in getattr(self, name):
+                rule(value, name)
+        wsddn.check_k(self.k, "k")
         seg.check_patch_size(self.patch_size)
         svm.check_train_values(self.svm_epochs, self.svm_lambda, ("svm_epochs", "svm_lambda"))
+        wsddn.check_train_values(self.head_epochs, self.head_lr, self.head_l2, ("head_epochs", "head_lr", "head_l2"))
         ft.check_region_values(self.region_scales, self.region_stride, ("region_scales", "region_stride"))
 
     def resolved(self) -> dict:
@@ -114,7 +119,6 @@ class PipelineContext:
         self.pyramid = ft.PyramidConfig(cfg.pyramid_levels)
         self._region_feats: Dict[str, ft.RegionFeatures] = {}
         self._patch_rows: Dict[Tuple[str, int], np.ndarray] = {}
-        self._masked_feats: Dict[Tuple[str, int, bytes], ft.RegionFeatures] = {}
 
     def image_feature(self, rid: str) -> np.ndarray:
         # the full image is the last proposed region, so one conv pass serves both
@@ -141,22 +145,6 @@ class PipelineContext:
             regions = seg.grid_for(img, patch_size).regions()
             self._patch_rows[key] = ft.extract_region_features(img, regions, self.params, self.pyramid).matrix
         return self._patch_rows[key]
-
-    def masked_features(self, rid: str, patch_size: int, mask: np.ndarray) -> ft.RegionFeatures:
-        """Region features of the image with the background of its (ny, nx)
-        patch `mask` grayed out.  Runs that reach the same mask share one conv
-        forward: the key holds the mask's own bytes, 400 B at 160 px with
-        patch 8, not the 64x larger pixel mask."""
-        key = (rid, patch_size, mask.astype(np.uint8).tobytes())
-        if key not in self._masked_feats:
-            img = self.images[rid]
-            grid = seg.grid_for(img, patch_size)
-            if mask.shape != (grid.ny, grid.nx):
-                raise ValueError(f"mask shape {mask.shape} does not match grid {(grid.ny, grid.nx)}")
-            masked = seg.apply_mask(img, seg.upsample_mask(mask, grid))
-            regions = ft.propose_regions(img.shape[1], img.shape[0], self.cfg.region_scales, self.cfg.region_stride)
-            self._masked_feats[key] = ft.extract_region_features(masked, regions, self.params, self.pyramid)
-        return self._masked_feats[key]
 
 
 # the config fields a PipelineContext is built from
@@ -452,33 +440,47 @@ def _train_patch_detector(ctx, cfg, train_ids, seed):
     return _fit_detector(cfg, np.concatenate(rows), np.concatenate(labs), seed)
 
 
-def _individual_run(ctx, cfg, man, classes, seed, balanced, segmented):
-    """Train one individuals head and evaluate per-individual metrics."""
+def _fit_individuals(ctx, cfg, train_ids, val_ids, classes, seed, segmented):
+    """Train one individuals head on `train_ids`; return its confusion matrix
+    on `val_ids` and each individual's training image count."""
     by_id = ctx.by_id
-    split = mf.stratified_split(man, cfg.split_fraction, seed, "individual")
-    train_man = mf.select_records(man, split.train)
-    if balanced:
-        train_man = mf.balance_classes(train_man, "individual", seed)
     feats = ctx.region_features
     if segmented:
-        patch_detector = _train_patch_detector(ctx, cfg, train_man.ids(), seed)
+        patch_detector = _train_patch_detector(ctx, cfg, train_ids, seed)
 
         def feats(rid):
             """Region features of the image with its background grayed out."""
             img = ctx.images[rid]
             grid = seg.grid_for(img, cfg.patch_size)
             unary = seg.compute_unary(ctx.patch_rows(rid, cfg.patch_size), grid, patch_detector)
-            return ctx.masked_features(rid, cfg.patch_size, seg.patch_mask(unary, img, grid))
+            masked = seg.apply_mask(img, seg.upsample_mask(seg.patch_mask(unary, img, grid), grid))
+            regions = ft.propose_regions(img.shape[1], img.shape[0], cfg.region_scales, cfg.region_stride)
+            return ft.extract_region_features(masked, regions, ctx.params, ctx.pyramid)
 
-    ds = [(feats(i), wsddn.one_hot(by_id[i].individual, classes)) for i in train_man.ids()]
+    ds = [(feats(i), wsddn.one_hot(by_id[i].individual, classes)) for i in train_ids]
     head = _fit_head(cfg, ds, classes, seed)
     agg_cfg = wsddn.AggregationConfig(k=cfg.k)
     pairs = []
-    for i in split.validation:
+    for i in val_ids:
         s = wsddn.score_regions(feats(i), head)
         pairs.append((wsddn.predict_topk(wsddn.aggregate_topk(s, classes, agg_cfg), 1)[0], by_id[i].individual))
     cm = mt.accumulate(pairs, classes)
-    return cm, Counter(by_id[i].individual for i in train_man.ids())
+    return cm, Counter(by_id[i].individual for i in train_ids)
+
+
+def _individual_run(ctx, cfg, man, classes, seed, balanced, segmented, fitted=None):
+    """Split `man` and balance its training ids if asked, then fit and score
+    them.  The fit's inputs are its key in `fitted`, one runner call's dict,
+    and a run whose key is already there reuses that result."""
+    split = mf.stratified_split(man, cfg.split_fraction, seed, "individual")
+    train_man = mf.select_records(man, split.train)
+    if balanced:
+        train_man = mf.balance_classes(train_man, "individual", seed)
+    key = (tuple(train_man.ids()), split.validation, tuple(classes), seed, segmented)
+    fitted = {} if fitted is None else fitted
+    if key not in fitted:
+        fitted[key] = _fit_individuals(ctx, cfg, *key)
+    return fitted[key]
 
 
 def _individual_rows(cm, classes, train_counts) -> List[dict]:
@@ -503,6 +505,9 @@ def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] =
     if len(species_opts) == 2:
         species_opts.append(("joint", ("tiger", "leopard")))
 
+    # a balanced run that balancing left whole, and the sweep's full-n run
+    # (trial 0's balanced raw run), reuse the first fit of their inputs
+    fitted = {}
     for sp_name, sp_set in species_opts:
         man = mf.filter_manifest(ctx.manifest, species=sp_set, min_images_per_individual=1)
         classes = sorted({r.individual for r in man})
@@ -511,9 +516,7 @@ def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] =
         for balanced in (False, True):
             for segmented in (False, True) if cfg.segment else (False,):
                 for trial_idx, seed in _trials(cfg):
-                    cm, train_counts = _individual_run(
-                        ctx, cfg, man, classes, seed, balanced, segmented
-                    )
+                    cm, train_counts = _individual_run(ctx, cfg, man, classes, seed, balanced, segmented, fitted=fitted)
                     prefix = {"species": sp_name, "balanced": int(balanced),
                               "segmented": int(segmented), "trial": trial_idx, "seed": seed}
                     report.rows.extend(
@@ -524,7 +527,7 @@ def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] =
                 subset = classes[:n]
                 sub_man = mf.Manifest(tuple(r for r in man if r.individual in set(subset)))
                 seed = cfg.base_seed
-                cm, _ = _individual_run(ctx, cfg, sub_man, subset, seed, True, False)
+                cm, _ = _individual_run(ctx, cfg, sub_man, subset, seed, True, False, fitted=fitted)
                 ms = [mt.measures(mt.binary_counts(cm, c)) for c in subset]
                 # specificity and precision are absent, so written as undefined
                 report.rows.append({"species": sp_name, "balanced": 1, "segmented": 0, "trial": -1,

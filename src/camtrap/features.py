@@ -9,7 +9,6 @@ fine-tuning.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -65,14 +64,6 @@ class ConvNetParams:
     @property
     def out_channels(self) -> int:
         return self.channels[-1]
-
-    def checksum(self) -> str:
-        h = hashlib.sha256()
-        h.update(repr(self.channels).encode())
-        for w, b in zip(self.weights, self.biases):
-            h.update(w.tobytes())
-            h.update(b.tobytes())
-        return h.hexdigest()[:16]
 
 
 @dataclass(frozen=True)

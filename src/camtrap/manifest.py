@@ -175,6 +175,18 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def check_train_fraction(value: float, name: str = "train_fraction") -> None:
+    """The one rule for a split's train fraction; `name` is the caller's name for it."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be in (0,1), got {value}")
+
+
+def check_fraction(value: float, name: str = "fraction") -> None:
+    """The one rule for a subsample fraction; `name` is the caller's name for it."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must be in (0,1], got {value}")
+
+
 def stratified_split(
     m: Manifest, train_fraction: float, seed: int, stratify_by: str = "presence"
 ) -> SplitAssignment:
@@ -183,8 +195,7 @@ def stratified_split(
     Within each stratum round_half_up(train_fraction * count) records go to
     train; remainder to validation.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0,1), got {train_fraction}")
+    check_train_fraction(train_fraction)
     groups = _group_by_stratum(m.records, stratify_by)
     for key, recs in groups.items():
         if len(recs) < 2:
@@ -223,8 +234,7 @@ def balance_classes(m: Manifest, class_key: str, seed: int) -> Manifest:
 
 def subsample_fraction(m: Manifest, fraction: float, seed: int, stratify_by: str = "presence") -> Manifest:
     """Per-stratum uniform sample of round_half_up(fraction * count) records."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0,1], got {fraction}")
+    check_fraction(fraction)
     if fraction == 1.0:
         return m
     return _sample_per_stratum(m, stratify_by, seed, lambda n: _round_half_up(fraction * n))

@@ -31,11 +31,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if self.class_names != other.class_names:
-            raise ValueError("class sets differ")
-        return ConfusionMatrix(self.counts + other.counts, self.class_names)
-
 
 @dataclass(frozen=True)
 class BinaryCounts:

@@ -103,13 +103,13 @@ def compute_unary(rows: np.ndarray, grid: PatchGrid, detector: svm.LinearModel, 
 @functools.lru_cache(maxsize=4)
 def _neighbour_pairs(ny: int, nx: int, theta_pos: float):
     """Patch pairs of a row-major ny x nx grid with 0 < dpos^2 <= (3 theta_pos)^2:
-    their rows i, columns j and flat indices i * n + j in the (n, n) kernel,
-    and -dpos^2 / (2 theta_pos^2) of each; all read-only."""
+    their rows i and columns j in the (n, n) kernel, and -dpos^2 / (2 theta_pos^2)
+    of each; all read-only."""
     n = ny * nx
     rows, cols = np.divmod(np.arange(n), nx)
     dpos2 = (rows[:, None] - rows[None, :]) ** 2 + (cols[:, None] - cols[None, :]) ** 2
     i, j = np.nonzero((dpos2 > 0) & (dpos2 <= (3 * theta_pos) ** 2))
-    pairs = (i, j, i * n + j, -dpos2[i, j] / (2 * theta_pos**2))
+    pairs = (i, j, -dpos2[i, j] / (2 * theta_pos**2))
     for a in pairs:
         a.flags.writeable = False
     return pairs
@@ -119,15 +119,15 @@ def _pairwise_kernel(grid: PatchGrid, colors: np.ndarray, pp: PairwiseParams) ->
     """Dense (n, n) kernel, zero beyond 3 theta_pos and on the diagonal.  exp is
     taken on the kept pairs only, each value by the dense form's operations."""
     n = grid.ny * grid.nx
-    i, j, flat, spatial = _neighbour_pairs(grid.ny, grid.nx, pp.theta_pos)
+    i, j, spatial = _neighbour_pairs(grid.ny, grid.nx, pp.theta_pos)
     channels = colors.reshape(n, 3).T.copy()
     # channel by channel: the addition order of .sum(axis=2)
     dcol2 = (channels[0][i] - channels[0][j]) ** 2
     for c in channels[1:]:
         dcol2 += (c[i] - c[j]) ** 2
-    k = np.zeros(n * n)
-    k[flat] = np.exp(spatial - dcol2 / (2 * pp.theta_color**2))
-    return k.reshape(n, n)
+    k = np.zeros((n, n))
+    k[i, j] = np.exp(spatial - dcol2 / (2 * pp.theta_color**2))
+    return k
 
 
 def refine_mean_field(unary: np.ndarray, image: np.ndarray, grid: PatchGrid, pp: PairwiseParams = PairwiseParams()) -> np.ndarray:

@@ -54,13 +54,18 @@ class RegionScoreMatrix:
     detection: np.ndarray  # R x C, columns sum to 1
 
 
+def check_k(k: int, name: str = "K") -> None:
+    """The one rule for top-K aggregation's K; `name` is the caller's name for it."""
+    if k < 1:
+        raise ValueError(f"{name} must be >= 1, got {k!r}")
+
+
 @dataclass(frozen=True)
 class AggregationConfig:
     k: int = 30
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("K must be >= 1")
+        check_k(self.k)
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,16 @@ def detect_region(s: RegionScoreMatrix, class_index: int) -> int:
     return int(np.argmax(s.scores[:, class_index]))
 
 
+def check_train_values(epochs: int, learning_rate: float, l2: float, names=("epochs", "learning_rate", "l2")) -> None:
+    """The one rule for head epochs, step size and L2; `names` are the caller's names for the three values."""
+    if epochs < 1:
+        raise ValueError(f"{names[0]} must be >= 1, got {epochs!r}")
+    if learning_rate <= 0:
+        raise ValueError(f"{names[1]} must be > 0, got {learning_rate!r}")
+    if l2 < 0:
+        raise ValueError(f"{names[2]} must be >= 0, got {l2!r}")
+
+
 @dataclass(frozen=True)
 class HeadTrainConfig:
     epochs: int = 500
@@ -125,12 +140,7 @@ class HeadTrainConfig:
     l2: float = 1e-4
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
-        if self.l2 < 0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2!r}")
+        check_train_values(self.epochs, self.learning_rate, self.l2)
 
 
 def _bce_loss_and_grad(x: np.ndarray, targets: np.ndarray, a: np.ndarray, b: np.ndarray, l2: float):

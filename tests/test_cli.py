@@ -177,7 +177,14 @@ class TestConfigFile:
                           ("fractions = 1.5\n", "fractions"),
                           ("image_size = 0\n", "image_size"),
                           ("svm_epochs = 0\n", "svm_epochs must be >= 1, got 0"),
-                          ("svm_lambda = 0.0\n", "svm_lambda must be > 0, got 0.0")):
+                          ("svm_lambda = 0.0\n", "svm_lambda must be > 0, got 0.0"),
+                          ("split_fraction = 1.5\n", "split_fraction must be in (0,1), got 1.5"),
+                          ("split_ratios = 0.5, 1.2\n", "split_ratios must be in (0,1), got 1.2"),
+                          ("train_proportions = 0.5, 1.5\n", "train_proportions must be in (0,1], got 1.5"),
+                          ("k = 0\n", "k must be >= 1, got 0"),
+                          ("head_epochs = 0\n", "head_epochs must be >= 1, got 0"),
+                          ("head_lr = 0\n", "head_lr must be > 0, got 0"),
+                          ("head_l2 = -1.0\n", "head_l2 must be >= 0, got -1.0")):
             path = tmp_path / "c.toml"
             path.write_text(text)
             code = cli.main(["experiment", "individual", "--config", str(path), "--out", str(tmp_path / "o")])

@@ -11,6 +11,7 @@ import pytest
 
 from camtrap import experiments as ex
 from camtrap import features as ft
+from camtrap import manifest as mf
 from camtrap import metrics as mt
 from camtrap import segmentation as seg
 from camtrap import svm
@@ -33,6 +34,27 @@ def config(protocol, **overrides):
 @pytest.fixture(scope="module")
 def ctx():
     return ex.PipelineContext(config("volume"))
+
+
+def same_tree(a, b):
+    names = sorted(f.name for f in a.iterdir())
+    match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
+    return match == names and not mismatch and not errors
+
+
+def run_counting_heads(monkeypatch, cfg, out, ctx=None):
+    """Write `cfg`'s report to `out`; the number of heads it trained."""
+    train_head, calls = ex.wsddn.train_head, []
+    monkeypatch.setattr(ex.wsddn, "train_head", lambda *a: calls.append(1) or train_head(*a))
+    ex.write_report(ex.run_protocol(cfg, ctx), out)
+    monkeypatch.setattr(ex.wsddn, "train_head", train_head)
+    return len(calls)
+
+
+def fit_every_run(monkeypatch):
+    """Drop the runner's dict of fitted runs, so every row's run is fitted on its own."""
+    run = ex._individual_run
+    monkeypatch.setattr(ex, "_individual_run", lambda *args, fitted=None: run(*args))
 
 
 class TestConfig:
@@ -258,64 +280,47 @@ class TestIndividual:
         assert match == names and not mismatch and not errors
 
 
-    def test_masked_feature_cache_same_bytes_fewer_forwards(self, monkeypatch, tmp_path):
-        # runs that reach the same patch mask share one masked forward; the
-        # uncached reference masks and extracts on every call
-        forward, apply_mask = ft.forward, seg.apply_mask
-        forwards, masks = [], []
-
-        def counting_forward(image, params, return_cache=False):
-            forwards.append(image.shape)
-            return forward(image, params, return_cache)
-
-        def counting_mask(image, mask):
-            masks.append(image.shape)
-            return apply_mask(image, mask)
-
-        def uncached(self, rid, patch_size, mask):
-            img = self.images[rid]
-            masked = seg.apply_mask(img, seg.upsample_mask(mask, seg.grid_for(img, patch_size)))
-            regions = ft.propose_regions(img.shape[1], img.shape[0], self.cfg.region_scales, self.cfg.region_stride)
-            return ft.extract_region_features(masked, regions, self.params, self.pyramid)
-
-        monkeypatch.setattr(ft, "forward", counting_forward)
-        monkeypatch.setattr(seg, "apply_mask", counting_mask)
+    def test_equal_counts_fit_each_run_once(self, monkeypatch, tmp_path):
+        # every individual has 8 images, so balancing keeps every record and
+        # each balanced run is its unbalanced run: same bytes, half the heads
         cfg = config("individual", n_seeds=1, head_epochs=10, segment=True)
-        counts = {}
-        for name in ("cached", "uncached"):
-            if name == "uncached":
-                monkeypatch.setattr(ex.PipelineContext, "masked_features", uncached)
-            forwards.clear()
-            masks.clear()
-            ex.write_report(ex.run_individual_study(cfg), tmp_path / name)
-            counts[name] = len(forwards), len(masks)
-        names = sorted(f.name for f in (tmp_path / "cached").iterdir())
-        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "cached", tmp_path / "uncached", names, shallow=False)
-        assert match == names and not mismatch and not errors
-        # every individual has 8 images, so balancing is the identity and each
-        # balanced run reaches its unbalanced run's masks: half the masked
-        # forwards or more go, and only masked forwards go
-        (fwd, masked), (ref_fwd, ref_masked) = counts["cached"], counts["uncached"]
-        assert 2 * masked <= ref_masked and ref_fwd - fwd == ref_masked - masked
+        fits = run_counting_heads(monkeypatch, cfg, tmp_path / "rule")
+        fit_every_run(monkeypatch)
+        ref_fits = run_counting_heads(monkeypatch, cfg, tmp_path / "reference")
+        assert same_tree(tmp_path / "rule", tmp_path / "reference")
+        assert ref_fits == 12 and fits == ref_fits // 2
 
-    def test_masked_feature_cache_key(self, monkeypatch):
-        cfg = config("individual", n_seeds=1, segment=True)
+    def test_unequal_counts_fit_balanced_run(self, monkeypatch, tmp_path):
+        # tiger_00 keeps 5 of its 8 images: every tiger and joint balanced run
+        # differs from its unbalanced run and is fitted on its own; only the
+        # leopard balanced run repeats
+        man, _ = synth.generate_corpus(SMALL_SYNTH, tmp_path / "corpus")
+        drop = {"tiger-00-001", "tiger-00-004", "tiger-00-006"}
+        mf.save_manifest(mf.Manifest(tuple(r for r in man if r.id not in drop)), tmp_path / "corpus" / "manifest.csv")
+        cfg = ex.ExperimentConfig(protocol="individual", manifest_path=str(tmp_path / "corpus" / "manifest.csv"),
+                                  n_seeds=2, head_epochs=10, head_lr=4.0, svm_epochs=8)
         ctx = ex.PipelineContext(cfg)
-        rid = next(iter(ctx.images))  # 64 px: patch 8 and patch 9 both give an 8 x 8 grid
-        mask = np.ones((8, 8), dtype=np.uint8)
-        mask[5:, 2:] = 0
-        forward = ft.forward
-        forwards = []
-        monkeypatch.setattr(ft, "forward", lambda image, params: forwards.append(1) or forward(image, params))
-        a = ctx.masked_features(rid, 8, mask)
-        assert ctx.masked_features(rid, 8, mask.copy()) is a and len(forwards) == 1
-        b = ctx.masked_features(rid, 9, mask)  # same mask bytes, other patch size: a miss
-        assert len(forwards) == 2 and not np.array_equal(a.matrix, b.matrix)
-        mask[0, 0] = 0
-        ctx.masked_features(rid, 8, mask)
-        assert len(forwards) == 3
-        with pytest.raises(ValueError):
-            ctx.masked_features(rid, 16, mask)
+        fits = run_counting_heads(monkeypatch, cfg, tmp_path / "rule", ctx)
+        fit_every_run(monkeypatch)
+        ref_fits = run_counting_heads(monkeypatch, cfg, tmp_path / "reference", ctx)
+        assert same_tree(tmp_path / "rule", tmp_path / "reference")
+        assert ref_fits == 12 and fits == 10
+        rows = ex.run_individual_study(cfg, ctx).rows
+        tiger = {r["balanced"]: r["train_images"] for r in rows if r["individual"] == "tiger_01" and r["trial"] == 0}
+        assert tiger[1] < tiger[0]
+
+    def test_sweep_full_n_costs_no_fit(self, monkeypatch, tmp_path):
+        # tiger and leopard sweep n = 2 only, joint n = 2, 3, 4: five sweep
+        # rows.  The three at full n repeat a balanced raw trial-0 run, and
+        # joint n = 2 (the two leopards) repeats leopard's, so one more head
+        cfg = config("individual", n_seeds=1, head_epochs=10)
+        plain = run_counting_heads(monkeypatch, cfg, tmp_path / "plain")
+        cfg = config("individual", n_seeds=1, head_epochs=10, sweep_individuals=True)
+        fits = run_counting_heads(monkeypatch, cfg, tmp_path / "rule")
+        fit_every_run(monkeypatch)
+        ref_fits = run_counting_heads(monkeypatch, cfg, tmp_path / "reference")
+        assert same_tree(tmp_path / "rule", tmp_path / "reference")
+        assert fits == plain + 1 and ref_fits == 2 * plain + 5
 
     def test_patch_detector_matches_per_region_reference(self, ctx):
         # the per-Region selection the array form replaced, rng draws in the same order

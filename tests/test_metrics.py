@@ -104,18 +104,6 @@ class TestAccumulate:
             tally[classes.index(p), classes.index(t)] += 1
         assert np.array_equal(cm.counts, tally)
 
-    def test_merge_matches_serial(self):
-        rng = np.random.default_rng(3)
-        classes = ["a", "b"]
-        pairs = [(classes[rng.integers(2)], classes[rng.integers(2)]) for _ in range(40)]
-        whole = mt.accumulate(pairs, classes)
-        merged = mt.accumulate(pairs[:17], classes).merge(mt.accumulate(pairs[17:], classes))
-        assert np.array_equal(whole.counts, merged.counts)
-
-    def test_merge_rejects_different_classes(self):
-        with pytest.raises(ValueError):
-            mt.accumulate([], ["a", "b"]).merge(mt.accumulate([], ["a", "c"]))
-
 
 class TestMetricFormulas:
     def test_perfect_classifier(self):
