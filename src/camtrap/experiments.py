@@ -83,6 +83,7 @@ class ExperimentConfig:
         svm.check_train_values(self.svm_epochs, self.svm_lambda, ("svm_epochs", "svm_lambda"))
         wsddn.check_train_values(self.head_epochs, self.head_lr, self.head_l2, ("head_epochs", "head_lr", "head_l2"))
         ft.check_region_values(self.region_scales, self.region_stride, ("region_scales", "region_stride"))
+        ft.check_net_values(self.channels, self.pyramid_levels, ("channels", "pyramid_levels"))
 
     def resolved(self) -> dict:
         d = asdict(self)

@@ -10,7 +10,7 @@ fine-tuning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,14 +32,23 @@ class Region:
         return (self.x0, self.y0, self.x1, self.y1)
 
 
+def check_net_values(channels: Optional[Sequence[int]] = None, levels: Optional[Sequence[int]] = None,
+                     names=("channels", "levels")) -> None:
+    """The one rule for the conv channel chain (two or more ints >= 1) and the
+    pyramid grid sizes (one or more ints >= 1); `names` are the caller's names
+    for the two values, and a value left None is not checked."""
+    for values, least, name in ((channels, 2, names[0]), (levels, 1, names[1])):
+        if values is not None and (len(values) < least or any(v < 1 for v in values)):
+            raise ValueError(f"{name} must be {least} or more ints >= 1, got {tuple(values)!r}")
+
+
 @dataclass(frozen=True)
 class PyramidConfig:
     levels: Tuple[int, ...] = (1, 2)
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
-        if not self.levels or any(g < 1 for g in self.levels):
-            raise ValueError("pyramid levels must be a nonempty list of ints >= 1")
+        check_net_values(levels=self.levels)
 
     @property
     def n_cells(self) -> int:
@@ -79,8 +88,7 @@ class RegionFeatures:
 def init_convnet(channels: Sequence[int] = (3, 8, 16), seed: int = 0) -> ConvNetParams:
     """Glorot-uniform weights, |w| <= sqrt(6/(fan_in+fan_out)); zero biases."""
     channels = tuple(int(c) for c in channels)
-    if len(channels) < 2 or any(c < 1 for c in channels):
-        raise ValueError(f"bad channel chain {channels}")
+    check_net_values(channels=channels)
     rng = np.random.default_rng(np.uint64(seed))
     weights, biases = [], []
     for c_in, c_out in zip(channels[:-1], channels[1:]):

@@ -104,12 +104,23 @@ def compute_unary(rows: np.ndarray, grid: PatchGrid, detector: svm.LinearModel, 
 def _neighbour_pairs(ny: int, nx: int, theta_pos: float):
     """Patch pairs of a row-major ny x nx grid with 0 < dpos^2 <= (3 theta_pos)^2:
     their rows i and columns j in the (n, n) kernel, and -dpos^2 / (2 theta_pos^2)
-    of each; all read-only."""
-    n = ny * nx
-    rows, cols = np.divmod(np.arange(n), nx)
-    dpos2 = (rows[:, None] - rows[None, :]) ** 2 + (cols[:, None] - cols[None, :]) ** 2
-    i, j = np.nonzero((dpos2 > 0) & (dpos2 <= (3 * theta_pos) ** 2))
-    pairs = (i, j, -dpos2[i, j] / (2 * theta_pos**2))
+    of each; all read-only.  The pairs of each (dy, dx) offset within the
+    radius come from one slice of the index grid clipped to the grid, so the
+    memory taken is that of the pairs, not of an n x n array."""
+    index = np.arange(ny * nx).reshape(ny, nx)
+    reach_y, reach_x = (int(min(size - 1, 3 * theta_pos)) for size in (ny, nx))
+    reach2 = (3 * theta_pos) ** 2
+    i, j, dpos2 = ([np.zeros(0, dtype=index.dtype)] for _ in range(3))
+    for dy in range(-reach_y, reach_y + 1):
+        for dx in range(-reach_x, reach_x + 1):
+            d2 = dy * dy + dx * dx
+            if 0 < d2 <= reach2:
+                rows = index[max(0, -dy) : ny - max(0, dy), max(0, -dx) : nx - max(0, dx)].ravel()
+                i.append(rows)
+                j.append(rows + (dy * nx + dx))
+                dpos2.append(np.full(rows.size, d2))
+    i, j, dpos2 = (np.concatenate(parts) for parts in (i, j, dpos2))
+    pairs = (i, j, -dpos2 / (2 * theta_pos**2))
     for a in pairs:
         a.flags.writeable = False
     return pairs

@@ -143,6 +143,27 @@ class HeadTrainConfig:
         check_train_values(self.epochs, self.learning_rate, self.l2)
 
 
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of a class-major array, bit for bit as numpy's
+    pairwise sum adds a contiguous innermost float64 axis of C terms: in
+    order below 8 (as numpy also sums an outer axis); up to 128, 8 running
+    sums of every 8th term, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the last C % 8 terms in order; above 128, the sum of two halves,
+    the first a multiple of 8 long."""
+    c = a.shape[0]
+    if c < 8:
+        return a.sum(axis=0)
+    if c > 128:
+        half = c // 2 - (c // 2) % 8
+        return _class_sum(a[:half]) + _class_sum(a[half:])
+    tail = c - c % 8
+    r = a[:tail].reshape(tail // 8, 8, *a.shape[1:]).sum(axis=0)
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in a[tail:]:
+        s += row
+    return s
+
+
 def _bce_loss_and_grad(x: np.ndarray, targets: np.ndarray, a: np.ndarray, b: np.ndarray, l2: float):
     """Loss and gradients for stacked features x (N,R,D) and one-hot targets
     (N,C) through the sum-aggregated two-stream scores.
@@ -153,27 +174,46 @@ def _bce_loss_and_grad(x: np.ndarray, targets: np.ndarray, a: np.ndarray, b: np.
     summed over fixed blocks of GRAD_ROW_BLOCK rows, in order, because
     OpenBLAS splits one long reduction differently at different thread
     counts and the result would then depend on them in the last ulp.
+
+    Between the GEMMs the step works class-major, on (2C, R, N) arrays, so
+    every max and sum runs over an outer or middle axis: numpy does those
+    as whole-slice passes, not as one short inner loop per (image, region)
+    row, which made the class-last (N, R, 2C) step mostly loop overhead.
+    Region sums add in order, as they did over the class-last middle axis.
+    Class sums go through `_class_sum`, which pins numpy's order for an
+    innermost axis; a plain outer-axis sum would round differently from
+    C = 8 on.  So the loss and gradients are the class-last form's bytes
+    for every N >= 2, which train_head always passes (at N = 1 numpy sums
+    the region axis as its innermost).  du and dv are written through a
+    transposed view of the (N, R, 2C) buffer that the gradient GEMM reads.
     """
     n, r, d = x.shape
     c = a.shape[1]
     x2 = x.reshape(n * r, d)
-    uv = (x2 @ np.concatenate([a, b], axis=1)).reshape(n, r, 2 * c)
-    p = _softmax(uv[..., :c], -1)
-    q = _softmax(uv[..., c:], -2)
+    uv = np.ascontiguousarray((x2 @ np.concatenate([a, b], axis=1)).reshape(n, r, 2 * c).T)
+    u, v = uv[:c], uv[c:]
+    p = np.exp(u - u.max(axis=0))
+    p /= _class_sum(p)
+    q = np.exp(v - v.max(axis=1, keepdims=True))
+    q /= q.sum(axis=1, keepdims=True)
     s = p * q
     ysum = s.sum(axis=1)
     y = np.clip(ysum, EPS, 1.0 - EPS)
-    loss = -(targets * np.log(y) + (1.0 - targets) * np.log(1.0 - y)).sum(axis=1).mean()
+    t = targets.T
+    loss = -(_class_sum(t * np.log(y) + (1.0 - t) * np.log(1.0 - y)).sum() / n)  # .mean()'s sum and division
     loss += 0.5 * l2 * (float((a * a).sum()) + float((b * b).sum()))
 
-    g_y = (y - targets) / (y * (1.0 - y))
+    g_y = (y - t) / (y * (1.0 - y))
     g_y = np.where((ysum < EPS) | (ysum > 1.0 - EPS), 0.0, g_y)  # clamp is flat
     ds = g_y[:, None, :]
     dp = ds * q
+    dp -= _class_sum(dp * p)
     dq = ds * p
-    du = p * (dp - (dp * p).sum(axis=2, keepdims=True))
-    dv = q * (dq - (dq * q).sum(axis=1, keepdims=True))
-    duv = np.concatenate([du, dv], axis=2).reshape(n * r, 2 * c)
+    dq -= (dq * q).sum(axis=1, keepdims=True)
+    duv = np.empty((n, r, 2 * c))
+    np.multiply(p, dp, out=duv.T[:c])
+    np.multiply(q, dq, out=duv.T[c:])
+    duv = duv.reshape(n * r, 2 * c)
     g = np.zeros((d, 2 * c))
     for i in range(0, n * r, GRAD_ROW_BLOCK):
         g += x2[i : i + GRAD_ROW_BLOCK].T @ duv[i : i + GRAD_ROW_BLOCK]

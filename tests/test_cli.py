@@ -184,7 +184,9 @@ class TestConfigFile:
                           ("k = 0\n", "k must be >= 1, got 0"),
                           ("head_epochs = 0\n", "head_epochs must be >= 1, got 0"),
                           ("head_lr = 0\n", "head_lr must be > 0, got 0"),
-                          ("head_l2 = -1.0\n", "head_l2 must be >= 0, got -1.0")):
+                          ("head_l2 = -1.0\n", "head_l2 must be >= 0, got -1.0"),
+                          ("pyramid_levels = 0\n", "pyramid_levels must be 1 or more ints >= 1, got (0,)"),
+                          ("channels = 3, 0\n", "channels must be 2 or more ints >= 1, got (3, 0)")):
             path = tmp_path / "c.toml"
             path.write_text(text)
             code = cli.main(["experiment", "individual", "--config", str(path), "--out", str(tmp_path / "o")])

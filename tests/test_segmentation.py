@@ -4,6 +4,7 @@ check), thresholding, masking and IoU."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,19 @@ class TestMeanField:
         for a in seg._neighbour_pairs(5, 7, 2.0):
             with pytest.raises(ValueError):
                 a[...] = 0
+
+    def test_neighbour_pairs_memory_is_that_of_the_pairs(self):
+        # 40 x 40 grid at theta_pos = 1: 41,956 pairs; an n x n int64
+        # distance array alone would take 20 MiB
+        seg._neighbour_pairs.cache_clear()
+        tracemalloc.start()
+        try:
+            i, _, _ = seg._neighbour_pairs(40, 40, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            seg._neighbour_pairs.cache_clear()
+        assert i.size > 40_000 and peak < 4 * 2**20, peak
 
     def test_outputs_stay_in_unit_interval(self):
         rng = np.random.default_rng(2)

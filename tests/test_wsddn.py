@@ -1,6 +1,7 @@
 """Two-stream region scoring: softmax-product structure, aggregation rules,
 tie-breaking, permutation equivariance, training gradients."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -319,14 +320,7 @@ class TestTraining:
         Gradients change summation order and agree to 1e-12 of their
         largest entry."""
         n, r = nr
-        rng = np.random.default_rng(seed)
-        x = np.abs(rng.normal(size=(n, r, d)))
-        x /= np.linalg.norm(x, axis=2, keepdims=True)
-        targets = np.zeros((n, c))
-        targets[np.arange(n), rng.integers(c, size=n)] = 1.0
-        bound = scale * np.sqrt(6.0 / (d + c))
-        a = rng.uniform(-bound, bound, size=(d, c))
-        b = rng.uniform(-bound, bound, size=(d, c))
+        x, targets, a, b = self.pipeline_like(n, r, d, c, scale, seed)
         loss, ga, gb = wsddn._bce_loss_and_grad(x, targets, a, b, 1e-4)
         ref_loss, ref_ga, ref_gb = self.einsum_reference(x, targets, a, b, 1e-4)
         uv = x.reshape(n * r, d) @ np.concatenate([a, b], axis=1)
@@ -337,23 +331,130 @@ class TestTraining:
         for g, ref in ((ga, ref_ga), (gb, ref_gb)):
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @staticmethod
+    def class_last_reference(x, targets, a, b, l2):
+        """The class-last (N, R, 2C) step that the class-major form replaced:
+        every class max and sum runs over the innermost axis."""
+        n, r, d = x.shape
+        c = a.shape[1]
+        x2 = x.reshape(n * r, d)
+        uv = (x2 @ np.concatenate([a, b], axis=1)).reshape(n, r, 2 * c)
+        p = wsddn._softmax(uv[..., :c], -1)
+        q = wsddn._softmax(uv[..., c:], -2)
+        s = p * q
+        ysum = s.sum(axis=1)
+        y = np.clip(ysum, wsddn.EPS, 1.0 - wsddn.EPS)
+        loss = -(targets * np.log(y) + (1.0 - targets) * np.log(1.0 - y)).sum(axis=1).mean()
+        loss += 0.5 * l2 * (float((a * a).sum()) + float((b * b).sum()))
+        g_y = (y - targets) / (y * (1.0 - y))
+        g_y = np.where((ysum < wsddn.EPS) | (ysum > 1.0 - wsddn.EPS), 0.0, g_y)
+        ds = g_y[:, None, :]
+        dp = ds * q
+        dq = ds * p
+        du = p * (dp - (dp * p).sum(axis=2, keepdims=True))
+        dv = q * (dq - (dq * q).sum(axis=1, keepdims=True))
+        duv = np.concatenate([du, dv], axis=2).reshape(n * r, 2 * c)
+        g = np.zeros((d, 2 * c))
+        for i in range(0, n * r, wsddn.GRAD_ROW_BLOCK):
+            g += x2[i : i + wsddn.GRAD_ROW_BLOCK].T @ duv[i : i + wsddn.GRAD_ROW_BLOCK]
+        return loss, g[:, :c] / n + l2 * a, g[:, c:] / n + l2 * b
+
+    @staticmethod
+    def pipeline_like(n, r, d, c, scale, seed):
+        """Rows as the pipeline makes them (non-negative, L2-normalized), one-hot
+        targets and Glorot-range weights `scale` times wider."""
+        rng = np.random.default_rng(seed)
+        x = np.abs(rng.normal(size=(n, r, d)))
+        x /= np.linalg.norm(x, axis=2, keepdims=True)
+        targets = np.zeros((n, c))
+        targets[np.arange(n), rng.integers(c, size=n)] = 1.0
+        bound = scale * np.sqrt(6.0 / (d + c))
+        return x, targets, rng.uniform(-bound, bound, size=(d, c)), rng.uniform(-bound, bound, size=(d, c))
+
+    @pytest.mark.parametrize("layout", ["2-D", "3-D"])
+    def test_class_sum_matches_innermost_sum_bytes(self, layout):
+        """_class_sum over axis 0 of a class-major array adds in the order
+        np.sum uses for the class-last innermost axis, -0.0 terms included."""
+        rng = np.random.default_rng(11)
+        for c in range(1, 301):
+            shape = (13, c) if layout == "2-D" else (6, 5, c)
+            last = rng.normal(size=shape) * np.exp(3.0 * rng.normal(size=shape))
+            last[0] = -0.0
+            last[1, ..., ::3] = 0.0
+            got = wsddn._class_sum(np.ascontiguousarray(last.T)).T
+            assert got.tobytes() == last.sum(axis=-1).tobytes(), c
+
+    # (N, R) with N·R below one row block, exactly one, several, and a
+    # partial last block; R = 1 is the image-level species heads' case
+    @settings(max_examples=80, deadline=None)
+    @given(
+        nr=st.sampled_from([(2, 1), (3, 5), (16, 10), (160, 1), (32, 10), (17, 10), (161, 1), (7, 50), (112, 10)]),
+        c=st.sampled_from([2, 3, 7, 8, 9, 24, 130]),
+        d=st.integers(1, 96),
+        scale=st.floats(1.0, 8.0),
+        seed=st.integers(0, 2**16),
+    )
+    @example(nr=(112, 10), c=4, d=80, scale=1.0, seed=0)
+    @example(nr=(50, 10), c=24, d=160, scale=1.0, seed=1)
+    @example(nr=(84, 1), c=3, d=80, scale=8.0, seed=2)
+    def test_class_major_step_matches_class_last_bytes(self, nr, c, d, scale, seed):
+        """The class-major step returns the class-last step's loss and
+        gradients bit for bit (N >= 2, as train_head always passes)."""
+        x, targets, a, b = self.pipeline_like(*nr, d, c, scale, seed)
+        loss, ga, gb = wsddn._bce_loss_and_grad(x, targets, a, b, 1e-4)
+        ref_loss, ref_ga, ref_gb = self.class_last_reference(x, targets, a, b, 1e-4)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert ga.tobytes() == ref_ga.tobytes() and gb.tobytes() == ref_gb.tobytes()
+
+    @pytest.mark.parametrize("n, r, d, c", [(112, 10, 80, 4), (84, 1, 80, 3), (40, 10, 32, 24), (17, 10, 16, 9)])
+    def test_train_head_matches_class_last_loop(self, n, r, d, c):
+        """60 steps at learning rate 8: one changed ulp grows to O(1) in the
+        weights by then, so equal hashes mean every step was bit-equal."""
+        x, targets, _, _ = self.pipeline_like(n, r, d, c, 1.0, n + c)
+        names = tuple(f"c{j}" for j in range(c))
+        ds = [(make_rf(m), t) for m, t in zip(x, targets)]
+        cfg = wsddn.HeadTrainConfig(epochs=60, learning_rate=8.0, seed=5)
+        head = wsddn.train_head(ds, names, cfg)
+        bound = np.sqrt(6.0 / (d + c))
+        rng = np.random.default_rng(np.uint64(cfg.seed))
+        a = rng.uniform(-bound, bound, size=(d, c))
+        b = rng.uniform(-bound, bound, size=(d, c))
+        history = []
+        for _ in range(cfg.epochs):
+            loss, ga, gb = self.class_last_reference(x, targets, a, b, cfg.l2)
+            history.append(loss)
+            a = a - cfg.learning_rate * ga
+            b = b - cfg.learning_rate * gb
+        history.append(self.class_last_reference(x, targets, a, b, cfg.l2)[0])
+
+        def digest(w_rec, w_det, losses):
+            h = hashlib.sha256()
+            for arr in (w_rec, w_det, np.array(losses)):
+                h.update(arr.tobytes())
+            return h.hexdigest()
+
+        assert digest(head.w_rec, head.w_det, head.loss_by_epoch) == digest(a, b, history)
+
     def test_blas_thread_count_leaves_head_bytes(self):
         # 2000 rows x 80 dims against 48 gradient columns: one unblocked
-        # reduction of this shape rounds differently at 1 and 2 OpenBLAS threads
+        # reduction of this shape rounds differently at 1 and 2 OpenBLAS
+        # threads.  The R = 1, C = 3 and R = 10, C = 4 heads are the species
+        # protocol's image-level and region heads, in the class-major layout.
         script = textwrap.dedent("""
             import hashlib
             import numpy as np
             from camtrap import wsddn
             from camtrap.features import Region, RegionFeatures
             rng = np.random.default_rng(7)
-            names = tuple(f"c{j}" for j in range(24))
-            regions = tuple(Region(0, i, 1, i + 1) for i in range(10))
-            ds = [(RegionFeatures(regions, rng.normal(size=(10, 80))), wsddn.one_hot(names[i % 24], names))
-                  for i in range(200)]
-            head = wsddn.train_head(ds, names, wsddn.HeadTrainConfig(epochs=3, learning_rate=2.0, seed=1))
             h = hashlib.sha256()
-            for arr in (head.w_rec, head.w_det, np.array(head.loss_by_epoch)):
-                h.update(arr.tobytes())
+            for n, r, c in ((200, 10, 24), (84, 1, 3), (112, 10, 4)):
+                names = tuple(f"c{j}" for j in range(c))
+                regions = tuple(Region(0, i, 1, i + 1) for i in range(r))
+                ds = [(RegionFeatures(regions, rng.normal(size=(r, 80))), wsddn.one_hot(names[i % c], names))
+                      for i in range(n)]
+                head = wsddn.train_head(ds, names, wsddn.HeadTrainConfig(epochs=3, learning_rate=2.0, seed=1))
+                for arr in (head.w_rec, head.w_det, np.array(head.loss_by_epoch)):
+                    h.update(arr.tobytes())
             print(h.hexdigest())
         """)
         src = str(Path(wsddn.__file__).resolve().parents[1])
