@@ -78,12 +78,15 @@ def _float_tuple(text: str):
 # ---------------------------------------------------------------------------
 # config files: one `key = value` per line, # comments, comma lists
 
+# the text of a line before its first `#` outside quotes
+_UNCOMMENTED = re.compile(r"""(?:[^#'"]|'[^']*'|"[^"]*"|['"])*""")
+
 
 def parse_config_file(path) -> dict:
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _UNCOMMENTED.match(raw).group().strip()
             if not line:
                 continue
             if "=" not in line:
@@ -116,15 +119,18 @@ def _coerce(text: str):
 # shared helpers
 
 
-def _load_images(args, man):
-    root = args.images if args.images else str(Path(args.manifest).parent)
-    return synth.load_images(man, root)
-
-
 def _net_and_pyramid(args):
     params = ft.init_convnet(args.channels, seed=args.net_seed)
     pyramid = ft.PyramidConfig(args.levels)
     return params, pyramid
+
+
+def _record_features(args, man, regions_of):
+    """The region features of each record of `man`, in manifest order, over
+    the regions `regions_of(image)` of its image."""
+    params, pyramid = _net_and_pyramid(args)
+    images = synth.load_images(man, args.images if args.images else str(Path(args.manifest).parent))
+    return [ft.extract_region_features(images[r.id], regions_of(images[r.id]), params, pyramid) for r in man]
 
 
 def _add_net_flags(p):
@@ -172,13 +178,7 @@ def _cmd_split(args) -> int:
 def _cmd_train_detect(args) -> int:
     cfg = svm.SvmTrainConfig(args.epochs, args.lam, args.seed)
     man = mf.load_manifest(args.manifest)
-    images = _load_images(args, man)
-    params, pyramid = _net_and_pyramid(args)
-    rows = []
-    for r in man:
-        img = images[r.id]
-        rows.append(ft.extract_region_features(img, [ft.full_image_region(img)], params, pyramid).matrix[0])
-    x = np.stack(rows)
+    x = np.stack([rf.matrix[0] for rf in _record_features(args, man, lambda img: [ft.full_image_region(img)])])
     y = np.array([1.0 if r.has_animal else -1.0 for r in man])
     model = svm.train_linear_svm(x, y, cfg)
     svm.save_model(model, args.out)
@@ -191,14 +191,8 @@ def _train_head_command(args, man, label_of, class_names) -> int:
     """Train a two-stream head on the region features of every record in `man`."""
     cfg = wsddn.HeadTrainConfig(args.epochs, args.lr, args.seed, args.l2)
     ft.check_region_values(args.scales, args.stride)
-    images = _load_images(args, man)
-    params, pyramid = _net_and_pyramid(args)
-    ds = []
-    for r in man:
-        img = images[r.id]
-        regions = ft.propose_regions(img.shape[1], img.shape[0], args.scales, args.stride)
-        rf = ft.extract_region_features(img, regions, params, pyramid)
-        ds.append((rf, wsddn.one_hot(label_of(r), class_names)))
+    feats = _record_features(args, man, lambda img: ft.propose_regions(img.shape[1], img.shape[0], args.scales, args.stride))
+    ds = [(rf, wsddn.one_hot(label_of(r), class_names)) for rf, r in zip(feats, man)]
     head = wsddn.train_head(ds, class_names, cfg)
     wsddn.save_head(head, args.out)
     print(f"saved {args.out}; classes {' '.join(class_names)}; final loss {float(head.loss_by_epoch[-1])!r}")
@@ -223,13 +217,17 @@ def _cmd_train_individual(args) -> int:
 
 
 def _cmd_segment(args) -> int:
+    # every value is checked before the image or the model is read
+    seg.check_patch_size(args.patch_size)
+    seg.check_tau(args.tau)
+    svm.check_scale(args.scale)
+    pp = seg.PairwiseParams(args.w, args.theta_pos, args.theta_color, args.iterations)
+    params, pyramid = _net_and_pyramid(args)
     image = synth.read_ppm(args.image)
     detector = svm.load_model(args.detector)
-    params, pyramid = _net_and_pyramid(args)
     dim = ft.feature_dim(params, pyramid)
     if detector.dim != dim:
         raise ValueError(f"{args.detector}: model dim {detector.dim} does not match feature dim {dim}")
-    pp = seg.PairwiseParams(args.w, args.theta_pos, args.theta_color, args.iterations)
     mask = seg.segment_image(
         image, detector, params, pyramid,
         patch_size=args.patch_size, pp=pp, tau=args.tau, scale=args.scale,
@@ -284,7 +282,7 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-# corpus keys of an experiment config file and their defaults (corpus_seed: --seed)
+# corpus keys of an experiment config file and their defaults (corpus_seed: the base seed)
 _CORPUS_DEFAULTS = {
     "image_size": synth.SynthConfig.image_size, "n_negatives": synth.SynthConfig.n_negatives,
     "night_fraction": synth.SynthConfig.night_fraction, "corpus_seed": 0,
@@ -309,11 +307,11 @@ def _experiment_config(args) -> ex.ExperimentConfig:
                 isinstance(v, types) and isinstance(v, bool) == (bool in types) for v in items):
             raise ValueError(f"{args.config}: {key} = {value!r}: expected {types[-1].__name__}{' values' if many else ''}")
         values[key] = items if many else value
-    flags = {"protocol": args.protocol, "base_seed": args.seed, "jobs": args.jobs}
+    # a file value holds unless its flag is given
+    given = {"base_seed": args.seed, "n_seeds": args.n_seeds, "jobs": args.jobs}
+    flags = {"protocol": args.protocol, **{k: v for k, v in given.items() if v is not None}}
     if args.manifest:
         flags.update(manifest_path=args.manifest, images_root=args.images)
-    if args.n_seeds is not None:
-        flags["n_seeds"] = args.n_seeds
     try:
         return _config_from(values, flags)
     except ValueError as exc:  # a value out of range
@@ -330,7 +328,7 @@ def _config_from(values: dict, flags: dict) -> ex.ExperimentConfig:
     """The config of a file's checked `values`, flags overriding them."""
     kwargs = {**{k: v for k, v in values.items() if k not in _CORPUS_DEFAULTS}, **flags, "synth_config": None}
     if "manifest_path" not in kwargs:
-        corpus = {**_CORPUS_DEFAULTS, "corpus_seed": flags["base_seed"], **values}
+        corpus = {**_CORPUS_DEFAULTS, "corpus_seed": kwargs.get("base_seed", ex.ExperimentConfig.base_seed), **values}
         kwargs["synth_config"] = synth.SynthConfig(
             image_size=corpus["image_size"],
             species_specs=synth.default_species_specs(corpus["individuals"], corpus["images_per_individual"]),
@@ -431,8 +429,8 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", default=None, help="use this corpus instead of a synthetic one")
     p.add_argument("--images", default=None)
     p.add_argument("--n-seeds", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="ignored (trials run serially); kept for existing command lines")
+    p.add_argument("--seed", type=int, default=None, help="base seed (default: the config's base_seed, else 0)")
+    p.add_argument("--jobs", type=int, default=None, help="ignored (trials run serially); kept for existing command lines")
     p.add_argument("--out", default=_default_out())
     p.set_defaults(fn=_cmd_experiment)
 

@@ -286,7 +286,7 @@ def run_detector_sweep(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = N
     return report
 
 
-run_volume_sweep = run_proportion_sweep = run_split_sweep = run_detector_sweep
+run_volume_sweep = run_detector_sweep
 
 
 def run_illumination_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = None) -> Report:
@@ -453,8 +453,7 @@ def _fit_individuals(ctx, cfg, train_ids, val_ids, classes, seed, segmented):
             """Region features of the image with its background grayed out."""
             img = ctx.images[rid]
             grid = seg.grid_for(img, cfg.patch_size)
-            unary = seg.compute_unary(ctx.patch_rows(rid, cfg.patch_size), grid, patch_detector)
-            masked = seg.apply_mask(img, seg.upsample_mask(seg.patch_mask(unary, img, grid), grid))
+            masked = seg.apply_mask(img, seg.pixel_mask(ctx.patch_rows(rid, cfg.patch_size), img, grid, patch_detector))
             regions = ft.propose_regions(img.shape[1], img.shape[0], cfg.region_scales, cfg.region_stride)
             return ft.extract_region_features(masked, regions, ctx.params, ctx.pyramid)
 

@@ -221,42 +221,10 @@ def propose_regions(
     return [Region(*t) for t in seen]
 
 
-def _cell_edges(lo: int, hi: int, g: int) -> List[int]:
-    # even (banker's) rounding of the cell boundaries
-    return [lo + round(i * (hi - lo) / g) for i in range(g + 1)]
-
-
-def spp_pool_loop(fmap: np.ndarray, region: Region, pyramid: PyramidConfig, downsample: int = 1) -> np.ndarray:
-    """One region's row of `spp_pool`, cell by cell: the reference the array
-    form is tested against."""
-    fh, fw, c = fmap.shape
-    x0 = min(region.x0 // downsample, fw - 1)
-    y0 = min(region.y0 // downsample, fh - 1)
-    x1 = max(min(-(-region.x1 // downsample), fw), x0 + 1)
-    y1 = max(min(-(-region.y1 // downsample), fh), y0 + 1)
-    out = np.empty(c * pyramid.n_cells)
-    pos = 0
-    for g in pyramid.levels:
-        xe = _cell_edges(x0, x1, g)
-        ye = _cell_edges(y0, y1, g)
-        for gy in range(g):
-            ya, yb = ye[gy], ye[gy + 1]
-            if yb <= ya:
-                ya = min(ya, y1 - 1)
-                yb = ya + 1
-            for gx in range(g):
-                xa, xb = xe[gx], xe[gx + 1]
-                if xb <= xa:
-                    xa = min(xa, x1 - 1)
-                    xb = xa + 1
-                out[pos : pos + c] = fmap[ya:yb, xa:xb].max(axis=(0, 1))
-                pos += c
-    return out
-
-
 def _cell_spans(lo: np.ndarray, hi: np.ndarray, g: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Start and end of the g cells of each [lo, hi) span, (..., g) each: the
-    edges of `_cell_edges`, an empty cell widened as in `spp_pool_loop`."""
+    """Start and end of the g cells of each [lo, hi) span, (..., g) each.  Edge
+    i is lo + round(i * (hi - lo) / g), rounding half to even (banker's), and
+    an empty cell is widened to the one pixel at min(its start, hi - 1)."""
     edges = lo[..., None] + np.round(np.arange(g + 1) * (hi - lo)[..., None] / g).astype(np.int64)
     a, b = edges[..., :-1], edges[..., 1:]
     empty = b <= a

@@ -37,17 +37,12 @@ class PatchGrid:
     def ny(self) -> int:
         return -(-self.height // self.patch_size)
 
-    def patch_region(self, row: int, col: int) -> feat.Region:
-        x0 = col * self.patch_size
-        y0 = row * self.patch_size
-        return feat.Region(x0, y0, min(x0 + self.patch_size, self.width), min(y0 + self.patch_size, self.height))
-
     def regions(self):
-        return [self.patch_region(r, c) for r in range(self.ny) for c in range(self.nx)]
+        return [feat.Region(*b) for b in self.boxes().tolist()]
 
     def boxes(self) -> np.ndarray:
-        """(ny * nx, 4) int array of (x0, y0, x1, y1) per patch, row-major:
-        the boxes of `regions()`."""
+        """(ny * nx, 4) int array of (x0, y0, x1, y1) per patch, row-major,
+        the last row and column clipped to the image."""
         p = self.patch_size
         rows, cols = np.divmod(np.arange(self.ny * self.nx), self.nx)
         x0, y0 = cols * p, rows * p
@@ -158,9 +153,13 @@ def refine_mean_field(unary: np.ndarray, image: np.ndarray, grid: PatchGrid, pp:
     return q.reshape(grid.ny, grid.nx)
 
 
-def threshold_mask(pf: np.ndarray, tau: float = 0.5) -> np.ndarray:
+def check_tau(tau: float) -> None:
     if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0,1)")
+        raise ValueError(f"tau must be in (0,1), got {tau!r}")
+
+
+def threshold_mask(pf: np.ndarray, tau: float = 0.5) -> np.ndarray:
+    check_tau(tau)
     return (pf >= tau).astype(np.uint8)
 
 
@@ -188,32 +187,21 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.logical_and(a, b).sum() / union)
 
 
-def patch_mask(
-    unary: np.ndarray,
-    image: np.ndarray,
-    grid: PatchGrid,
-    pp: PairwiseParams = PairwiseParams(),
-    tau: float = 0.5,
-) -> np.ndarray:
-    """(ny, nx) uint8 mask of a patch unary: mean-field -> threshold."""
-    return threshold_mask(refine_mean_field(unary, image, grid, pp), tau)
+def pixel_mask(rows: np.ndarray, image: np.ndarray, grid: PatchGrid, detector: svm.LinearModel,
+               pp: PairwiseParams = PairwiseParams(), tau: float = 0.5, scale: float = 1.0) -> np.ndarray:
+    """(H, W) uint8 mask of an image from the feature rows of `grid.regions()`:
+    unary -> mean-field -> threshold -> upsample, the one rows -> mask path."""
+    pf = refine_mean_field(compute_unary(rows, grid, detector, scale), image, grid, pp)
+    return upsample_mask(threshold_mask(pf, tau), grid)
 
 
-def segment_image(
-    image: np.ndarray,
-    detector: svm.LinearModel,
-    params: feat.ConvNetParams,
-    pyramid: feat.PyramidConfig = feat.PyramidConfig(),
-    patch_size: int = 16,
-    pp: PairwiseParams = PairwiseParams(),
-    tau: float = 0.5,
-    scale: float = 1.0,
-) -> np.ndarray:
-    """Full pipeline: unary -> mean-field -> threshold -> pixel mask."""
+def segment_image(image: np.ndarray, detector: svm.LinearModel, params: feat.ConvNetParams,
+                  pyramid: feat.PyramidConfig = feat.PyramidConfig(), patch_size: int = 16,
+                  pp: PairwiseParams = PairwiseParams(), tau: float = 0.5, scale: float = 1.0) -> np.ndarray:
+    """Full pipeline: the image's patch-grid rows, then `pixel_mask`."""
     grid = grid_for(image, patch_size)
     rows = feat.extract_region_features(image, grid.regions(), params, pyramid).matrix
-    unary = compute_unary(rows, grid, detector, scale)
-    return upsample_mask(patch_mask(unary, image, grid, pp, tau), grid)
+    return pixel_mask(rows, image, grid, detector, pp, tau, scale)
 
 
 def write_pbm(path, mask: np.ndarray) -> None:

@@ -186,10 +186,14 @@ def predict_labels(model: LinearModel, features: np.ndarray) -> np.ndarray:
     return np.where(predict_margins(model, features) >= 0.0, 1.0, -1.0)
 
 
-def margin_to_probability(model: LinearModel, features: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Logistic of scale * margin, per row."""
+def check_scale(scale: float) -> None:
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale!r}")
+
+
+def margin_to_probability(model: LinearModel, features: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Logistic of scale * margin, per row."""
+    check_scale(scale)
     return 1.0 / (1.0 + np.exp(-scale * predict_margins(model, features)))
 
 

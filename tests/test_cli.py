@@ -3,6 +3,7 @@
 import csv
 import filecmp
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -68,7 +69,7 @@ class TestExitCodes:
         cases += [(segment, "--w", 2, "w (coupling weight) must be >= 0, got -0.001"),
                   (segment, "--theta-pos", 2, "theta_pos (bandwidth) must be > 0, got -0.001"),
                   (segment, "--theta-color", 2, "theta_color (bandwidth) must be > 0, got -0.001"),
-                  (segment, "--tau", 2, "tau must lie in (0,1)"),
+                  (segment, "--tau", 2, "tau must be in (0,1), got -0.001"),
                   (segment, "--scale", 2, "scale must be > 0, got -0.001")]
         for argv, flag, want_code, named in cases:
             code, _, err = run(argv + [flag, "-1e-3"], capsys)
@@ -114,6 +115,7 @@ class TestConfigFile:
             "balance = true\n"
             "fractions = 0.5, 1.0\n"
             'protocol = "volume"\n'
+            'manifest_path = "data#1/manifest.csv"  # a # inside quotes is kept\n'
         )
         values = cli.parse_config_file(path)
         assert values == {
@@ -122,6 +124,7 @@ class TestConfigFile:
             "balance": True,
             "fractions": (0.5, 1.0),
             "protocol": "volume",
+            "manifest_path": "data#1/manifest.csv",
         }
 
     def test_bad_line_rejected(self, tmp_path):
@@ -142,6 +145,19 @@ class TestConfigFile:
                          "--n-seeds", "1", "--out", str(out)])
         assert code == 0
         assert '"n_seeds": 1' in (out / "config.json").read_text()
+
+    def test_file_base_seed_holds_unless_flag_given(self, tmp_path, capsys):
+        # the base seed also seeds the synthetic corpus unless corpus_seed is set
+        path = tmp_path / "c.toml"
+        path.write_text(
+            "base_seed = 5\nn_seeds = 1\nimage_size = 64\nindividuals = 2\n"
+            "images_per_individual = 4\nn_negatives = 8\nsvm_epochs = 5\nfractions = 1.0\n"
+        )
+        for flags, seed in (([], 5), (["--seed", "3"], 3)):
+            out = tmp_path / f"run{seed}"
+            assert cli.main(["experiment", "volume", "--config", str(path), "--out", str(out)] + flags) == 0
+            config = json.loads((out / "config.json").read_text())["config"]
+            assert (config["base_seed"], config["synth_config"]["seed"]) == (seed, seed), flags
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         # output_dir is not a key: --out decides where a report goes
@@ -241,7 +257,7 @@ class TestPipeline:
         def no_images(*_):
             raise AssertionError("images loaded before the training config was checked")
 
-        monkeypatch.setattr(cli, "_load_images", no_images)
+        monkeypatch.setattr(cli, "_record_features", no_images)
         head = tmp_path / "species.head"
         for flag, value, field in (("--lr", "0", "learning_rate"), ("--epochs", "0", "epochs"),
                                    ("--l2", "-1", "l2")):
@@ -256,7 +272,7 @@ class TestPipeline:
         def no_images(*_):
             raise AssertionError("images loaded before the training config was checked")
 
-        monkeypatch.setattr(cli, "_load_images", no_images)
+        monkeypatch.setattr(cli, "_record_features", no_images)
         model = tmp_path / "det.model"
         for flag, value, message in (("--epochs", "0", "epochs must be >= 1, got 0"),
                                      ("--lam", "0", "lam must be > 0, got 0.0"),
@@ -312,6 +328,24 @@ class TestPipeline:
                                 "--out", str(tmp_path / "m.pbm"), "--patch-size", "8"], capsys)
             assert code == 2, model.name
             assert str(model) in err
+
+    def test_segment_values_checked_before_reading(self, tmp_path, capsys, monkeypatch):
+        def no_read(*_):
+            raise AssertionError("image or model read before the values were checked")
+
+        monkeypatch.setattr(cli.synth, "read_ppm", no_read)
+        monkeypatch.setattr(cli.svm, "load_model", no_read)
+        segment = ["segment", "--image", "x.ppm", "--detector", "x.model", "--out", str(tmp_path / "m.pbm")]
+        for flags, message in ((["--patch-size", "2"], "patch_size must be >= 4, got 2"),
+                               (["--tau", "0"], "tau must be in (0,1), got 0.0"),
+                               (["--tau", "1"], "tau must be in (0,1), got 1.0"),
+                               (["--scale", "0"], "scale must be > 0, got 0.0"),
+                               (["--w", "-1"], "w (coupling weight) must be >= 0, got -1.0"),
+                               (["--iterations", "-1"], "iterations must be >= 0, got -1"),
+                               (["--channels", "3,0"], "channels must be 2 or more ints >= 1, got (3, 0)")):
+            code, _, err = run(segment + flags, capsys)
+            assert code == 2 and message in err, (flags, err)
+        assert not (tmp_path / "m.pbm").exists()
 
     def test_segment_bad_scale_or_image_exit_2(self, corpus, tmp_path, capsys):
         image = sorted(corpus.glob("tiger-*.ppm"))[0]

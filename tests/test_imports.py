@@ -1,11 +1,14 @@
-"""Source hygiene, stdlib only: no module-level import goes unused."""
+"""Source hygiene, stdlib only: no module-level import of the package or
+of its tests goes unused."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "camtrap").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "camtrap").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -25,6 +28,11 @@ def unused_imports(source: str):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: f"tests/{p.name}")
+def test_no_unused_test_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 

@@ -24,7 +24,7 @@ class TestPatchGrid:
     def test_dims_cover_image(self):
         grid = seg.PatchGrid(patch_size=16, width=100, height=50)
         assert grid.nx == 7 and grid.ny == 4
-        last = grid.patch_region(3, 6)
+        last = grid.regions()[3 * grid.nx + 6]
         assert last.x1 == 100 and last.y1 == 50  # clipped
 
     def test_regions_row_major(self):
@@ -37,10 +37,13 @@ class TestPatchGrid:
     @settings(max_examples=60, deadline=None)
     @given(patch=st.integers(4, 12), width=st.integers(1, 60), height=st.integers(1, 60))
     def test_boxes_are_the_regions(self, patch, width, height):
+        # each patch (r, c) is its p x p square clipped to the image
         grid = seg.PatchGrid(patch_size=patch, width=width, height=height)
         boxes = grid.boxes()
         assert boxes.shape == (grid.ny * grid.nx, 4)
         assert boxes.tolist() == [list(r.as_tuple()) for r in grid.regions()]
+        assert boxes.tolist() == [[c * patch, r * patch, min(c * patch + patch, width), min(r * patch + patch, height)]
+                                  for r in range(grid.ny) for c in range(grid.nx)]
 
     def test_patch_size_minimum(self):
         with pytest.raises(ValueError):
@@ -65,9 +68,10 @@ class TestPatchGrid:
         img = np.random.default_rng(seed).uniform(size=(height, width, 3))
         grid = seg.PatchGrid(patch_size=patch, width=width, height=height)
         ref = np.empty((grid.ny, grid.nx, 3))
+        regions = grid.regions()
         for r in range(grid.ny):
             for c in range(grid.nx):
-                reg = grid.patch_region(r, c)
+                reg = regions[r * grid.nx + c]
                 ref[r, c] = img[reg.y0 : reg.y1, reg.x0 : reg.x1].mean(axis=(0, 1))
         assert seg.patch_mean_colors(img, grid).tobytes() == ref.tobytes()
 
@@ -243,8 +247,27 @@ class TestThresholdAndMask:
         assert all(a >= b for a, b in zip(areas, areas[1:]))
 
     def test_tau_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"tau must be in \(0,1\), got 0.0"):
             seg.threshold_mask(np.zeros((2, 2)), 0.0)
+
+    def test_pixel_mask_is_the_step_chain(self):
+        # unary -> mean field -> threshold -> upsample, and segment_image is
+        # pixel_mask on the rows of its own patch grid
+        rng = np.random.default_rng(5)
+        params = ft.init_convnet((3, 4), seed=0)
+        pyramid = ft.PyramidConfig((1, 2))
+        detector = svm.LinearModel(weights=rng.normal(size=ft.feature_dim(params, pyramid)), bias=0.1, lam=1.0)
+        img = rng.uniform(size=(36, 28, 3))
+        grid = seg.grid_for(img, 8)
+        rows = ft.extract_region_features(img, grid.regions(), params, pyramid).matrix
+        pp = seg.PairwiseParams(w=3.0, iterations=4)
+        unary = seg.compute_unary(rows, grid, detector, 2.0)
+        steps = seg.upsample_mask(seg.threshold_mask(seg.refine_mean_field(unary, img, grid, pp), 0.4), grid)
+        mask = seg.pixel_mask(rows, img, grid, detector, pp, 0.4, 2.0)
+        assert mask.shape == (36, 28) and mask.dtype == np.uint8
+        assert mask.tobytes() == steps.tobytes()
+        full = seg.segment_image(img, detector, params, pyramid, patch_size=8, pp=pp, tau=0.4, scale=2.0)
+        assert full.tobytes() == mask.tobytes()
 
     def test_upsample_block(self):
         grid = seg.PatchGrid(patch_size=8, width=16, height=8)
@@ -259,9 +282,10 @@ class TestThresholdAndMask:
         grid = seg.PatchGrid(patch_size=patch, width=width, height=height)
         mask = (np.random.default_rng(seed).uniform(size=(grid.ny, grid.nx)) > 0.5).astype(np.uint8)
         expected = np.zeros((height, width), dtype=np.uint8)
+        regions = grid.regions()
         for r in range(grid.ny):
             for c in range(grid.nx):
-                reg = grid.patch_region(r, c)
+                reg = regions[r * grid.nx + c]
                 expected[reg.y0 : reg.y1, reg.x0 : reg.x1] = mask[r, c]
         pixels = seg.upsample_mask(mask, grid)
         assert pixels.dtype == np.uint8 and np.array_equal(pixels, expected)
