@@ -293,6 +293,8 @@ _VALUE_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
 
 
 def _experiment_config(args) -> ex.ExperimentConfig:
+    if args.images and not args.manifest:
+        raise ValueError(f"--images {args.images} needs --manifest: a synthetic corpus has no image root")
     values = parse_config_file(args.config) if args.config else {}
     defaults = {**{k: f.default for k, f in ex.ExperimentConfig.__dataclass_fields__.items()}, **_CORPUS_DEFAULTS}
     unknown = set(values) - set(defaults)

@@ -5,10 +5,16 @@ Every protocol is a pure function of (corpus, config): trial seeds are
 base_seed + trial index, aggregation order is fixed by that index, and CSV
 bytes are reproducible.  Trials run serially in trial-index order; ``jobs``
 is accepted and ignored, kept so that existing configs and command lines run.
+
+Runners that train heads (species, individual, joint-individuals) plan every
+trial's fits, build each distinct fit's dataset, fit the heads, then score
+them.  Fits of one (N, R, D, C) shape are fitted in lockstep by one
+`wsddn.train_heads` call, and each head is byte-identical to its fit alone.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, field, asdict
@@ -127,25 +133,33 @@ class PipelineContext:
 
     def region_features(self, rid: str) -> ft.RegionFeatures:
         if rid not in self._region_feats:
-            img = self.images[rid]
-            regions = ft.propose_regions(
-                img.shape[1], img.shape[0], self.cfg.region_scales, self.cfg.region_stride
-            )
-            self._region_feats[rid] = ft.extract_region_features(
-                img, regions, self.params, self.pyramid
-            )
+            # a segmented run reads both of an image's row sets: pool them from one forward
+            self._pool(rid, self.cfg.patch_size if self.cfg.segment else None)
         return self._region_feats[rid]
 
     def patch_rows(self, rid: str, patch_size: int) -> np.ndarray:
         """Feature rows of the image's patch grid, row-major.  Only runs that
         use a patch grid pay for this cache; feature maps are not cached,
         because one per image raised peak memory on every workload."""
-        key = (rid, patch_size)
-        if key not in self._patch_rows:
-            img = self.images[rid]
-            regions = seg.grid_for(img, patch_size).regions()
-            self._patch_rows[key] = ft.extract_region_features(img, regions, self.params, self.pyramid).matrix
-        return self._patch_rows[key]
+        if (rid, patch_size) not in self._patch_rows:
+            self._pool(rid, patch_size)
+        return self._patch_rows[(rid, patch_size)]
+
+    def _pool(self, rid: str, patch_size: Optional[int]) -> None:
+        """Cache the image's proposal-region features unless cached, and its
+        patch-grid rows when `patch_size` is given, from one conv forward:
+        both region sets are pooled as one list, whose rows are split."""
+        img = self.images[rid]
+        proposals, patches = [], []
+        if rid not in self._region_feats:
+            proposals = ft.propose_regions(img.shape[1], img.shape[0], self.cfg.region_scales, self.cfg.region_stride)
+        if patch_size is not None and (rid, patch_size) not in self._patch_rows:
+            patches = seg.grid_for(img, patch_size).regions()
+        rows = ft.extract_region_features(img, proposals + patches, self.params, self.pyramid).matrix
+        if proposals:
+            self._region_feats[rid] = ft.RegionFeatures(regions=tuple(proposals), matrix=rows[: len(proposals)])
+        if patches:
+            self._patch_rows[(rid, patch_size)] = rows[len(proposals) :]
 
 
 # the config fields a PipelineContext is built from
@@ -179,9 +193,22 @@ def _fit_detector(cfg, x, y, seed) -> svm.LinearModel:
     return svm.train_linear_svm(x, y, svm.SvmTrainConfig(epochs=cfg.svm_epochs, lam=cfg.svm_lambda, seed=seed))
 
 
-def _fit_head(cfg, ds, classes, seed) -> wsddn.TwoStreamHead:
-    head_cfg = wsddn.HeadTrainConfig(epochs=cfg.head_epochs, learning_rate=cfg.head_lr, seed=seed, l2=cfg.head_l2)
-    return wsddn.train_head(ds, classes, head_cfg)
+def _fit_heads(cfg, fits) -> List[wsddn.TwoStreamHead]:
+    """One head per fit `(dataset, class_names, seed)`, in order, trained with
+    the runner's head settings.  The fits of one (N, R, D, C) shape are
+    fitted in lockstep by one `wsddn.train_heads` call, shapes in order of
+    first appearance."""
+    groups = {}
+    for j, (ds, classes, _) in enumerate(fits):
+        shape = (len(ds), ds[0][0].matrix.shape if ds else None, len(classes))
+        groups.setdefault(shape, []).append(j)
+    heads = [None] * len(fits)
+    for members in groups.values():
+        group = [(fits[j][0], fits[j][1], wsddn.HeadTrainConfig(
+            epochs=cfg.head_epochs, learning_rate=cfg.head_lr, seed=fits[j][2], l2=cfg.head_l2)) for j in members]
+        for j, head in zip(members, wsddn.train_heads(group)):
+            heads[j] = head
+    return heads
 
 
 def _detector_metrics(ctx, cfg, plans) -> List[dict]:
@@ -326,27 +353,6 @@ def _image_level(ctx, rid) -> ft.RegionFeatures:
     return ft.RegionFeatures(regions=rf.regions[-1:], matrix=rf.matrix[-1:])
 
 
-def _train_species_heads(ctx, cfg, train_ids, seed):
-    by_id = ctx.by_id
-    species = sorted({by_id[i].species for i in train_ids} - {"unclassified"})
-    all_classes = species + ["unclassified"]
-    # (a) gate head: species only, image-level features, positives only
-    pos_ids = [i for i in train_ids if by_id[i].has_animal]
-    gate_ds = [(_image_level(ctx, i), wsddn.one_hot(by_id[i].species, species)) for i in pos_ids]
-    gate_head = _fit_head(cfg, gate_ds, species, seed)
-    # (b) direct head: all classes, image-level features
-    direct_ds = [(_image_level(ctx, i), wsddn.one_hot(by_id[i].species, all_classes)) for i in train_ids]
-    direct_head = _fit_head(cfg, direct_ds, all_classes, seed)
-    # (c/d) WSDDN head: all classes, region features
-    region_ds = [
-        (ctx.region_features(i), wsddn.one_hot(by_id[i].species, all_classes))
-        for i in train_ids
-    ]
-    region_head = _fit_head(cfg, region_ds, all_classes, seed)
-    detector = _fit_detector(cfg, *_presence_rows(ctx, train_ids), seed)  # for the gate
-    return species, all_classes, detector, gate_head, direct_head, region_head
-
-
 def run_species_comparison(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = None) -> Report:
     """Four classifier variants compared per class:
     detector_gated  - detector first; negatives become unclassified, else the
@@ -356,23 +362,41 @@ def run_species_comparison(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
     wsddn_top1/5    - two-stream region head with top-K aggregation; per-class
                       top-k accuracy = fraction of that class's images whose
                       top-k ranking contains it
+    Every trial's datasets are built first, then all heads are fitted
+    (`_fit_heads`), then each trial is scored.
     """
     ctx = _context(cfg, ctx)
     by_id = ctx.by_id
     agg_cfg = wsddn.AggregationConfig(k=cfg.k)
     report = Report(cfg)
 
+    trials, fits = [], []
     for trial_idx, seed in _trials(cfg):
         split = mf.stratified_split(ctx.manifest, cfg.split_fraction, seed, "species")
-        species, all_classes, detector, gate_head, direct_head, region_head = _train_species_heads(
-            ctx, cfg, list(split.train), seed
-        )
+        train_ids = list(split.train)
+        species = sorted({by_id[i].species for i in train_ids} - {"unclassified"})
+        all_classes = species + ["unclassified"]
+        # (a) gate head: species only, image-level features, positives only
+        fits.append(([(_image_level(ctx, i), wsddn.one_hot(by_id[i].species, species))
+                      for i in train_ids if by_id[i].has_animal], species, seed))
+        # (b) direct head: all classes, image-level features
+        fits.append(([(_image_level(ctx, i), wsddn.one_hot(by_id[i].species, all_classes)) for i in train_ids],
+                     all_classes, seed))
+        # (c/d) WSDDN head: all classes, region features
+        fits.append(([(ctx.region_features(i), wsddn.one_hot(by_id[i].species, all_classes)) for i in train_ids],
+                     all_classes, seed))
+        detector = _fit_detector(cfg, *_presence_rows(ctx, train_ids), seed)  # for the gate
+        trials.append((trial_idx, seed, split.validation, species, all_classes, detector))
+    heads = _fit_heads(cfg, fits)
+
+    for (trial_idx, seed, val_ids, species, all_classes, detector), gate_head, direct_head, region_head in zip(
+            trials, heads[0::3], heads[1::3], heads[2::3]):
         gated_pairs, direct_pairs = [], []
         rankings = {c: [] for c in all_classes}  # WSDDN rankings by true class
         k5 = min(5, len(all_classes))
-        val_x = [ctx.image_feature(i) for i in split.validation]
+        val_x = [ctx.image_feature(i) for i in val_ids]
         gate = svm.predict_labels(detector, np.stack(val_x)) if val_x else []
-        for i, detected in zip(split.validation, gate):
+        for i, detected in zip(val_ids, gate):
             true = by_id[i].species
             rf1 = _image_level(ctx, i)
             # (a) detector gate
@@ -441,46 +465,59 @@ def _train_patch_detector(ctx, cfg, train_ids, seed):
     return _fit_detector(cfg, np.concatenate(rows), np.concatenate(labs), seed)
 
 
-def _fit_individuals(ctx, cfg, train_ids, val_ids, classes, seed, segmented):
-    """Train one individuals head on `train_ids`; return its confusion matrix
-    on `val_ids` and each individual's training image count."""
-    by_id = ctx.by_id
-    feats = ctx.region_features
-    if segmented:
-        patch_detector = _train_patch_detector(ctx, cfg, train_ids, seed)
+def _individual_features(ctx, cfg, train_ids, seed, segmented):
+    """Region features by image id for one run: the raw image's, or, when
+    `segmented`, those of the image with its background grayed out by a
+    patch detector fitted on `train_ids`."""
+    if not segmented:
+        return ctx.region_features
+    patch_detector = _train_patch_detector(ctx, cfg, train_ids, seed)
 
-        def feats(rid):
-            """Region features of the image with its background grayed out."""
-            img = ctx.images[rid]
-            grid = seg.grid_for(img, cfg.patch_size)
-            masked = seg.apply_mask(img, seg.pixel_mask(ctx.patch_rows(rid, cfg.patch_size), img, grid, patch_detector))
-            regions = ft.propose_regions(img.shape[1], img.shape[0], cfg.region_scales, cfg.region_stride)
-            return ft.extract_region_features(masked, regions, ctx.params, ctx.pyramid)
+    def feats(rid):
+        img = ctx.images[rid]
+        grid = seg.grid_for(img, cfg.patch_size)
+        masked = seg.apply_mask(img, seg.pixel_mask(ctx.patch_rows(rid, cfg.patch_size), img, grid, patch_detector))
+        regions = ft.propose_regions(img.shape[1], img.shape[0], cfg.region_scales, cfg.region_stride)
+        return ft.extract_region_features(masked, regions, ctx.params, ctx.pyramid)
 
-    ds = [(feats(i), wsddn.one_hot(by_id[i].individual, classes)) for i in train_ids]
-    head = _fit_head(cfg, ds, classes, seed)
-    agg_cfg = wsddn.AggregationConfig(k=cfg.k)
-    pairs = []
-    for i in val_ids:
-        s = wsddn.score_regions(feats(i), head)
-        pairs.append((wsddn.predict_topk(wsddn.aggregate_topk(s, classes, agg_cfg), 1)[0], by_id[i].individual))
-    cm = mt.accumulate(pairs, classes)
-    return cm, Counter(by_id[i].individual for i in train_ids)
+    return feats
 
 
-def _individual_run(ctx, cfg, man, classes, seed, balanced, segmented, fitted=None):
-    """Split `man` and balance its training ids if asked, then fit and score
-    them.  The fit's inputs are its key in `fitted`, one runner call's dict,
-    and a run whose key is already there reuses that result."""
+def _individual_key(ctx, cfg, man, classes, seed, balanced, segmented):
+    """Split `man` and balance its training ids if asked.  The run's result
+    is a function of the five values returned: train ids after balancing,
+    validation ids, classes, seed and `segmented`."""
     split = mf.stratified_split(man, cfg.split_fraction, seed, "individual")
     train_man = mf.select_records(man, split.train)
     if balanced:
         train_man = mf.balance_classes(train_man, "individual", seed)
-    key = (tuple(train_man.ids()), split.validation, tuple(classes), seed, segmented)
-    fitted = {} if fitted is None else fitted
-    if key not in fitted:
-        fitted[key] = _fit_individuals(ctx, cfg, *key)
-    return fitted[key]
+    return (tuple(train_man.ids()), split.validation, tuple(classes), seed, segmented)
+
+
+def _individual_runs(ctx, cfg, keys):
+    """(confusion matrix on the validation ids, training image count per
+    individual) of each run key, in order.  Each distinct key is built once:
+    its features and dataset, then every head is fitted (`_fit_heads`), then
+    each head is scored.  A key seen again reuses that result."""
+    by_id = ctx.by_id
+    runs = list(dict.fromkeys(keys))
+    feats = [_individual_features(ctx, cfg, train, seed, segmented) for train, _, _, seed, segmented in runs]
+    heads = _fit_heads(cfg, [([(f(i), wsddn.one_hot(by_id[i].individual, classes)) for i in train], classes, seed)
+                             for f, (train, _, classes, seed, _) in zip(feats, runs)])
+    agg_cfg = wsddn.AggregationConfig(k=cfg.k)
+    results = {}
+    for key, f, head in zip(runs, feats, heads):
+        train, val, classes, _, _ = key
+        pairs = [(wsddn.predict_topk(wsddn.aggregate_topk(wsddn.score_regions(f(i), head), classes, agg_cfg), 1)[0],
+                  by_id[i].individual) for i in val]
+        results[key] = (mt.accumulate(pairs, classes), Counter(by_id[i].individual for i in train))
+    return [results[key] for key in keys]
+
+
+def _individual_run(ctx, cfg, man, classes, seed, balanced, segmented):
+    """One individual run, fitted and scored on its own (criterion 8's
+    balanced-versus-unbalanced check calls this)."""
+    return _individual_runs(ctx, cfg, [_individual_key(ctx, cfg, man, classes, seed, balanced, segmented)])[0]
 
 
 def _individual_rows(cm, classes, train_counts) -> List[dict]:
@@ -493,9 +530,25 @@ def _individual_rows(cm, classes, train_counts) -> List[dict]:
     return rows
 
 
+def _trial_rows(prefix, classes, cm, train_counts) -> List[dict]:
+    return [{**prefix, **r} for r in _individual_rows(cm, classes, train_counts)]
+
+
+def _sweep_rows(sp_name, subset, seed, cm, _train_counts) -> List[dict]:
+    ms = [mt.measures(mt.binary_counts(cm, c)) for c in subset]
+    # specificity and precision are absent, so written as undefined
+    return [{"species": sp_name, "balanced": 1, "segmented": 0, "trial": -1,
+             "seed": seed, "individual": f"sweep_n={len(subset)}", "train_images": 0,
+             "tp": 0, "tn": 0, "fp": 0, "fn": 0,
+             "sensitivity": _mean(m["sensitivity"] for m in ms),
+             "accuracy": _mean(m["accuracy"] for m in ms)}]
+
+
 def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = None) -> Report:
     """{balanced, unbalanced} x {raw, segmented} x {tiger, leopard, joint}
-    individual-recognition grid, per-individual counts and measures."""
+    individual-recognition grid, per-individual counts and measures.  Every
+    row's run is planned first, then the distinct runs are fitted together
+    (`_individual_runs`), then the rows are written in plan order."""
     ctx = _context(cfg, ctx)
     report = Report(cfg)
     species_opts = []
@@ -505,9 +558,9 @@ def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] =
     if len(species_opts) == 2:
         species_opts.append(("joint", ("tiger", "leopard")))
 
-    # a balanced run that balancing left whole, and the sweep's full-n run
-    # (trial 0's balanced raw run), reuse the first fit of their inputs
-    fitted = {}
+    # (run key, rows of the run's result); a balanced run that balancing left
+    # whole, and the sweep's full-n run (trial 0's balanced raw run), share a key
+    plan = []
     for sp_name, sp_set in species_opts:
         man = mf.filter_manifest(ctx.manifest, species=sp_set, min_images_per_individual=1)
         classes = sorted({r.individual for r in man})
@@ -516,25 +569,19 @@ def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] =
         for balanced in (False, True):
             for segmented in (False, True) if cfg.segment else (False,):
                 for trial_idx, seed in _trials(cfg):
-                    cm, train_counts = _individual_run(ctx, cfg, man, classes, seed, balanced, segmented, fitted=fitted)
                     prefix = {"species": sp_name, "balanced": int(balanced),
                               "segmented": int(segmented), "trial": trial_idx, "seed": seed}
-                    report.rows.extend(
-                        {**prefix, **r} for r in _individual_rows(cm, classes, train_counts)
-                    )
+                    plan.append((_individual_key(ctx, cfg, man, classes, seed, balanced, segmented),
+                                 functools.partial(_trial_rows, prefix, classes)))
         if cfg.sweep_individuals:
             for n in range(2, len(classes) + 1):
                 subset = classes[:n]
                 sub_man = mf.Manifest(tuple(r for r in man if r.individual in set(subset)))
                 seed = cfg.base_seed
-                cm, _ = _individual_run(ctx, cfg, sub_man, subset, seed, True, False, fitted=fitted)
-                ms = [mt.measures(mt.binary_counts(cm, c)) for c in subset]
-                # specificity and precision are absent, so written as undefined
-                report.rows.append({"species": sp_name, "balanced": 1, "segmented": 0, "trial": -1,
-                                    "seed": seed, "individual": f"sweep_n={n}", "train_images": 0,
-                                    "tp": 0, "tn": 0, "fp": 0, "fn": 0,
-                                    "sensitivity": _mean(m["sensitivity"] for m in ms),
-                                    "accuracy": _mean(m["accuracy"] for m in ms)})
+                plan.append((_individual_key(ctx, cfg, sub_man, subset, seed, True, False),
+                             functools.partial(_sweep_rows, sp_name, subset, seed)))
+    for (_, rows_of), result in zip(plan, _individual_runs(ctx, cfg, [key for key, _ in plan])):
+        report.rows.extend(rows_of(*result))
     report.aggregates = _aggregate(
         [r for r in report.rows if r["trial"] >= 0],
         ["species", "balanced", "segmented", "individual"],
@@ -554,10 +601,8 @@ def run_joint_individuals(cfg: ExperimentConfig, ctx: Optional[PipelineContext] 
     classes = sorted({r.individual for r in man})
     report = Report(cfg)
     keep = ("individual", "train_images", "sensitivity", "specificity", "accuracy")
-    for trial_idx, seed in _trials(cfg):
-        cm, train_counts = _individual_run(
-            ctx, cfg, man, classes, seed, cfg.balance, cfg.segment
-        )
+    keys = [_individual_key(ctx, cfg, man, classes, seed, cfg.balance, cfg.segment) for _, seed in _trials(cfg)]
+    for (trial_idx, seed), (cm, train_counts) in zip(_trials(cfg), _individual_runs(ctx, cfg, keys)):
         trial_rows = [
             {"trial": trial_idx, "seed": seed, **{k: r[k] for k in keep}}
             for r in _individual_rows(cm, classes, train_counts)

@@ -20,7 +20,7 @@ import numpy as np
 from .features import RegionFeatures
 
 EPS = 1e-6
-# rows per block of the head-gradient reduction (see _bce_loss_and_grad)
+# rows per block of the head-gradient reduction (see _bce_step)
 GRAD_ROW_BLOCK = 160
 
 
@@ -164,62 +164,164 @@ def _class_sum(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def _bce_loss_and_grad(x: np.ndarray, targets: np.ndarray, a: np.ndarray, b: np.ndarray, l2: float):
-    """Loss and gradients for stacked features x (N,R,D) and one-hot targets
-    (N,C) through the sum-aggregated two-stream scores.
+def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
+    """The loss-and-gradient function of K fits of one shape: stacked
+    features x (K, N, R, D) and one-hot targets (K, N, C) are fixed, and
+    ``loss_and_grad(w)`` maps weights w = [a | b] (K, D, 2C) to losses (K,)
+    and gradients (K, D, 2C) through the sum-aggregated two-stream scores.
 
-    Matrix form: with x viewed as (N·R, D) rows, one GEMM against [a | b]
-    gives both streams' logits and one GEMM of the rows against [du | dv]
-    gives both gradients.  That second GEMM reduces over the rows; it is
-    summed over fixed blocks of GRAD_ROW_BLOCK rows, in order, because
+    Matrix form: with each fit's x viewed as (N·R, D) rows, one GEMM against
+    its [a | b] gives both streams' logits and one GEMM of the rows against
+    [du | dv] gives both gradients.  That second GEMM reduces over the rows;
+    it is summed over fixed blocks of GRAD_ROW_BLOCK rows, in order, because
     OpenBLAS splits one long reduction differently at different thread
     counts and the result would then depend on them in the last ulp.
+    `np.matmul` runs each GEMM once per fit, as the 2-D product would.
 
-    Between the GEMMs the step works class-major, on (2C, R, N) arrays, so
-    every max and sum runs over an outer or middle axis: numpy does those
-    as whole-slice passes, not as one short inner loop per (image, region)
-    row, which made the class-last (N, R, 2C) step mostly loop overhead.
-    Region sums add in order, as they did over the class-last middle axis.
-    Class sums go through `_class_sum`, which pins numpy's order for an
-    innermost axis; a plain outer-axis sum would round differently from
-    C = 8 on.  So the loss and gradients are the class-last form's bytes
-    for every N >= 2, which train_head always passes (at N = 1 numpy sums
-    the region axis as its innermost).  du and dv are written through a
-    transposed view of the (N, R, 2C) buffer that the gradient GEMM reads.
+    Between the GEMMs the step works class-major, on (2C, R, K, N) arrays:
+    the K fits' images sit side by side on the image axes, and every max
+    and sum runs over an outer or middle axis, which numpy does as
+    whole-slice passes, not as one short inner loop per (image, region)
+    row, as the class-last (N, R, 2C) step did.  Region sums add in order,
+    as they did over the class-last middle axis.  Class sums go through
+    `_class_sum`, which pins numpy's order for an innermost axis; a plain
+    outer-axis sum would round differently from C = 8 on.  No operation
+    mixes two fits, so each fit gets the bytes it gets alone, and those are
+    the class-last form's bytes for every N >= 2, which train_heads always
+    passes (at N = 1 numpy sums the region axis as its innermost).  du and
+    dv are written through a transposed view of the (K, N, R, 2C) buffer
+    that the gradient GEMM reads.
+
+    The step's large arrays are allocated here once and overwritten by
+    every step: allocated afresh, arrays this size went back to the OS
+    between steps (glibc), and the page faults cost as much as lockstep
+    saved on the default corpus.
     """
-    n, r, d = x.shape
-    c = a.shape[1]
-    x2 = x.reshape(n * r, d)
-    uv = np.ascontiguousarray((x2 @ np.concatenate([a, b], axis=1)).reshape(n, r, 2 * c).T)
-    u, v = uv[:c], uv[c:]
-    p = np.exp(u - u.max(axis=0))
-    p /= _class_sum(p)
-    q = np.exp(v - v.max(axis=1, keepdims=True))
-    q /= q.sum(axis=1, keepdims=True)
-    s = p * q
-    ysum = s.sum(axis=1)
-    y = np.clip(ysum, EPS, 1.0 - EPS)
-    t = targets.T
-    loss = -(_class_sum(t * np.log(y) + (1.0 - t) * np.log(1.0 - y)).sum() / n)  # .mean()'s sum and division
-    loss += 0.5 * l2 * (float((a * a).sum()) + float((b * b).sum()))
+    k, n, r, d = x.shape
+    c = targets.shape[2]
+    x3 = x.reshape(k, n * r, d)
+    t = targets.transpose(2, 0, 1)
+    x_blocks = [(x3[:, i : i + GRAD_ROW_BLOCK].transpose(0, 2, 1), slice(i, i + GRAD_ROW_BLOCK))
+                for i in range(0, n * r, GRAD_ROW_BLOCK)]
+    logits = np.empty((k, n * r, 2 * c))
+    uv = np.empty((2 * c, r, k, n))
+    p, q = uv[:c], uv[c:]  # each stream's softmax overwrites its logits
+    s, dp, dq = (np.empty((c, r, k, n)) for _ in range(3))
+    duv = np.empty((k, n, r, 2 * c))
+    du, dv = duv.transpose(3, 2, 0, 1)[:c], duv.transpose(3, 2, 0, 1)[c:]
+    duv_rows = duv.reshape(k, n * r, 2 * c)
 
-    g_y = (y - t) / (y * (1.0 - y))
-    g_y = np.where((ysum < EPS) | (ysum > 1.0 - EPS), 0.0, g_y)  # clamp is flat
-    ds = g_y[:, None, :]
-    dp = ds * q
-    dp -= _class_sum(dp * p)
-    dq = ds * p
-    dq -= (dq * q).sum(axis=1, keepdims=True)
-    duv = np.empty((n, r, 2 * c))
-    np.multiply(p, dp, out=duv.T[:c])
-    np.multiply(q, dq, out=duv.T[c:])
-    duv = duv.reshape(n * r, 2 * c)
-    g = np.zeros((d, 2 * c))
-    for i in range(0, n * r, GRAD_ROW_BLOCK):
-        g += x2[i : i + GRAD_ROW_BLOCK].T @ duv[i : i + GRAD_ROW_BLOCK]
-    ga = g[:, :c] / n + l2 * a
-    gb = g[:, c:] / n + l2 * b
-    return loss, ga, gb
+    def loss_and_grad(w: np.ndarray):
+        np.matmul(x3, w, out=logits)
+        np.copyto(uv, logits.reshape(k, n, r, 2 * c).transpose(3, 2, 0, 1))
+        np.subtract(p, p.max(axis=0), out=p)
+        np.exp(p, out=p)
+        np.divide(p, _class_sum(p), out=p)
+        np.subtract(q, q.max(axis=1, keepdims=True), out=q)
+        np.exp(q, out=q)
+        np.divide(q, q.sum(axis=1, keepdims=True), out=q)
+        ysum = np.multiply(p, q, out=s).sum(axis=1)
+        y = np.clip(ysum, EPS, 1.0 - EPS)
+        loss = -(_class_sum(t * np.log(y) + (1.0 - t) * np.log(1.0 - y)).sum(axis=1) / n)  # .mean()'s sums and division
+        wa, wb = w[:, :, :c], w[:, :, c:]
+        loss += 0.5 * l2 * ((wa * wa).reshape(k, -1).sum(axis=1) + (wb * wb).reshape(k, -1).sum(axis=1))
+
+        g_y = (y - t) / (y * (1.0 - y))
+        g_y = np.where((ysum < EPS) | (ysum > 1.0 - EPS), 0.0, g_y)  # clamp is flat
+        ds = g_y[:, None]
+        np.multiply(ds, q, out=dp)
+        np.subtract(dp, _class_sum(np.multiply(dp, p, out=s)), out=dp)
+        np.multiply(ds, p, out=dq)
+        np.subtract(dq, np.multiply(dq, q, out=s).sum(axis=1, keepdims=True), out=dq)
+        np.multiply(p, dp, out=du)
+        np.multiply(q, dq, out=dv)
+        g = np.zeros((k, d, 2 * c))
+        for xt, rows in x_blocks:
+            g += np.matmul(xt, duv_rows[:, rows])
+        g /= n
+        g += l2 * w
+        return loss, g
+
+    return loss_and_grad
+
+
+def _bce_loss_and_grad(x: np.ndarray, targets: np.ndarray, a: np.ndarray, b: np.ndarray, l2: float):
+    """Loss and gradients (ga, gb) of one fit, features x (N, R, D) and
+    targets (N, C) at weights a, b (D, C): `_bce_step` with K = 1, the form
+    the gradient checks call."""
+    c = a.shape[1]
+    loss, g = _bce_step(x[None], targets[None], l2)(np.concatenate([a, b], axis=1)[None])
+    return loss[0], g[0, :, :c], g[0, :, c:]
+
+
+def _checked_fit(dataset, class_names) -> Tuple[Tuple[int, ...], np.ndarray]:
+    """The (N, R, D, C) shape and stacked targets of one fit, after the
+    checks that make it trainable."""
+    c = len(class_names)
+    if c < 2:
+        raise ValueError("need at least 2 classes")
+    if not dataset:
+        raise ValueError("dataset is empty")
+    dims = {rf.matrix.shape[1] for rf, _ in dataset}
+    if len(dims) != 1:
+        raise ValueError(f"inconsistent feature dims {sorted(dims)}")
+    counts = {rf.matrix.shape[0] for rf, _ in dataset}
+    if len(counts) != 1:
+        raise ValueError(f"all images must have the same region count, found {sorted(counts)}")
+    targets = np.stack([t for _, t in dataset]).astype(float)
+    if targets.shape[1] != c:
+        raise ValueError("target width must equal the number of classes")
+    present = (targets.sum(axis=0) > 0).sum()
+    if present < 2:
+        raise ValueError("need examples of at least 2 classes")
+    return (len(dataset), counts.pop(), dims.pop(), c), targets
+
+
+def train_heads(
+    fits: Sequence[Tuple[Sequence[Tuple[RegionFeatures, np.ndarray]], Sequence[str], HeadTrainConfig]],
+) -> List[TwoStreamHead]:
+    """One head per fit `(dataset, class_names, cfg)`, each byte-identical to
+    ``train_head(dataset, class_names, cfg)``.
+
+    Every fit is checked before any step; the fits must then share N, R, D
+    and C and their configs' epochs, learning rate and L2.  Each keeps its
+    own seed and class names.  The fits run in lockstep: step t of every
+    fit is one `_bce_step` call on the K fits' stacked features.
+    """
+    checked = [_checked_fit(ds, names) for ds, names, _ in fits]
+    if not checked:
+        return []
+    shapes = {shape for shape, _ in checked}
+    if len(shapes) != 1:
+        raise ValueError(f"lockstep fits must share (N, R, D, C), found {sorted(shapes)}")
+    rules = {(cfg.epochs, cfg.learning_rate, cfg.l2) for _, _, cfg in fits}
+    if len(rules) != 1:
+        raise ValueError(f"lockstep fits must share epochs, learning rate and l2, found {sorted(rules)}")
+    (n, r, d, c), = shapes
+    (epochs, learning_rate, l2), = rules
+    x = np.stack([rf.matrix for ds, _, _ in fits for rf, _ in ds]).reshape(len(fits), n, r, d)
+    targets = np.stack([t for _, t in checked])
+
+    w = np.empty((len(fits), d, 2 * c))
+    bound = np.sqrt(6.0 / (d + c))
+    for wk, (_, _, cfg) in zip(w, fits):
+        rng = np.random.default_rng(np.uint64(cfg.seed))
+        wk[:, :c] = rng.uniform(-bound, bound, size=(d, c))
+        wk[:, c:] = rng.uniform(-bound, bound, size=(d, c))
+
+    loss_and_grad = _bce_step(x, targets, l2)
+    history = []
+    for _ in range(epochs):
+        loss, g = loss_and_grad(w)
+        history.append(loss)
+        g *= learning_rate
+        w -= g
+    history.append(loss_and_grad(w)[0])
+    losses = np.stack(history, axis=1)
+    return [
+        TwoStreamHead(w_rec=wk[:, :c].copy(), w_det=wk[:, c:].copy(), class_names=names, loss_by_epoch=list(lk))
+        for wk, lk, (_, names, _) in zip(w, losses, fits)
+    ]
 
 
 def train_head(
@@ -232,41 +334,7 @@ def train_head(
     `dataset` pairs RegionFeatures with one-hot image labels over
     `class_names`.  All images must share a region count.
     """
-    class_names = tuple(class_names)
-    c = len(class_names)
-    if c < 2:
-        raise ValueError("need at least 2 classes")
-    if not dataset:
-        raise ValueError("dataset is empty")
-    dims = {rf.matrix.shape[1] for rf, _ in dataset}
-    if len(dims) != 1:
-        raise ValueError(f"inconsistent feature dims {sorted(dims)}")
-    d = dims.pop()
-    counts = {rf.matrix.shape[0] for rf, _ in dataset}
-    if len(counts) != 1:
-        raise ValueError(f"all images must have the same region count, found {sorted(counts)}")
-    targets = np.stack([t for _, t in dataset]).astype(float)
-    if targets.shape[1] != c:
-        raise ValueError("target width must equal the number of classes")
-    present = (targets.sum(axis=0) > 0).sum()
-    if present < 2:
-        raise ValueError("need examples of at least 2 classes")
-    x = np.stack([rf.matrix for rf, _ in dataset])
-
-    rng = np.random.default_rng(np.uint64(cfg.seed))
-    bound = np.sqrt(6.0 / (d + c))
-    a = rng.uniform(-bound, bound, size=(d, c))
-    b = rng.uniform(-bound, bound, size=(d, c))
-
-    history = []
-    for _ in range(cfg.epochs):
-        loss, ga, gb = _bce_loss_and_grad(x, targets, a, b, cfg.l2)
-        history.append(loss)
-        a = a - cfg.learning_rate * ga
-        b = b - cfg.learning_rate * gb
-    final_loss, _, _ = _bce_loss_and_grad(x, targets, a, b, cfg.l2)
-    history.append(final_loss)
-    return TwoStreamHead(w_rec=a, w_det=b, class_names=class_names, loss_by_epoch=history)
+    return train_heads([(dataset, class_names, cfg)])[0]
 
 
 def one_hot(name: str, class_names: Sequence[str]) -> np.ndarray:

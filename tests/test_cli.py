@@ -183,6 +183,20 @@ class TestConfigFile:
             assert str(path) in err and line.split(" =")[0] in err, line
             assert not (tmp_path / "o").exists(), line
 
+    def test_images_without_manifest_exit_2(self, tmp_path, capsys, monkeypatch):
+        # an image root cannot apply to a synthetic corpus; checked before it is rendered
+        def no_render(*args, **kwargs):
+            raise AssertionError("corpus rendered before --images was checked")
+
+        monkeypatch.setattr(cli.synth, "generate_corpus", no_render)
+        path = tmp_path / "c.toml"
+        path.write_text("image_size = 64\n")
+        code = cli.main(["experiment", "volume", "--config", str(path), "--images", str(tmp_path / "imgs"),
+                         "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2 and "--images" in err and "--manifest" in err, err
+        assert not (tmp_path / "o").exists()
+
     def test_out_of_range_value_exit_2_names_file(self, tmp_path, capsys, monkeypatch):
         # checked before the corpus is rendered
         def no_render(*args, **kwargs):

@@ -45,17 +45,17 @@ def same_tree(a, b):
 
 def run_counting_heads(monkeypatch, cfg, out, ctx=None):
     """Write `cfg`'s report to `out`; the number of heads it trained."""
-    train_head, calls = ex.wsddn.train_head, []
-    monkeypatch.setattr(ex.wsddn, "train_head", lambda *a: calls.append(1) or train_head(*a))
+    train_heads, fits = ex.wsddn.train_heads, []
+    monkeypatch.setattr(ex.wsddn, "train_heads", lambda group: fits.extend(group) or train_heads(group))
     ex.write_report(ex.run_protocol(cfg, ctx), out)
-    monkeypatch.setattr(ex.wsddn, "train_head", train_head)
-    return len(calls)
+    monkeypatch.setattr(ex.wsddn, "train_heads", train_heads)
+    return len(fits)
 
 
 def fit_every_run(monkeypatch):
-    """Drop the runner's dict of fitted runs, so every row's run is fitted on its own."""
-    run = ex._individual_run
-    monkeypatch.setattr(ex, "_individual_run", lambda *args, fitted=None: run(*args))
+    """Build, fit and score every row's run on its own, repeated keys included."""
+    runs = ex._individual_runs
+    monkeypatch.setattr(ex, "_individual_runs", lambda ctx, cfg, keys: [runs(ctx, cfg, [key])[0] for key in keys])
 
 
 class TestConfig:
@@ -229,9 +229,9 @@ class TestIndividual:
         assert set(seg_rows[0]) == set(raw_rows[0])
 
     def test_segmented_forward_counts(self, monkeypatch):
-        # at most two forwards per raw image (its region set and its patch
-        # grid), one per masked image, each image masked once per segmented
-        # run, and one array-form pooling per forward, none per region
+        # one forward per raw image (its region set and its patch grid pooled
+        # from one feature map), one per masked image, each image masked once
+        # per segmented run, and one array-form pooling per forward, none per region
         forward, apply_mask, pool = ft.forward, seg.apply_mask, ft.spp_pool
         forwards, masks, pools = [], [], []  # the lists keep their arrays alive, so ids stay unique
 
@@ -257,7 +257,7 @@ class TestIndividual:
         masked = {id(out) for _, out in masks}
         per_image = Counter(id(img) for img in forwards)
         assert set(per_image) <= raw | masked
-        assert max(per_image[i] for i in raw) <= 2
+        assert max(per_image[i] for i in raw) == 1
         assert all(per_image[i] == 1 for i in masked)
         assert len(pools) == len(forwards)
         # each image is in 4 segmented runs: its species and joint, unbalanced and balanced
@@ -391,6 +391,19 @@ class TestReports:
         assert blob["config"]["base_seed"] == cfg.base_seed
         manifest = (tmp_path / "run_manifest.txt").read_text()
         assert "volume_trials.csv" in manifest
+
+    @pytest.mark.parametrize("protocol, extra", [("individual", dict(segment=True, sweep_individuals=True)),
+                                                 ("joint-individuals", {}), ("species", {})])
+    def test_lockstep_heads_match_serial_fits(self, protocol, extra, ctx, monkeypatch, tmp_path):
+        # the oracle fits one head per train_head-sized call, in plan order
+        cfg = config(protocol, **extra)
+        train_heads, sizes = ex.wsddn.train_heads, []
+        monkeypatch.setattr(ex.wsddn, "train_heads", lambda fits: sizes.append(len(fits)) or train_heads(fits))
+        ex.write_report(ex.run_protocol(cfg, ctx), tmp_path / "lockstep")
+        assert max(sizes) > 1  # some heads were fitted together
+        monkeypatch.setattr(ex.wsddn, "train_heads", lambda fits: [train_heads([fit])[0] for fit in fits])
+        ex.write_report(ex.run_protocol(cfg, ctx), tmp_path / "serial")
+        assert same_tree(tmp_path / "lockstep", tmp_path / "serial")
 
     def test_undefined_rendered_in_csv(self, tmp_path):
         mt.write_rows_csv(tmp_path / "x.csv", [{"a": None, "b": 0.5}])

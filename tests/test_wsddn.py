@@ -435,6 +435,75 @@ class TestTraining:
 
         assert digest(head.w_rec, head.w_det, head.loss_by_epoch) == digest(a, b, history)
 
+    @staticmethod
+    def lockstep_fits(k, n, r, c, d, seed):
+        """k fits of one shape, each with its own rows, labels, class names and seed."""
+        rng = np.random.default_rng(seed)
+        fits = []
+        for j in range(k):
+            names = tuple(f"f{j}c{i}" for i in range(c))
+            x = np.abs(rng.normal(size=(n, r, d)))
+            x /= np.linalg.norm(x, axis=2, keepdims=True)
+            labels = np.concatenate([np.arange(2), rng.integers(c, size=n - 2)])
+            ds = [(make_rf(m), wsddn.one_hot(names[i], names)) for m, i in zip(x, labels)]
+            fits.append((ds, names, wsddn.HeadTrainConfig(epochs=6, learning_rate=8.0, seed=int(rng.integers(2**31)))))
+        return fits
+
+    @staticmethod
+    def around_block(r):
+        """Image counts whose N·R rows fall below, on and past a GRAD_ROW_BLOCK boundary."""
+        b = wsddn.GRAD_ROW_BLOCK
+        return sorted({2, max(2, b // r - 1), b // r, b // r + 1, 2 * b // r + 1})
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 5), r=st.sampled_from([1, 3, 10]), c=st.sampled_from([2, 3, 8, 9]),
+           d=st.integers(1, 24), seed=st.integers(0, 2**16))
+    def test_train_heads_matches_train_head_bytes(self, data, k, r, c, d, seed):
+        n = data.draw(st.sampled_from(self.around_block(r)), label="n")
+        fits = self.lockstep_fits(k, n, r, c, d, seed)
+        heads = wsddn.train_heads(fits)
+        assert len(heads) == k
+        for head, (ds, names, cfg) in zip(heads, fits):
+            alone = wsddn.train_head(ds, names, cfg)
+            assert head.class_names == alone.class_names == names
+            assert head.w_rec.tobytes() == alone.w_rec.tobytes()
+            assert head.w_det.tobytes() == alone.w_det.tobytes()
+            assert np.array(head.loss_by_epoch).tobytes() == np.array(alone.loss_by_epoch).tobytes()
+
+    @pytest.mark.parametrize("bad", ["one class", "empty", "region counts", "feature dims", "target width", "one name"])
+    def test_bad_fit_raises_its_own_message_before_any_step(self, bad, monkeypatch):
+        fits = self.lockstep_fits(3, 6, 3, 3, 4, 0)
+        ds, names, cfg = fits[1]
+        if bad == "one class":
+            ds = [(rf, wsddn.one_hot(names[0], names)) for rf, _ in ds]
+        elif bad == "empty":
+            ds = []
+        elif bad == "region counts":
+            ds = ds[:-1] + [(make_rf(np.ones((4, 4))), ds[-1][1])]
+        elif bad == "feature dims":
+            ds = ds[:-1] + [(make_rf(np.ones((3, 5))), ds[-1][1])]
+        elif bad == "target width":
+            ds = [(rf, np.append(t, 0.0)) for rf, t in ds]
+        else:
+            names = names[:1]
+        with pytest.raises(ValueError) as alone:
+            wsddn.train_head(ds, names, cfg)
+        monkeypatch.setattr(wsddn, "_bce_step", lambda *args: pytest.fail("stepped before a check"))
+        with pytest.raises(ValueError) as lockstep:
+            wsddn.train_heads([fits[0], (ds, names, cfg), fits[2]])
+        assert str(lockstep.value) == str(alone.value)
+
+    def test_lockstep_fits_must_share_shape_and_schedule(self):
+        fits = self.lockstep_fits(2, 6, 3, 3, 4, 0)
+        other = self.lockstep_fits(1, 7, 3, 3, 4, 1)
+        with pytest.raises(ValueError, match=r"share \(N, R, D, C\)"):
+            wsddn.train_heads(fits + other)
+        ds, names, cfg = fits[1]
+        slower = wsddn.HeadTrainConfig(epochs=cfg.epochs, learning_rate=1.0, seed=cfg.seed)
+        with pytest.raises(ValueError, match="epochs, learning rate and l2"):
+            wsddn.train_heads([fits[0], (ds, names, slower)])
+        assert wsddn.train_heads([]) == []
+
     def test_blas_thread_count_leaves_head_bytes(self):
         # 2000 rows x 80 dims against 48 gradient columns: one unblocked
         # reduction of this shape rounds differently at 1 and 2 OpenBLAS
