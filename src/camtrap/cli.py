@@ -2,9 +2,10 @@
 
 Every subcommand is a thin adapter over the library: parse flags, read and
 write files, call one module.  Exit codes: 0 success, 1 usage error, 2 data
-error.  All randomness sits behind ``--seed``.  Trials run serially and
-``--jobs N`` is accepted and ignored, kept for existing command lines.  The
-``CAMTRAP_OUT`` environment variable overrides the default output directory.
+error.  All randomness sits behind ``--seed``.  ``experiment --jobs N``
+builds image features on N threads (fits and scoring stay serial), and its
+output bytes do not depend on N.  The ``CAMTRAP_OUT`` environment variable
+overrides the default output directory.
 """
 
 from __future__ import annotations
@@ -432,7 +433,9 @@ def build_parser() -> _Parser:
     p.add_argument("--images", default=None)
     p.add_argument("--n-seeds", type=int, default=None)
     p.add_argument("--seed", type=int, default=None, help="base seed (default: the config's base_seed, else 0)")
-    p.add_argument("--jobs", type=int, default=None, help="ignored (trials run serially); kept for existing command lines")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="threads for per-image feature work (default: the config's jobs, else 1); fits stay serial "
+                        "and output bytes do not depend on it; keep jobs x BLAS threads <= cores")
     p.add_argument("--out", default=_default_out())
     p.set_defaults(fn=_cmd_experiment)
 

@@ -3,8 +3,15 @@ plot-ready CSV.
 
 Every protocol is a pure function of (corpus, config): trial seeds are
 base_seed + trial index, aggregation order is fixed by that index, and CSV
-bytes are reproducible.  Trials run serially in trial-index order; ``jobs``
-is accepted and ignored, kept so that existing configs and command lines run.
+bytes are reproducible and do not depend on ``jobs``.
+
+``jobs`` threads, the calling thread one of them, share per-image feature
+work (`_map_images`): every runner first pools each image it will read into
+the `PipelineContext`, and a segmented run computes its masked images'
+region features on them.  The conv GEMMs are numpy work that releases the
+GIL; keep jobs x BLAS threads <= cores.  Every SVM and head fit, the
+segmented runs' patch masks, and all scoring run on the calling thread in
+trial-index order.
 
 Runners that train heads (species, individual, joint-individuals) plan every
 trial's fits, build each distinct fit's dataset, fit the heads, then score
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import json
+import threading
 from collections import Counter
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -70,7 +78,7 @@ class ExperimentConfig:
     head_lr: float = 8.0
     head_l2: float = 1e-4
     patch_size: int = 8
-    jobs: int = 1  # accepted and ignored: trials run serially
+    jobs: int = 1  # threads for per-image feature work; output bytes do not depend on it
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
@@ -90,10 +98,12 @@ class ExperimentConfig:
         wsddn.check_train_values(self.head_epochs, self.head_lr, self.head_l2, ("head_epochs", "head_lr", "head_l2"))
         ft.check_region_values(self.region_scales, self.region_stride, ("region_scales", "region_stride"))
         ft.check_net_values(self.channels, self.pyramid_levels, ("channels", "pyramid_levels"))
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     def resolved(self) -> dict:
         d = asdict(self)
-        d.pop("jobs")  # ignored field; keeps config.json bytes independent of it
+        d.pop("jobs")  # keeps config.json bytes independent of it, as the results are
         return d
 
 
@@ -177,6 +187,47 @@ def _context(cfg: ExperimentConfig, ctx: Optional[PipelineContext]) -> PipelineC
     return ctx
 
 
+def _map_images(cfg: ExperimentConfig, fn, items) -> list:
+    """[fn(item) for item in items] on `cfg.jobs` threads, the calling thread
+    one of them, each taking the next item in order; at jobs 1 the calling
+    thread alone, a plain loop.  If items fail, the first failing item's
+    exception is raised, as the loop would.  `fn` is per-image feature
+    work: it reads shared state and writes only its own image's entries of
+    the context's caches.
+
+    The caller works rather than waits because each thread's allocations
+    come from a glibc arena of its own, which can keep its peak size after
+    the thread ends: one fewer worker is one fewer arena.  Plain threads,
+    because importing `concurrent.futures` alone adds 0.6 MiB of resident
+    memory at every `jobs`."""
+    items = list(items)
+    results, failed = [None] * len(items), {}
+    order, lock = iter(range(len(items))), threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                n = next(order, None)
+            if n is None:
+                return
+            try:
+                results[n] = fn(items[n])
+            except Exception as exc:  # raised on the calling thread below
+                failed[n] = exc
+                return
+
+    threads = [threading.Thread(target=work) for _ in range(min(cfg.jobs, len(items)) - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    if failed:
+        # items are taken in order, so every item before a failed one was run
+        raise failed[min(failed)]
+    return results
+
+
 def _trials(cfg: ExperimentConfig):
     """(trial index, seed) of each trial: the seed is base_seed + index."""
     return [(t, cfg.base_seed + t) for t in range(cfg.n_seeds)]
@@ -219,6 +270,7 @@ def _detector_metrics(ctx, cfg, plans) -> List[dict]:
         return []
     ids = list(dict.fromkeys(i for train, val, _ in plans for i in (*train, *val)))
     row_of = {rid: n for n, rid in enumerate(ids)}
+    _map_images(cfg, ctx.region_features, ids)
     x, y = _presence_rows(ctx, ids)
     index = [([row_of[i] for i in train], [row_of[i] for i in val]) for train, val, _ in plans]
     fits = [(rows, y[rows], seed) for (rows, _), (_, _, seed) in zip(index, plans)]
@@ -369,6 +421,7 @@ def run_species_comparison(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
     by_id = ctx.by_id
     agg_cfg = wsddn.AggregationConfig(k=cfg.k)
     report = Report(cfg)
+    _map_images(cfg, ctx.region_features, ctx.manifest.ids())  # every trial splits the whole corpus
 
     trials, fits = [], []
     for trial_idx, seed in _trials(cfg):
@@ -465,22 +518,48 @@ def _train_patch_detector(ctx, cfg, train_ids, seed):
     return _fit_detector(cfg, np.concatenate(rows), np.concatenate(labs), seed)
 
 
-def _individual_features(ctx, cfg, train_ids, seed, segmented):
-    """Region features by image id for one run: the raw image's, or, when
-    `segmented`, those of the image with its background grayed out by a
-    patch detector fitted on `train_ids`."""
-    if not segmented:
-        return ctx.region_features
-    patch_detector = _train_patch_detector(ctx, cfg, train_ids, seed)
+def _individual_features(ctx, cfg, runs):
+    """Region features by image id of each run key: the raw image's, or, in a
+    segmented run, those of the image with its background grayed out by a
+    patch detector fitted on the run's training ids.  The detectors, then
+    every (run, image) patch mask, are computed in run order on the calling
+    thread; then, image by image on `cfg.jobs` threads, one masked forward
+    serves each distinct (image, patch mask).  Nothing of the masked images
+    is kept on `ctx`.
 
-    def feats(rid):
+    The mean field stays on the calling thread because perfbench's tracer
+    wraps each call in `tracemalloc.start()` / `stop()`, and on CPython 3.11
+    a stop racing numpy's allocations in another thread crashed the traced
+    process."""
+    runs_of = {}  # image id -> (run, patch mask) of each segmented run that reads it
+    for n, (train, val, _, seed, segmented) in enumerate(runs):
+        if segmented:
+            detector = _train_patch_detector(ctx, cfg, train, seed)
+            for rid in (*train, *val):
+                img = ctx.images[rid]
+                grid = seg.grid_for(img, cfg.patch_size)
+                runs_of.setdefault(rid, []).append(
+                    (n, seg.patch_mask(ctx.patch_rows(rid, cfg.patch_size), img, grid, detector)))
+
+    def masked_features(rid):
+        """(run, region features) of each segmented run that reads the image."""
         img = ctx.images[rid]
         grid = seg.grid_for(img, cfg.patch_size)
-        masked = seg.apply_mask(img, seg.pixel_mask(ctx.patch_rows(rid, cfg.patch_size), img, grid, patch_detector))
         regions = ft.propose_regions(img.shape[1], img.shape[0], cfg.region_scales, cfg.region_stride)
-        return ft.extract_region_features(masked, regions, ctx.params, ctx.pyramid)
+        by_mask, out = {}, []
+        for n, mask in runs_of[rid]:
+            key = mask.tobytes()
+            if key not in by_mask:
+                masked = seg.apply_mask(img, seg.upsample_mask(mask, grid))
+                by_mask[key] = ft.extract_region_features(masked, regions, ctx.params, ctx.pyramid)
+            out.append((n, by_mask[key]))
+        return out
 
-    return feats
+    by_run = {}
+    for rid, feats in zip(runs_of, _map_images(cfg, masked_features, list(runs_of))):
+        for n, f in feats:
+            by_run.setdefault(n, {})[rid] = f
+    return [by_run[n].__getitem__ if n in by_run else ctx.region_features for n in range(len(runs))]
 
 
 def _individual_key(ctx, cfg, man, classes, seed, balanced, segmented):
@@ -496,12 +575,18 @@ def _individual_key(ctx, cfg, man, classes, seed, balanced, segmented):
 
 def _individual_runs(ctx, cfg, keys):
     """(confusion matrix on the validation ids, training image count per
-    individual) of each run key, in order.  Each distinct key is built once:
-    its features and dataset, then every head is fitted (`_fit_heads`), then
-    each head is scored.  A key seen again reuses that result."""
+    individual) of each run key, in order.  Every image the runs read is
+    pooled first; then each distinct key is built once: its features and
+    dataset, then every head is fitted (`_fit_heads`), then each head is
+    scored.  A key seen again reuses that result."""
     by_id = ctx.by_id
     runs = list(dict.fromkeys(keys))
-    feats = [_individual_features(ctx, cfg, train, seed, segmented) for train, _, _, seed, segmented in runs]
+    ids = list(dict.fromkeys(i for train, val, *_ in runs for i in (*train, *val)))
+    if any(segmented for *_, segmented in runs):  # then region rows and patch rows, from one forward
+        _map_images(cfg, lambda i: ctx.patch_rows(i, cfg.patch_size), ids)
+    else:
+        _map_images(cfg, ctx.region_features, ids)
+    feats = _individual_features(ctx, cfg, runs)
     heads = _fit_heads(cfg, [([(f(i), wsddn.one_hot(by_id[i].individual, classes)) for i in train], classes, seed)
                              for f, (train, _, classes, seed, _) in zip(feats, runs)])
     agg_cfg = wsddn.AggregationConfig(k=cfg.k)

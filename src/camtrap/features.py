@@ -98,28 +98,42 @@ def init_convnet(channels: Sequence[int] = (3, 8, 16), seed: int = 0) -> ConvNet
     return ConvNetParams(channels=channels, weights=weights, biases=biases, seed=seed)
 
 
-def _conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One GEMM per tap, summed in tap order onto the first tap plus the bias
-    (t0 + b is b + t0 bit for bit); the later taps share one buffer."""
-    h, wd = x.shape[:2]
+# bytes of conv output computed per band of rows: a band's output, its tap
+# buffer and its input rows stay in cache, and a thread's working set stays
+# small (a 64 px image with 8 channels is one band)
+BAND_BYTES = 256 * 1024
+
+
+def _conv_pool_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray, pre: Optional[np.ndarray] = None) -> np.ndarray:
+    """One layer: 3x3 same-padded conv, 2x2 stride-2 max pool, then ReLU (it
+    commutes with the max), one band of an even number of rows at a time;
+    an odd last row or column is dropped by the pool.  Each band runs one
+    GEMM per tap, summed in tap order onto the first tap plus the bias
+    (t0 + b is b + t0 bit for bit), so its rows have the bytes of the
+    whole-image conv.  The conv output is written into `pre` when given."""
+    h, wd, c_out = x.shape[0], x.shape[1], w.shape[3]
     xp = np.zeros((h + 2, wd + 2, x.shape[2]))  # zero padding, without np.pad's per-call overhead
     xp[1:-1, 1:-1] = x
-    out = xp[:h, :wd] @ w[0, 0]
-    out += b
-    tap = np.empty_like(out)
-    for t in range(1, 9):
-        dy, dx = divmod(t, 3)
-        out += np.matmul(xp[dy : dy + h, dx : dx + wd], w[dy, dx], out=tap)
+    rows = min(h, max(2, BAND_BYTES // (8 * wd * c_out) // 2 * 2))
+    band, tap = np.empty((rows, wd, c_out)), np.empty((rows, wd, c_out))
+    h2, w2 = h // 2, wd // 2
+    out = np.empty((h2, w2, c_out))
+    for r0 in range(0, h, rows):
+        n = min(rows, h - r0)
+        acc = band[:n] if pre is None else pre[r0 : r0 + n]
+        np.matmul(xp[r0 : r0 + n, :wd], w[0, 0], out=acc)
+        acc += b
+        for t in range(1, 9):
+            dy, dx = divmod(t, 3)
+            acc += np.matmul(xp[r0 + dy : r0 + dy + n, dx : dx + wd], w[dy, dx], out=tap[:n])
+        # 2x2 max of the band's row pairs, windows read in `_pool_windows` order
+        pooled = out[r0 // 2 : (r0 + n) // 2]
+        m = 2 * len(pooled)
+        np.maximum(acc[0:m:2, 0 : 2 * w2 : 2], acc[0:m:2, 1 : 2 * w2 : 2], out=pooled)
+        np.maximum(pooled, acc[1:m:2, 0 : 2 * w2 : 2], out=pooled)
+        np.maximum(pooled, acc[1:m:2, 1 : 2 * w2 : 2], out=pooled)
+        np.maximum(pooled, 0.0, out=pooled)
     return out
-
-
-def _pool_max(x: np.ndarray) -> np.ndarray:
-    """2x2 stride-2 max of x, windows read in `_pool_windows` order; an odd
-    last row or column is dropped."""
-    h2, w2 = x.shape[0] // 2, x.shape[1] // 2
-    out = np.maximum(x[0 : 2 * h2 : 2, 0 : 2 * w2 : 2], x[0 : 2 * h2 : 2, 1 : 2 * w2 : 2])
-    np.maximum(out, x[1 : 2 * h2 : 2, 0 : 2 * w2 : 2], out=out)
-    return np.maximum(out, x[1 : 2 * h2 : 2, 1 : 2 * w2 : 2], out=out)
 
 
 def _pool_windows(x: np.ndarray) -> np.ndarray:
@@ -142,11 +156,11 @@ def forward(image: np.ndarray, params: ConvNetParams, return_cache: bool = False
     x = np.asarray(image, dtype=float)
     cache = {"image": x, "layers": []} if return_cache else None
     for w, b in zip(params.weights, params.biases):
-        pre = _conv3x3(x, w, b)
+        pre = None
         if return_cache:
+            pre = np.empty(x.shape[:2] + (w.shape[3],))
             cache["layers"].append({"input": x, "pre": pre})
-        x = _pool_max(pre)
-        np.maximum(x, 0.0, out=x)  # ReLU after the pooling max: the two commute
+        x = _conv_pool_relu(x, w, b, pre)
     if return_cache:
         return x, cache
     return x

@@ -131,8 +131,12 @@ def _pairwise_kernel(grid: PatchGrid, colors: np.ndarray, pp: PairwiseParams) ->
     dcol2 = (channels[0][i] - channels[0][j]) ** 2
     for c in channels[1:]:
         dcol2 += (c[i] - c[j]) ** 2
+    # exp(spatial - dcol2 / (2 theta_color^2)), in place: one pair array
+    # besides the kernel is alive at the call's peak
+    dcol2 /= 2 * pp.theta_color**2
+    np.exp(np.subtract(spatial, dcol2, out=dcol2), out=dcol2)
     k = np.zeros((n, n))
-    k[i, j] = np.exp(spatial - dcol2 / (2 * pp.theta_color**2))
+    k[i, j] = dcol2
     return k
 
 
@@ -187,12 +191,17 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.logical_and(a, b).sum() / union)
 
 
+def patch_mask(rows: np.ndarray, image: np.ndarray, grid: PatchGrid, detector: svm.LinearModel,
+               pp: PairwiseParams = PairwiseParams(), tau: float = 0.5, scale: float = 1.0) -> np.ndarray:
+    """(ny, nx) uint8 mask of an image's patches from the feature rows of
+    `grid.regions()`: unary -> mean-field -> threshold, the one rows -> mask path."""
+    return threshold_mask(refine_mean_field(compute_unary(rows, grid, detector, scale), image, grid, pp), tau)
+
+
 def pixel_mask(rows: np.ndarray, image: np.ndarray, grid: PatchGrid, detector: svm.LinearModel,
                pp: PairwiseParams = PairwiseParams(), tau: float = 0.5, scale: float = 1.0) -> np.ndarray:
-    """(H, W) uint8 mask of an image from the feature rows of `grid.regions()`:
-    unary -> mean-field -> threshold -> upsample, the one rows -> mask path."""
-    pf = refine_mean_field(compute_unary(rows, grid, detector, scale), image, grid, pp)
-    return upsample_mask(threshold_mask(pf, tau), grid)
+    """(H, W) uint8 mask of an image: `patch_mask`, upsampled."""
+    return upsample_mask(patch_mask(rows, image, grid, detector, pp, tau, scale), grid)
 
 
 def segment_image(image: np.ndarray, detector: svm.LinearModel, params: feat.ConvNetParams,

@@ -216,7 +216,8 @@ class TestConfigFile:
                           ("head_lr = 0\n", "head_lr must be > 0, got 0"),
                           ("head_l2 = -1.0\n", "head_l2 must be >= 0, got -1.0"),
                           ("pyramid_levels = 0\n", "pyramid_levels must be 1 or more ints >= 1, got (0,)"),
-                          ("channels = 3, 0\n", "channels must be 2 or more ints >= 1, got (3, 0)")):
+                          ("channels = 3, 0\n", "channels must be 2 or more ints >= 1, got (3, 0)"),
+                          ("jobs = 0\n", "jobs must be >= 1, got 0")):
             path = tmp_path / "c.toml"
             path.write_text(text)
             code = cli.main(["experiment", "individual", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -231,6 +232,11 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert code == 2 and "seed" in err and str(path) not in err, err
         assert not (tmp_path / "o").exists()
+        for jobs in ("0", "-3"):
+            code = cli.main(["experiment", "volume", "--jobs", jobs, "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert code == 2 and f"jobs must be >= 1, got {jobs}" in err, err
+            assert not (tmp_path / "o").exists()
 
 
 class TestPipeline:
@@ -400,6 +406,19 @@ class TestDeterminism:
         for other in dirs[1:]:
             match, mismatch, errors = filecmp.cmpfiles(dirs[0], other, names, shallow=False)
             assert not mismatch and not errors
+
+    def test_segmented_individual_jobs_identical(self, tmp_path):
+        cfg = tmp_path / "c.toml"
+        cfg.write_text(
+            "image_size = 64\nindividuals = 2\nimages_per_individual = 4\n"
+            "n_negatives = 4\nn_seeds = 1\nhead_epochs = 10\nsvm_epochs = 5\nsegment = true\n"
+        )
+        for name, jobs in (("j1", "1"), ("j2", "2")):
+            assert cli.main(["experiment", "individual", "--config", str(cfg), "--seed", "3",
+                             "--jobs", jobs, "--out", str(tmp_path / name)]) == 0
+        names = sorted(p.name for p in (tmp_path / "j1").iterdir())
+        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "j1", tmp_path / "j2", names, shallow=False)
+        assert match == names and not mismatch and not errors
 
     def test_sweep_bytes_independent_of_blas_threads(self, tmp_path):
         cfg = tmp_path / "c.toml"

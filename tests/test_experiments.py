@@ -3,6 +3,7 @@ Trend assertions live in the acceptance suite; these tests use tiny corpora
 and short training budgets."""
 
 import filecmp
+import sys
 import threading
 from collections import Counter
 
@@ -75,6 +76,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             config("volume", n_seeds=0)
 
+    def test_jobs_at_least_one(self):
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+                config("volume", jobs=jobs)
+
     def test_resolved_excludes_jobs(self):
         assert "jobs" not in config("volume", jobs=4).resolved()
 
@@ -135,25 +141,64 @@ class TestDetectorSweeps:
         assert report.aggregates == rerun.aggregates
 
     def test_jobs_parity(self, ctx, monkeypatch):
-        # jobs is accepted and ignored: every fit, single or lockstep, runs on the calling thread
-        threads = []
+        # jobs threads build image features; every SVM and head fit runs on the calling thread
+        threads = {"fit": [], "forward": []}
 
-        def recording(train):
-            def recording_train(*args, **kwargs):
-                threads.append(threading.get_ident())
-                return train(*args, **kwargs)
-            return recording_train
+        def recording(fn, kind):
+            def record(*args, **kwargs):
+                threads[kind].append(threading.get_ident())
+                return fn(*args, **kwargs)
+            return record
 
         for name in ("train_linear_svm", "train_linear_svms"):
-            monkeypatch.setattr(svm, name, recording(getattr(svm, name)))
+            monkeypatch.setattr(svm, name, recording(getattr(svm, name), "fit"))
+        monkeypatch.setattr(ex.wsddn, "train_heads", recording(ex.wsddn.train_heads, "fit"))
+        monkeypatch.setattr(ft, "forward", recording(ft.forward, "forward"))
         sweeps = dict(fractions=(0.5, 1.0), train_proportions=(0.5, 1.0), split_ratios=(0.5, 0.7))
-        for protocol in ("volume", "proportion", "split", "illumination"):
-            a = ex.run_protocol(config(protocol, jobs=1, **sweeps), ctx)
-            threads.clear()
-            b = ex.run_protocol(config(protocol, jobs=4, **sweeps), ctx)
-            assert threads and set(threads) == {threading.get_ident()}, protocol
+        runs = [(protocol, sweeps, ctx) for protocol in ("volume", "proportion", "split", "illumination")]
+        # a fresh context each, so that its images are pooled on the threads too
+        runs += [("individual", dict(n_seeds=1, head_epochs=10, segment=True), None),
+                 ("species", dict(n_seeds=1, head_epochs=10), None)]
+        for protocol, extra, shared in runs:
+            a = ex.run_protocol(config(protocol, jobs=1, **extra), shared)
+            for kind in threads:
+                threads[kind].clear()
+            b = ex.run_protocol(config(protocol, jobs=4, **extra), shared)
+            assert threads["fit"] and set(threads["fit"]) == {threading.get_ident()}, protocol
+            if shared is None:
+                assert len(set(threads["forward"])) > 1, protocol
             assert a.rows == b.rows, protocol
             assert a.aggregates == b.aggregates, protocol
+
+
+class TestMapImages:
+    def test_each_item_once_in_order(self):
+        # more threads than cores and a short switch interval, so a lost
+        # update of the shared item order would show as a repeated item
+        calls = []
+
+        def square(n):
+            calls.append(n)
+            return n * n
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = ex._map_images(config("volume", jobs=8), square, range(400))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [n * n for n in range(400)]
+        assert sorted(calls) == list(range(400))
+
+    def test_first_failing_item_raises(self):
+        def fail(n):
+            if n in (3, 5):
+                raise ValueError(f"item {n}")
+            return n
+
+        for jobs in (1, 4):
+            with pytest.raises(ValueError, match="item 3"):
+                ex._map_images(config("volume", jobs=jobs), fail, range(20))
 
 
 class TestIllumination:
@@ -230,8 +275,9 @@ class TestIndividual:
 
     def test_segmented_forward_counts(self, monkeypatch):
         # one forward per raw image (its region set and its patch grid pooled
-        # from one feature map), one per masked image, each image masked once
-        # per segmented run, and one array-form pooling per forward, none per region
+        # from one feature map), one per masked image, each image masked at
+        # most once per segmented run, and one array-form pooling per forward,
+        # none per region
         forward, apply_mask, pool = ft.forward, seg.apply_mask, ft.spp_pool
         forwards, masks, pools = [], [], []  # the lists keep their arrays alive, so ids stay unique
 
@@ -263,6 +309,8 @@ class TestIndividual:
         # each image is in 4 segmented runs: its species and joint, unbalanced and balanced
         per_source = Counter(id(src) for src, _ in masks)
         assert masks and set(per_source) <= raw and max(per_source.values()) <= 4
+        # one masked forward per (image, mask), however many runs reach that mask
+        assert len({(id(src), out.tobytes()) for src, out in masks}) == len(masks)
 
     def test_segmented_run_matches_reference_pooler(self, monkeypatch, tmp_path):
         cfg = config("individual", n_seeds=1, head_epochs=10, segment=True)

@@ -1,5 +1,7 @@
 """Convolutional features, SPP pooling, region proposals and gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,6 +122,34 @@ class TestForwardOracle:
         assert ft.forward(image, params).tobytes() == ref.tobytes()
         for layer, pre in zip(cache["layers"], ref_pres):
             assert layer["pre"].tobytes() == pre.tobytes()
+
+    @pytest.mark.parametrize("band_rows, h, w", [(2, 23, 17), (6, 28, 13), (6, 31, 20), (10, 45, 9)])
+    def test_bands_match_reference_bytes(self, band_rows, h, w, monkeypatch):
+        # a budget of `band_rows` first-layer rows: many bands, an uneven last
+        # band, odd heights, and deeper layers banded by the same budget
+        params = ft.init_convnet((3, 4, 5, 3), seed=2)
+        params.biases = [np.linspace(-0.5, 0.5, len(b)) for b in params.biases]
+        monkeypatch.setattr(ft, "BAND_BYTES", band_rows * 8 * w * 4)
+        image = np.random.default_rng(h).uniform(-1, 1, size=(h, w, 3))
+        ref, ref_pres = reference_forward(image, params)
+        got, cache = ft.forward(image, params, return_cache=True)
+        assert got.tobytes() == ref.tobytes()
+        assert ft.forward(image, params).tobytes() == ref.tobytes()
+        for layer, pre in zip(cache["layers"], ref_pres):
+            assert layer["pre"].tobytes() == pre.tobytes()
+
+    def test_forward_peak_memory_at_160px(self):
+        # bands bound the conv's working set: the whole-image conv peaked at 3.9 MiB
+        params = ft.init_convnet((3, 8, 16), seed=0)
+        image = np.random.default_rng(3).uniform(size=(160, 160, 3))
+        ft.forward(image, params)
+        tracemalloc.start()
+        try:
+            ft.forward(image, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
     def test_feature_bytes_match_reference_at_160px(self):
         params = ft.init_convnet((3, 8, 16), seed=0)
