@@ -130,7 +130,7 @@ def _record_features(args, man, regions_of):
     """The region features of each record of `man`, in manifest order, over
     the regions `regions_of(image)` of its image."""
     params, pyramid = _net_and_pyramid(args)
-    images = synth.load_images(man, args.images if args.images else str(Path(args.manifest).parent))
+    images = synth.load_images(man, args.images if args.images else str(Path(args.manifest).parent), params.downsample)
     return [ft.extract_region_features(images[r.id], regions_of(images[r.id]), params, pyramid) for r in man]
 
 
@@ -224,7 +224,7 @@ def _cmd_segment(args) -> int:
     svm.check_scale(args.scale)
     pp = seg.PairwiseParams(args.w, args.theta_pos, args.theta_color, args.iterations)
     params, pyramid = _net_and_pyramid(args)
-    image = synth.read_ppm(args.image)
+    image = synth.read_ppm(args.image, params.downsample)
     detector = svm.load_model(args.detector)
     dim = ft.feature_dim(params, pyramid)
     if detector.dim != dim:

@@ -14,9 +14,8 @@ segmented runs' patch masks, and all scoring run on the calling thread in
 trial-index order.
 
 Runners that train heads (species, individual, joint-individuals) plan every
-trial's fits, build each distinct fit's dataset, fit the heads, then score
-them.  Fits of one (N, R, D, C) shape are fitted in lockstep by one
-`wsddn.train_heads` call, and each head is byte-identical to its fit alone.
+trial's fits, build each distinct fit's dataset, fit the heads in one
+`wsddn.train_heads` call, then score them.
 """
 
 from __future__ import annotations
@@ -118,10 +117,12 @@ class Report:
 
 class PipelineContext:
     """Corpus images plus shared, lazily built caches of each image's
-    region features and patch-grid rows."""
+    region features and patch-grid rows.  The context alone decides an
+    image's windows and patch grid, and which rows it pools."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
+        self.params = ft.init_convnet(cfg.channels, seed=cfg.feature_seed)
         if cfg.synth_config is not None:
             self.manifest, synth_images = synth.generate_corpus(cfg.synth_config)
             self.images = {rid: si.pixels for rid, si in synth_images.items()}
@@ -129,13 +130,17 @@ class PipelineContext:
         else:
             self.manifest = mf.load_manifest(cfg.manifest_path)
             root = cfg.images_root or str(Path(cfg.manifest_path).parent)
-            self.images = synth.load_images(self.manifest, root)
+            self.images = synth.load_images(self.manifest, root, self.params.downsample)
             self.boxes = {}
         self.by_id = self.manifest.by_id()
-        self.params = ft.init_convnet(cfg.channels, seed=cfg.feature_seed)
         self.pyramid = ft.PyramidConfig(cfg.pyramid_levels)
         self._region_feats: Dict[str, ft.RegionFeatures] = {}
-        self._patch_rows: Dict[Tuple[str, int], np.ndarray] = {}
+        self._patch_rows: Dict[str, np.ndarray] = {}
+
+    def grid(self, rid: str) -> seg.PatchGrid:
+        """The image's patch grid at the config's patch size, from its manifest record."""
+        r = self.by_id[rid]
+        return seg.PatchGrid(self.cfg.patch_size, r.width, r.height)
 
     def image_feature(self, rid: str) -> np.ndarray:
         # the full image is the last proposed region, so one conv pass serves both
@@ -143,42 +148,39 @@ class PipelineContext:
 
     def region_features(self, rid: str) -> ft.RegionFeatures:
         if rid not in self._region_feats:
-            # a segmented run reads both of an image's row sets: pool them from one forward
-            self._pool(rid, self.cfg.patch_size if self.cfg.segment else None)
+            self._pool(rid, patches=False)
         return self._region_feats[rid]
 
-    def patch_rows(self, rid: str, patch_size: int) -> np.ndarray:
+    def patch_rows(self, rid: str) -> np.ndarray:
         """Feature rows of the image's patch grid, row-major.  Only runs that
-        use a patch grid pay for this cache; feature maps are not cached,
+        read a patch grid pay for this cache; feature maps are not cached,
         because one per image raised peak memory on every workload."""
-        if (rid, patch_size) not in self._patch_rows:
-            self._pool(rid, patch_size)
-        return self._patch_rows[(rid, patch_size)]
+        if rid not in self._patch_rows:
+            self._pool(rid, patches=True)
+        return self._patch_rows[rid]
 
-    def _pool(self, rid: str, patch_size: Optional[int]) -> None:
+    def _pool(self, rid: str, patches: bool) -> None:
         """Cache the image's proposal-region features unless cached, and its
-        patch-grid rows when `patch_size` is given, from one conv forward:
-        both region sets are pooled as one list, whose rows are split."""
-        img = self.images[rid]
-        proposals, patches = [], []
-        if rid not in self._region_feats:
-            proposals = ft.propose_regions(img.shape[1], img.shape[0], self.cfg.region_scales, self.cfg.region_stride)
-        if patch_size is not None and (rid, patch_size) not in self._patch_rows:
-            patches = seg.grid_for(img, patch_size).regions()
-        rows = ft.extract_region_features(img, proposals + patches, self.params, self.pyramid).matrix
+        patch-grid rows if `patches`, from one conv forward: both region
+        sets are pooled as one list, whose rows are split."""
+        r = self.by_id[rid]
+        proposals = [] if rid in self._region_feats else ft.propose_regions(
+            r.width, r.height, self.cfg.region_scales, self.cfg.region_stride)
+        cells = self.grid(rid).regions() if patches else []
+        rows = ft.extract_region_features(self.images[rid], proposals + cells, self.params, self.pyramid).matrix
         if proposals:
             self._region_feats[rid] = ft.RegionFeatures(regions=tuple(proposals), matrix=rows[: len(proposals)])
-        if patches:
-            self._patch_rows[(rid, patch_size)] = rows[len(proposals) :]
+        if cells:
+            self._patch_rows[rid] = rows[len(proposals) :]
 
 
 # the config fields a PipelineContext is built from
 _CONTEXT_FIELDS = ("synth_config", "manifest_path", "images_root", "channels",
-                   "pyramid_levels", "region_scales", "region_stride", "feature_seed")
+                   "pyramid_levels", "region_scales", "region_stride", "feature_seed", "patch_size")
 
 
 def _context(cfg: ExperimentConfig, ctx: Optional[PipelineContext]) -> PipelineContext:
-    """A new context for `cfg`, or `ctx` once checked to match `cfg`'s corpus and feature fields."""
+    """A new context for `cfg`, or `ctx` once checked to match `cfg`'s corpus, feature and patch fields."""
     if ctx is None:
         return PipelineContext(cfg)
     differ = [f for f in _CONTEXT_FIELDS if getattr(ctx.cfg, f) != getattr(cfg, f)]
@@ -246,20 +248,9 @@ def _fit_detector(cfg, x, y, seed) -> svm.LinearModel:
 
 def _fit_heads(cfg, fits) -> List[wsddn.TwoStreamHead]:
     """One head per fit `(dataset, class_names, seed)`, in order, trained with
-    the runner's head settings.  The fits of one (N, R, D, C) shape are
-    fitted in lockstep by one `wsddn.train_heads` call, shapes in order of
-    first appearance."""
-    groups = {}
-    for j, (ds, classes, _) in enumerate(fits):
-        shape = (len(ds), ds[0][0].matrix.shape if ds else None, len(classes))
-        groups.setdefault(shape, []).append(j)
-    heads = [None] * len(fits)
-    for members in groups.values():
-        group = [(fits[j][0], fits[j][1], wsddn.HeadTrainConfig(
-            epochs=cfg.head_epochs, learning_rate=cfg.head_lr, seed=fits[j][2], l2=cfg.head_l2)) for j in members]
-        for j, head in zip(members, wsddn.train_heads(group)):
-            heads[j] = head
-    return heads
+    the runner's head settings by one `wsddn.train_heads` call."""
+    return wsddn.train_heads([(ds, classes, wsddn.HeadTrainConfig(
+        epochs=cfg.head_epochs, learning_rate=cfg.head_lr, seed=seed, l2=cfg.head_l2)) for ds, classes, seed in fits])
 
 
 def _detector_metrics(ctx, cfg, plans) -> List[dict]:
@@ -503,14 +494,14 @@ def _train_patch_detector(ctx, cfg, train_ids, seed):
         if box is None:
             continue
         x0, y0, x1, y1 = box
-        px0, py0, px1, py1 = seg.grid_for(ctx.images[i], cfg.patch_size).boxes().T
+        px0, py0, px1, py1 = ctx.grid(i).boxes().T
         inside = (px0 >= x0) & (px1 <= x1) & (py0 >= y0) & (py1 <= y1)
         apart = ~inside & ((px1 <= x0) | (px0 >= x1) | (py1 <= y0) | (py0 >= y1))
         pos, neg = np.flatnonzero(inside), np.flatnonzero(apart)
         take = min(len(pos), len(neg), 8)
         if take == 0:
             continue
-        patch = ctx.patch_rows(i, cfg.patch_size)
+        patch = ctx.patch_rows(i)
         rows += [patch[rng.choice(pos, take, replace=False)], patch[rng.choice(neg, take, replace=False)]]
         labs += [np.ones(take), -np.ones(take)]
     if not rows:
@@ -536,21 +527,17 @@ def _individual_features(ctx, cfg, runs):
         if segmented:
             detector = _train_patch_detector(ctx, cfg, train, seed)
             for rid in (*train, *val):
-                img = ctx.images[rid]
-                grid = seg.grid_for(img, cfg.patch_size)
                 runs_of.setdefault(rid, []).append(
-                    (n, seg.patch_mask(ctx.patch_rows(rid, cfg.patch_size), img, grid, detector)))
+                    (n, seg.patch_mask(ctx.patch_rows(rid), ctx.images[rid], ctx.grid(rid), detector)))
 
     def masked_features(rid):
         """(run, region features) of each segmented run that reads the image."""
-        img = ctx.images[rid]
-        grid = seg.grid_for(img, cfg.patch_size)
-        regions = ft.propose_regions(img.shape[1], img.shape[0], cfg.region_scales, cfg.region_stride)
+        img, regions = ctx.images[rid], ctx.region_features(rid).regions
         by_mask, out = {}, []
         for n, mask in runs_of[rid]:
             key = mask.tobytes()
             if key not in by_mask:
-                masked = seg.apply_mask(img, seg.upsample_mask(mask, grid))
+                masked = seg.apply_mask(img, seg.upsample_mask(mask, ctx.grid(rid)))
                 by_mask[key] = ft.extract_region_features(masked, regions, ctx.params, ctx.pyramid)
             out.append((n, by_mask[key]))
         return out
@@ -582,10 +569,8 @@ def _individual_runs(ctx, cfg, keys):
     by_id = ctx.by_id
     runs = list(dict.fromkeys(keys))
     ids = list(dict.fromkeys(i for train, val, *_ in runs for i in (*train, *val)))
-    if any(segmented for *_, segmented in runs):  # then region rows and patch rows, from one forward
-        _map_images(cfg, lambda i: ctx.patch_rows(i, cfg.patch_size), ids)
-    else:
-        _map_images(cfg, ctx.region_features, ids)
+    # a segmented run reads both row sets of an image, and patch_rows pools both from one forward
+    _map_images(cfg, ctx.patch_rows if any(segmented for *_, segmented in runs) else ctx.region_features, ids)
     feats = _individual_features(ctx, cfg, runs)
     heads = _fit_heads(cfg, [([(f(i), wsddn.one_hot(by_id[i].individual, classes)) for i in train], classes, seed)
                              for f, (train, _, classes, seed, _) in zip(feats, runs)])

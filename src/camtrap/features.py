@@ -272,7 +272,7 @@ def spp_pool(
         hh, ww = divmod(key, fw + 1)
         offsets = (np.arange(hh)[:, None] * fw + np.arange(ww)).ravel()
         out[sel] = pixels[corner[sel][:, None] + offsets].max(axis=1)
-    return out.reshape(len(box), -1)
+    return out.reshape(len(box), pyramid.n_cells * c)
 
 
 def feature_dim(params: ConvNetParams, pyramid: PyramidConfig) -> int:

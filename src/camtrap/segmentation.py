@@ -198,19 +198,13 @@ def patch_mask(rows: np.ndarray, image: np.ndarray, grid: PatchGrid, detector: s
     return threshold_mask(refine_mean_field(compute_unary(rows, grid, detector, scale), image, grid, pp), tau)
 
 
-def pixel_mask(rows: np.ndarray, image: np.ndarray, grid: PatchGrid, detector: svm.LinearModel,
-               pp: PairwiseParams = PairwiseParams(), tau: float = 0.5, scale: float = 1.0) -> np.ndarray:
-    """(H, W) uint8 mask of an image: `patch_mask`, upsampled."""
-    return upsample_mask(patch_mask(rows, image, grid, detector, pp, tau, scale), grid)
-
-
 def segment_image(image: np.ndarray, detector: svm.LinearModel, params: feat.ConvNetParams,
                   pyramid: feat.PyramidConfig = feat.PyramidConfig(), patch_size: int = 16,
                   pp: PairwiseParams = PairwiseParams(), tau: float = 0.5, scale: float = 1.0) -> np.ndarray:
-    """Full pipeline: the image's patch-grid rows, then `pixel_mask`."""
+    """(H, W) uint8 mask of an image: its patch-grid rows, then `patch_mask`, upsampled."""
     grid = grid_for(image, patch_size)
     rows = feat.extract_region_features(image, grid.regions(), params, pyramid).matrix
-    return pixel_mask(rows, image, grid, detector, pp, tau, scale)
+    return upsample_mask(patch_mask(rows, image, grid, detector, pp, tau, scale), grid)
 
 
 def write_pbm(path, mask: np.ndarray) -> None:

@@ -315,9 +315,10 @@ _SEP = rb"(?:\s|#[^\r\n]*[\r\n])+"
 _PPM_HEADER = re.compile(rb"P6" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)\s")
 
 
-def read_ppm(path) -> np.ndarray:
+def read_ppm(path, min_side: int = 1) -> np.ndarray:
     """Binary P6 portable pixel map scaled to [0, 1]: maxval 1..65535, with
-    2-byte big-endian samples above 255."""
+    2-byte big-endian samples above 255.  `min_side` is the least width and
+    height accepted: a conv net's receptive field, 2^layers."""
     with open(path, "rb") as fh:
         data = fh.read()
     header = _PPM_HEADER.match(data)
@@ -326,6 +327,8 @@ def read_ppm(path) -> np.ndarray:
     w, h, maxval = (int(g) for g in header.groups())
     if w < 1 or h < 1 or not 1 <= maxval <= 65535:
         raise ValueError(f"{path}: bad width {w}, height {h} or maxval {maxval}")
+    if min(w, h) < min_side:
+        raise ValueError(f"{path}: image is {w}x{h}, smaller than the network's receptive field of {min_side} px a side")
     dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
     need, have = w * h * 3 * dtype.itemsize, len(data) - header.end()
     if have < need:
@@ -334,13 +337,13 @@ def read_ppm(path) -> np.ndarray:
     return pixels.reshape(h, w, 3).astype(np.float64) / float(maxval)
 
 
-def load_images(manifest: Manifest, root) -> Dict[str, np.ndarray]:
+def load_images(manifest: Manifest, root, min_side: int = 1) -> Dict[str, np.ndarray]:
     """Read all manifest images (PPM) from a root directory; each must have
-    the width and height its record gives."""
+    the width and height its record gives, and no side below `min_side`."""
     images = {}
     for r in manifest:
         path = Path(root) / r.path
-        images[r.id] = read_ppm(path)
+        images[r.id] = read_ppm(path, min_side)
         h, w = images[r.id].shape[:2]
         if (w, h) != (r.width, r.height):
             raise ValueError(f"{path}: image is {w}x{h}, manifest says {r.width}x{r.height}")

@@ -280,48 +280,42 @@ def _checked_fit(dataset, class_names) -> Tuple[Tuple[int, ...], np.ndarray]:
 def train_heads(
     fits: Sequence[Tuple[Sequence[Tuple[RegionFeatures, np.ndarray]], Sequence[str], HeadTrainConfig]],
 ) -> List[TwoStreamHead]:
-    """One head per fit `(dataset, class_names, cfg)`, each byte-identical to
-    ``train_head(dataset, class_names, cfg)``.
+    """One head per fit `(dataset, class_names, cfg)`, in order, each
+    byte-identical to ``train_head(dataset, class_names, cfg)``.
 
-    Every fit is checked before any step; the fits must then share N, R, D
-    and C and their configs' epochs, learning rate and L2.  Each keeps its
-    own seed and class names.  The fits run in lockstep: step t of every
-    fit is one `_bce_step` call on the K fits' stacked features.
+    Every fit is checked before any step.  Then the fits of one (N, R, D, C)
+    shape and one (epochs, learning rate, L2) run in lockstep, groups in
+    order of first appearance: step t of a group's K fits is one
+    `_bce_step` call on their stacked features.  Each fit keeps its own seed
+    and class names.
     """
     checked = [_checked_fit(ds, names) for ds, names, _ in fits]
-    if not checked:
-        return []
-    shapes = {shape for shape, _ in checked}
-    if len(shapes) != 1:
-        raise ValueError(f"lockstep fits must share (N, R, D, C), found {sorted(shapes)}")
-    rules = {(cfg.epochs, cfg.learning_rate, cfg.l2) for _, _, cfg in fits}
-    if len(rules) != 1:
-        raise ValueError(f"lockstep fits must share epochs, learning rate and l2, found {sorted(rules)}")
-    (n, r, d, c), = shapes
-    (epochs, learning_rate, l2), = rules
-    x = np.stack([rf.matrix for ds, _, _ in fits for rf, _ in ds]).reshape(len(fits), n, r, d)
-    targets = np.stack([t for _, t in checked])
+    groups = {}
+    for j, ((shape, _), (_, _, cfg)) in enumerate(zip(checked, fits)):
+        groups.setdefault((shape, cfg.epochs, cfg.learning_rate, cfg.l2), []).append(j)
+    heads = [None] * len(fits)
+    for ((n, r, d, c), epochs, learning_rate, l2), members in groups.items():
+        x = np.stack([rf.matrix for j in members for rf, _ in fits[j][0]]).reshape(len(members), n, r, d)
+        targets = np.stack([checked[j][1] for j in members])
+        w = np.empty((len(members), d, 2 * c))
+        bound = np.sqrt(6.0 / (d + c))
+        for wk, j in zip(w, members):
+            rng = np.random.default_rng(np.uint64(fits[j][2].seed))
+            wk[:, :c] = rng.uniform(-bound, bound, size=(d, c))
+            wk[:, c:] = rng.uniform(-bound, bound, size=(d, c))
 
-    w = np.empty((len(fits), d, 2 * c))
-    bound = np.sqrt(6.0 / (d + c))
-    for wk, (_, _, cfg) in zip(w, fits):
-        rng = np.random.default_rng(np.uint64(cfg.seed))
-        wk[:, :c] = rng.uniform(-bound, bound, size=(d, c))
-        wk[:, c:] = rng.uniform(-bound, bound, size=(d, c))
-
-    loss_and_grad = _bce_step(x, targets, l2)
-    history = []
-    for _ in range(epochs):
-        loss, g = loss_and_grad(w)
-        history.append(loss)
-        g *= learning_rate
-        w -= g
-    history.append(loss_and_grad(w)[0])
-    losses = np.stack(history, axis=1)
-    return [
-        TwoStreamHead(w_rec=wk[:, :c].copy(), w_det=wk[:, c:].copy(), class_names=names, loss_by_epoch=list(lk))
-        for wk, lk, (_, names, _) in zip(w, losses, fits)
-    ]
+        loss_and_grad = _bce_step(x, targets, l2)
+        history = []
+        for _ in range(epochs):
+            loss, g = loss_and_grad(w)
+            history.append(loss)
+            g *= learning_rate
+            w -= g
+        history.append(loss_and_grad(w)[0])
+        for j, wk, lk in zip(members, w, np.stack(history, axis=1)):
+            heads[j] = TwoStreamHead(w_rec=wk[:, :c].copy(), w_det=wk[:, c:].copy(), class_names=fits[j][1],
+                                     loss_by_epoch=list(lk))
+    return heads
 
 
 def train_head(

@@ -9,9 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from camtrap import cli, wsddn
+from camtrap import cli, synth, wsddn
 
 
 def run(argv, capsys=None):
@@ -100,6 +101,25 @@ class TestExitCodes:
         assert code == 2
         assert str(corpus / image) in err and "64x64" in err
         assert not (tmp_path / "det.model").exists()
+
+    @pytest.mark.parametrize("subcommand", ["train-detect", "train-species", "segment", "experiment"])
+    def test_image_below_receptive_field_exit_2_names_image(self, subcommand, tmp_path, capsys):
+        # 3x3 images; the default net's two layers need 2^2 = 4 px a side
+        rows = ["id,path,species,individual,illumination,width,height"]
+        for n, species in enumerate(("tiger", "leopard", "unclassified") * 2):
+            synth.write_ppm(tmp_path / f"{n}.ppm", np.full((3, 3, 3), 0.5))
+            rows.append(f"{n},{n}.ppm,{species},,day,3,3")
+        (tmp_path / "manifest.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "volume.cfg").write_text("fractions = 1.0\nn_seeds = 1\n")
+        manifest, first, out = str(tmp_path / "manifest.csv"), str(tmp_path / "0.ppm"), str(tmp_path / "out")
+        argv = {"train-detect": ["train-detect", "--manifest", manifest],
+                "train-species": ["train-species", "--manifest", manifest],
+                "segment": ["segment", "--image", first, "--detector", str(tmp_path / "x.model")],
+                "experiment": ["experiment", "volume", "--manifest", manifest, "--config", str(tmp_path / "volume.cfg")]}
+        code, _, err = run(argv[subcommand] + ["--out", out], capsys)
+        assert code == 2
+        assert f"{first}: image is 3x3, smaller than the network's receptive field of 4 px a side" in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_subcommand_exit_1(self):
         assert cli.main(["frobnicate"]) == 1

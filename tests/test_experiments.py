@@ -106,9 +106,20 @@ class TestConfig:
             assert fits and set(fits) == {(3, 1e-2)}, protocol
         with pytest.raises(ValueError, match="channels"):
             ex.run_protocol(config("volume", channels=(3, 4)), ctx)
+        with pytest.raises(ValueError, match="patch_size"):
+            ex.run_protocol(config("individual", segment=True, patch_size=16), ctx)
         other_corpus = synth.SynthConfig(image_size=64, species_specs=SMALL_SPECS, n_negatives=16, seed=99)
         with pytest.raises(ValueError, match="synth_config"):
             ex.run_protocol(config("volume", synth_config=other_corpus), ctx)
+
+
+    @pytest.mark.parametrize("protocol", ["species", "volume"])
+    def test_unsegmented_runners_pool_no_patch_grid(self, protocol):
+        # segment = true sets only the individual runs' masks: a runner that
+        # reads no mask neither pools nor keeps an image's patch grid
+        ctx = ex.PipelineContext(config(protocol, segment=True))
+        ex.run_protocol(config(protocol, segment=True, n_seeds=1, head_epochs=5, fractions=(1.0,)), ctx)
+        assert ctx._region_feats and not ctx._patch_rows
 
 
 class TestDetectorSweeps:
@@ -374,7 +385,7 @@ class TestIndividual:
             rows, labs = [], []
             for i in ids:
                 x0, y0, x1, y1 = ctx.boxes[i]
-                patch = ctx.patch_rows(i, cfg.patch_size)
+                patch = ctx.patch_rows(i)
                 pos, neg = [], []
                 for idx, reg in enumerate(seg.grid_for(ctx.images[i], cfg.patch_size).regions()):
                     if reg.x0 >= x0 and reg.x1 <= x1 and reg.y0 >= y0 and reg.y1 <= y1:

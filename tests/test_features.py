@@ -334,6 +334,11 @@ class TestExtract:
         rf = ft.extract_region_features(img, [r, r], params, ft.PyramidConfig((1, 2)))
         assert np.array_equal(rf.matrix[0], rf.matrix[1])
 
+    def test_empty_region_list_gives_no_rows(self):
+        params, pyramid = ft.init_convnet((3, 4), seed=0), ft.PyramidConfig((1, 2))
+        rf = ft.extract_region_features(rand_image(np.random.default_rng(3), 16, 16), [], params, pyramid)
+        assert rf.regions == () and rf.matrix.shape == (0, ft.feature_dim(params, pyramid))
+
     def test_row_norms(self):
         rng = np.random.default_rng(1)
         params = ft.init_convnet((3, 4, 4), seed=0)

@@ -250,9 +250,9 @@ class TestThresholdAndMask:
         with pytest.raises(ValueError, match=r"tau must be in \(0,1\), got 0.0"):
             seg.threshold_mask(np.zeros((2, 2)), 0.0)
 
-    def test_pixel_mask_is_the_step_chain(self):
-        # unary -> mean field -> threshold -> upsample, and segment_image is
-        # pixel_mask on the rows of its own patch grid
+    def test_segment_image_is_the_step_chain(self):
+        # segment_image is unary -> mean field -> threshold -> upsample on
+        # the rows of its own patch grid
         rng = np.random.default_rng(5)
         params = ft.init_convnet((3, 4), seed=0)
         pyramid = ft.PyramidConfig((1, 2))
@@ -263,11 +263,9 @@ class TestThresholdAndMask:
         pp = seg.PairwiseParams(w=3.0, iterations=4)
         unary = seg.compute_unary(rows, grid, detector, 2.0)
         steps = seg.upsample_mask(seg.threshold_mask(seg.refine_mean_field(unary, img, grid, pp), 0.4), grid)
-        mask = seg.pixel_mask(rows, img, grid, detector, pp, 0.4, 2.0)
+        mask = seg.segment_image(img, detector, params, pyramid, patch_size=8, pp=pp, tau=0.4, scale=2.0)
         assert mask.shape == (36, 28) and mask.dtype == np.uint8
         assert mask.tobytes() == steps.tobytes()
-        full = seg.segment_image(img, detector, params, pyramid, patch_size=8, pp=pp, tau=0.4, scale=2.0)
-        assert full.tobytes() == mask.tobytes()
 
     def test_upsample_block(self):
         grid = seg.PatchGrid(patch_size=8, width=16, height=8)

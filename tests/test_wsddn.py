@@ -459,10 +459,16 @@ class TestTraining:
     @given(data=st.data(), k=st.integers(1, 5), r=st.sampled_from([1, 3, 10]), c=st.sampled_from([2, 3, 8, 9]),
            d=st.integers(1, 24), seed=st.integers(0, 2**16))
     def test_train_heads_matches_train_head_bytes(self, data, k, r, c, d, seed):
+        # mixed fits: k of one shape, interleaved with fits of another image
+        # count and fits of another schedule, which train_heads groups itself
         n = data.draw(st.sampled_from(self.around_block(r)), label="n")
-        fits = self.lockstep_fits(k, n, r, c, d, seed)
+        other_shape = self.lockstep_fits(2, n + 1, r, c, d, seed + 1)
+        other_rule = [(ds, names, wsddn.HeadTrainConfig(epochs=4, learning_rate=1.0, seed=cfg.seed, l2=0.0))
+                      for ds, names, cfg in self.lockstep_fits(2, n, r, c, d, seed + 2)]
+        fits = data.draw(st.permutations(self.lockstep_fits(k, n, r, c, d, seed) + other_shape + other_rule),
+                         label="order")
         heads = wsddn.train_heads(fits)
-        assert len(heads) == k
+        assert len(heads) == len(fits)
         for head, (ds, names, cfg) in zip(heads, fits):
             alone = wsddn.train_head(ds, names, cfg)
             assert head.class_names == alone.class_names == names
@@ -493,15 +499,16 @@ class TestTraining:
             wsddn.train_heads([fits[0], (ds, names, cfg), fits[2]])
         assert str(lockstep.value) == str(alone.value)
 
-    def test_lockstep_fits_must_share_shape_and_schedule(self):
-        fits = self.lockstep_fits(2, 6, 3, 3, 4, 0)
-        other = self.lockstep_fits(1, 7, 3, 3, 4, 1)
-        with pytest.raises(ValueError, match=r"share \(N, R, D, C\)"):
-            wsddn.train_heads(fits + other)
-        ds, names, cfg = fits[1]
-        slower = wsddn.HeadTrainConfig(epochs=cfg.epochs, learning_rate=1.0, seed=cfg.seed)
-        with pytest.raises(ValueError, match="epochs, learning rate and l2"):
-            wsddn.train_heads([fits[0], (ds, names, slower)])
+    def test_train_heads_groups_by_shape_and_schedule(self, monkeypatch):
+        # one lockstep group per (N, R, D, C, epochs, learning rate, l2), in
+        # order of first appearance
+        a, b = self.lockstep_fits(2, 6, 3, 3, 4, 0), self.lockstep_fits(2, 7, 3, 3, 4, 1)
+        ds, names, cfg = a[1]
+        slower = (ds, names, wsddn.HeadTrainConfig(epochs=cfg.epochs, learning_rate=1.0, seed=cfg.seed))
+        bce_step, groups = wsddn._bce_step, []
+        monkeypatch.setattr(wsddn, "_bce_step", lambda x, t, l2: groups.append(x.shape[:2]) or bce_step(x, t, l2))
+        assert len(wsddn.train_heads([b[0], a[0], slower, b[1], a[1]])) == 5
+        assert groups == [(2, 7), (2, 6), (1, 6)]
         assert wsddn.train_heads([]) == []
 
     def test_blas_thread_count_leaves_head_bytes(self):
