@@ -128,10 +128,12 @@ def _net_and_pyramid(args):
 
 def _record_features(args, man, regions_of):
     """The region features of each record of `man`, in manifest order, over
-    the regions `regions_of(image)` of its image."""
+    the regions `regions_of(image)` of its image; each image is read, pooled
+    and dropped before the next is read."""
     params, pyramid = _net_and_pyramid(args)
-    images = synth.load_images(man, args.images if args.images else str(Path(args.manifest).parent), params.downsample)
-    return [ft.extract_region_features(images[r.id], regions_of(images[r.id]), params, pyramid) for r in man]
+    root = args.images or str(Path(args.manifest).parent)
+    return [ft.extract_region_features(img, regions_of(img), params, pyramid)
+            for img in (synth.read_record(root, r, params.downsample) for r in man)]
 
 
 def _add_net_flags(p):
@@ -204,15 +206,15 @@ def _cmd_train_species(args) -> int:
     man = mf.load_manifest(args.manifest)
     classes = sorted({r.species for r in man})
     if len(classes) < 2:
-        raise ValueError("need images of at least 2 species")
+        raise ValueError(f"{args.manifest}: need images of at least 2 species, found {classes}")
     return _train_head_command(args, man, lambda r: r.species, classes)
 
 
 def _cmd_train_individual(args) -> int:
     species = args.species.split(",") if args.species else None
-    labeled = mf.filter_manifest(mf.load_manifest(args.manifest), species=species, min_images_per_individual=1)
+    labeled = mf.filter_manifest(mf.load_manifest(args.manifest), species=species, has_individual=True)
     if not labeled:
-        raise ValueError("manifest has no individual labels")
+        raise ValueError(f"{args.manifest}: no record{' of ' + args.species if species else ''} has an individual label")
     classes = sorted({r.individual for r in labeled})
     return _train_head_command(args, labeled, lambda r: r.individual, classes)
 

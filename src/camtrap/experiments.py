@@ -97,6 +97,11 @@ class ExperimentConfig:
         wsddn.check_train_values(self.head_epochs, self.head_lr, self.head_l2, ("head_epochs", "head_lr", "head_l2"))
         ft.check_region_values(self.region_scales, self.region_stride, ("region_scales", "region_stride"))
         ft.check_net_values(self.channels, self.pyramid_levels, ("channels", "pyramid_levels"))
+        if self.synth_config is not None and self.synth_config.image_size < ft.receptive_field(self.channels):
+            raise ValueError(f"image_size {self.synth_config.image_size} is smaller than the network's receptive "
+                             f"field of {ft.receptive_field(self.channels)} px a side")
+        if self.segment and self.synth_config is None and self.protocol in ("individual", "joint-individuals"):
+            raise ValueError(f"segment = true needs a synthetic corpus's planted boxes, and {self.manifest_path} has none")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -124,13 +129,11 @@ class PipelineContext:
         self.cfg = cfg
         self.params = ft.init_convnet(cfg.channels, seed=cfg.feature_seed)
         if cfg.synth_config is not None:
-            self.manifest, synth_images = synth.generate_corpus(cfg.synth_config)
-            self.images = {rid: si.pixels for rid, si in synth_images.items()}
-            self.boxes = {rid: si.ground_truth_box for rid, si in synth_images.items()}
+            self.manifest, self.images, self.boxes = synth.generate_corpus(cfg.synth_config)
         else:
             self.manifest = mf.load_manifest(cfg.manifest_path)
             root = cfg.images_root or str(Path(cfg.manifest_path).parent)
-            self.images = synth.load_images(self.manifest, root, self.params.downsample)
+            self.images = {r.id: synth.read_record(root, r, self.params.downsample) for r in self.manifest}
             self.boxes = {}
         self.by_id = self.manifest.by_id()
         self.pyramid = ft.PyramidConfig(cfg.pyramid_levels)
@@ -632,7 +635,7 @@ def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] =
     # whole, and the sweep's full-n run (trial 0's balanced raw run), share a key
     plan = []
     for sp_name, sp_set in species_opts:
-        man = mf.filter_manifest(ctx.manifest, species=sp_set, min_images_per_individual=1)
+        man = mf.filter_manifest(ctx.manifest, species=sp_set, has_individual=True)
         classes = sorted({r.individual for r in man})
         if len(classes) < 2:
             raise ValueError(f"{sp_name}: need at least 2 individuals")
@@ -664,7 +667,7 @@ def run_joint_individuals(cfg: ExperimentConfig, ctx: Optional[PipelineContext] 
     """Single head over the union of tiger and leopard individuals;
     per-individual sensitivity and specificity, sorted by sensitivity."""
     ctx = _context(cfg, ctx)
-    man = mf.filter_manifest(ctx.manifest, min_images_per_individual=1)
+    man = mf.filter_manifest(ctx.manifest, has_individual=True)
     n_species = len({r.species for r in man})
     if n_species < 2:
         raise ValueError("joint study needs individuals from 2 species")

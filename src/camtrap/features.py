@@ -42,6 +42,11 @@ def check_net_values(channels: Optional[Sequence[int]] = None, levels: Optional[
             raise ValueError(f"{name} must be {least} or more ints >= 1, got {tuple(values)!r}")
 
 
+def receptive_field(channels: Sequence[int]) -> int:
+    """The least image side a net with this channel chain reads: 2^layers px, as each layer halves it."""
+    return 2 ** (len(channels) - 1)
+
+
 @dataclass(frozen=True)
 class PyramidConfig:
     levels: Tuple[int, ...] = (1, 2)
@@ -68,7 +73,7 @@ class ConvNetParams:
 
     @property
     def downsample(self) -> int:
-        return 2 ** self.n_layers
+        return receptive_field(self.channels)
 
     @property
     def out_channels(self) -> int:

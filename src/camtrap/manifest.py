@@ -244,9 +244,10 @@ def filter_manifest(
     m: Manifest,
     species: Optional[Sequence[str]] = None,
     illumination: Optional[str] = None,
-    min_images_per_individual: Optional[int] = None,
+    has_individual: bool = False,
 ) -> Manifest:
-    """Keep records satisfying every given predicate, order preserved."""
+    """Keep records satisfying every given predicate, order preserved;
+    `has_individual` keeps only records with an individual label."""
     records = list(m.records)
     if species is not None:
         wanted = set(species)
@@ -258,16 +259,8 @@ def filter_manifest(
         if illumination not in ("day", "night"):
             raise ValueError(f"illumination must be day or night, got {illumination!r}")
         records = [r for r in records if r.illumination == illumination]
-    if min_images_per_individual is not None:
-        counts = Counter(
-            (r.species, r.individual) for r in records if r.individual is not None
-        )
-        records = [
-            r
-            for r in records
-            if r.individual is not None
-            and counts[(r.species, r.individual)] >= min_images_per_individual
-        ]
+    if has_individual:
+        records = [r for r in records if r.individual is not None]
     return Manifest(records=tuple(records))
 
 

@@ -4,7 +4,7 @@ Positives carry one planted texture patch (stripes for tiger, spots for
 leopard, checker for other species); pattern parameters are a fixed function
 of (species, individual, seed) so individuals are identifiable.  Negatives
 contain background clutter only.  Every pixel depends only on (config,
-record id), so generation order never matters.
+manifest record), so generation order never matters.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -70,13 +70,6 @@ class SynthConfig:
             raise ValueError("night_fraction must lie in [0,1]")
         if self.n_negatives < 0:
             raise ValueError("n_negatives must be >= 0")
-
-
-@dataclass(frozen=True)
-class SynthImage:
-    pixels: np.ndarray  # H x W x 3, float in [0,1]
-    record: ImageRecord
-    ground_truth_box: Optional[Tuple[int, int, int, int]]  # x0,y0,x1,y1 half-open
 
 
 def _rng_for(*parts) -> np.random.Generator:
@@ -215,9 +208,11 @@ def _night_indices(n: int, fraction: float):
     return {i for i in range(n) if math.floor((i + 1) * fraction) > math.floor(i * fraction)}
 
 
-def render_image(cfg: SynthConfig, record_id: str, species: str, individual, night: bool):
-    """Render one image; pure function of (cfg, record id and its labels)."""
-    rng = _rng_for(cfg.seed, "img", record_id)
+def render_image(cfg: SynthConfig, record: ImageRecord):
+    """(H x W x 3 pixels in [0,1], planted box x0,y0,x1,y1 half-open or None)
+    of one record; a pure function of (cfg, record)."""
+    rid, species, individual = record.id, record.species, record.individual
+    rng = _rng_for(cfg.seed, "img", rid)
     img = _background(rng, cfg.image_size)
     box = None
     if species == "unclassified":
@@ -225,7 +220,7 @@ def render_image(cfg: SynthConfig, record_id: str, species: str, individual, nig
     else:
         img = _add_clutter(rng, img, int(rng.integers(0, 2)))
         spec = next(s for s in cfg.species_specs if s.name == species)
-        sig_key = individual if individual is not None else record_id
+        sig_key = individual if individual is not None else rid
         rng_sig = _rng_for(cfg.seed, "sig", species, sig_key)
         offset = _rng_for(cfg.seed, "colors", species).uniform(0, 1, size=3)
         band = _SPECIES_RED_BAND[species]
@@ -238,30 +233,20 @@ def render_image(cfg: SynthConfig, record_id: str, species: str, individual, nig
             )
         sig = _pattern_signature(spec.family, rng_sig, tint)
         box = _plant_patch(rng, img, spec.family, sig)
-    if night:
+    if record.illumination == "night":
         img = img * 0.35 + rng.normal(0.0, 0.05, size=img.shape)
     return np.clip(img, 0.0, 1.0), box
 
 
 def generate_corpus(cfg: SynthConfig, out_dir=None):
-    """Build the full corpus.  Returns (manifest, {id: SynthImage}); when
-    out_dir is given also writes PPM images plus manifest.csv there."""
+    """Build the full corpus.  Returns (manifest, {id: pixels}, {id: planted
+    box} of the positives); when out_dir is given also writes PPM images plus
+    manifest.csv there."""
     records = []
-    images: Dict[str, SynthImage] = {}
 
     def add(record_id, species, individual, night):
-        pixels, box = render_image(cfg, record_id, species, individual, night)
-        rec = ImageRecord(
-            id=record_id,
-            path=f"{record_id}.ppm",
-            species=species,
-            individual=individual,
-            illumination="night" if night else "day",
-            width=cfg.image_size,
-            height=cfg.image_size,
-        )
-        records.append(rec)
-        images[record_id] = SynthImage(pixels=pixels, record=rec, ground_truth_box=box)
+        records.append(ImageRecord(id=record_id, path=f"{record_id}.ppm", species=species, individual=individual,
+                                   illumination="night" if night else "day", width=cfg.image_size, height=cfg.image_size))
 
     for spec in cfg.species_specs:
         if spec.n_individuals > 0:
@@ -281,24 +266,18 @@ def generate_corpus(cfg: SynthConfig, out_dir=None):
         add(f"unclassified-xx-{i:03d}", "unclassified", None, i in nights)
 
     manifest = Manifest(records=tuple(records))
+    pixels, boxes = {}, {}
+    for r in manifest:
+        pixels[r.id], box = render_image(cfg, r)
+        if box is not None:
+            boxes[r.id] = box
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for rid, im in images.items():
-            write_ppm(out_dir / im.record.path, im.pixels)
+        for r in manifest:
+            write_ppm(out_dir / r.path, pixels[r.id])
         save_manifest(manifest, out_dir / "manifest.csv")
-    return manifest, images
-
-
-def ground_truth_mask(img: SynthImage) -> np.ndarray:
-    """Binary H x W mask, 1 inside the planted box."""
-    if img.ground_truth_box is None:
-        raise ValueError(f"{img.record.id}: negative image has no ground-truth box")
-    h, w = img.pixels.shape[:2]
-    mask = np.zeros((h, w), dtype=np.uint8)
-    x0, y0, x1, y1 = img.ground_truth_box
-    mask[y0:y1, x0:x1] = 1
-    return mask
+    return manifest, pixels, boxes
 
 
 def write_ppm(path, pixels: np.ndarray) -> None:
@@ -337,14 +316,12 @@ def read_ppm(path, min_side: int = 1) -> np.ndarray:
     return pixels.reshape(h, w, 3).astype(np.float64) / float(maxval)
 
 
-def load_images(manifest: Manifest, root, min_side: int = 1) -> Dict[str, np.ndarray]:
-    """Read all manifest images (PPM) from a root directory; each must have
-    the width and height its record gives, and no side below `min_side`."""
-    images = {}
-    for r in manifest:
-        path = Path(root) / r.path
-        images[r.id] = read_ppm(path, min_side)
-        h, w = images[r.id].shape[:2]
-        if (w, h) != (r.width, r.height):
-            raise ValueError(f"{path}: image is {w}x{h}, manifest says {r.width}x{r.height}")
-    return images
+def read_record(root, record: ImageRecord, min_side: int = 1) -> np.ndarray:
+    """Read one record's PPM under a root directory; it must have the width
+    and height the record gives, and no side below `min_side`."""
+    path = Path(root) / record.path
+    pixels = read_ppm(path, min_side)
+    h, w = pixels.shape[:2]
+    if (w, h) != (record.width, record.height):
+        raise ValueError(f"{path}: image is {w}x{h}, manifest says {record.width}x{record.height}")
+    return pixels

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,7 @@ class TestConfigFile:
         for text, key in (("segment = true\npatch_size = 2\n", "patch_size"),
                           ("fractions = 1.5\n", "fractions"),
                           ("image_size = 0\n", "image_size"),
+                          ("image_size = 3\n", "image_size 3 is smaller than the network's receptive field of 4 px"),
                           ("svm_epochs = 0\n", "svm_epochs must be >= 1, got 0"),
                           ("svm_lambda = 0.0\n", "svm_lambda must be > 0, got 0.0"),
                           ("split_fraction = 1.5\n", "split_fraction must be in (0,1), got 1.5"),
@@ -256,6 +258,19 @@ class TestConfigFile:
             code = cli.main(["experiment", "volume", "--jobs", jobs, "--out", str(tmp_path / "o")])
             err = capsys.readouterr().err
             assert code == 2 and f"jobs must be >= 1, got {jobs}" in err, err
+            assert not (tmp_path / "o").exists()
+
+    def test_segment_with_manifest_exit_2_names_both_before_reading(self, corpus, tmp_path, capsys, monkeypatch):
+        def no_read(*_):
+            raise AssertionError("image read before the config was checked")
+
+        monkeypatch.setattr(cli.synth, "read_ppm", no_read)
+        path, manifest = tmp_path / "c.toml", str(corpus / "manifest.csv")
+        path.write_text("segment = true\n")
+        for protocol in ("individual", "joint-individuals"):
+            code, _, err = run(["experiment", protocol, "--manifest", manifest, "--config", str(path),
+                                "--out", str(tmp_path / "o")], capsys)
+            assert code == 2 and str(path) in err and f"{manifest} has none" in err, err
             assert not (tmp_path / "o").exists()
 
 
@@ -291,6 +306,45 @@ class TestPipeline:
                          "--species", "tiger", "--epochs", "5", "--out", str(head)])
         assert code == 0
         assert "tiger one" in wsddn.load_head(head).class_names
+
+    def test_train_species_one_species_exit_2_names_manifest(self, corpus, tmp_path, capsys):
+        lines = (corpus / "manifest.csv").read_text().splitlines(keepends=True)
+        manifest = tmp_path / "tigers.csv"
+        manifest.write_text(lines[0] + "".join(line for line in lines[1:] if ",tiger," in line))
+        code, _, err = run(["train-species", "--manifest", str(manifest), "--images", str(corpus),
+                            "--out", str(tmp_path / "h")], capsys)
+        assert code == 2 and f"{manifest}: need images of at least 2 species" in err, err
+        assert not (tmp_path / "h").exists()
+
+    def test_train_individual_no_labels_exit_2_names_manifest(self, corpus, tmp_path, capsys):
+        lines = (corpus / "manifest.csv").read_text().splitlines(keepends=True)
+        manifest = tmp_path / "unlabeled.csv"
+        manifest.write_text(lines[0] + "".join(line for line in lines[1:] if ",tiger," not in line
+                                               and ",leopard," not in line))
+        for species in ([], ["--species", "chital"]):
+            code, _, err = run(["train-individual", "--manifest", str(manifest), "--images", str(corpus),
+                                "--out", str(tmp_path / "h"), *species], capsys)
+            assert code == 2 and f"{manifest}: no record" in err and "has an individual label" in err, err
+        assert not (tmp_path / "h").exists()
+
+    def test_train_holds_one_image_at_a_time(self, tmp_path):
+        # each image is read, pooled and dropped: the traced peak of
+        # train-detect does not grow with the number of images it reads
+        assert cli.main(["synth", "--seed", "3", "--individuals", "1", "--images-per-individual", "5",
+                         "--negatives", "5", "--image-size", "128", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "manifest.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "five.csv").write_text(lines[0] + "".join(lines[1::4]))
+        peaks = {}
+        for name in ("manifest.csv", "five.csv"):  # 20 images, then 5
+            tracemalloc.start()
+            try:
+                assert cli.main(["train-detect", "--manifest", str(tmp_path / name), "--images", str(tmp_path),
+                                 "--out", str(tmp_path / "det.model"), "--epochs", "1"]) == 0
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        image_bytes = 128 * 128 * 3 * 8  # one image's float64 pixels
+        assert peaks["manifest.csv"] - peaks["five.csv"] < image_bytes, peaks
 
     def test_bad_head_training_value_exit_2_names_field(self, corpus, tmp_path, capsys, monkeypatch):
         # the config is checked before any image is read or any feature extracted

@@ -347,7 +347,7 @@ class TestIndividual:
         # tiger_00 keeps 5 of its 8 images: every tiger and joint balanced run
         # differs from its unbalanced run and is fitted on its own; only the
         # leopard balanced run repeats
-        man, _ = synth.generate_corpus(SMALL_SYNTH, tmp_path / "corpus")
+        man, _, _ = synth.generate_corpus(SMALL_SYNTH, tmp_path / "corpus")
         drop = {"tiger-00-001", "tiger-00-004", "tiger-00-006"}
         mf.save_manifest(mf.Manifest(tuple(r for r in man if r.id not in drop)), tmp_path / "corpus" / "manifest.csv")
         cfg = ex.ExperimentConfig(protocol="individual", manifest_path=str(tmp_path / "corpus" / "manifest.csv"),

@@ -256,28 +256,12 @@ class TestSubsample:
 
 
 class TestFilter:
-    def individuals_manifest(self):
-        """3 tigers and 21 leopards with > 100 images; others below."""
-        recs, i = [], 0
-        tiger_counts = [120, 110, 105, 60, 30]
-        leopard_counts = [101 + 2 * k for k in range(21)] + [80, 40]
-        for k, n in enumerate(tiger_counts):
-            for _ in range(n):
-                recs.append(record(i, "tiger", f"tiger_{k:02d}"))
-                i += 1
-        for k, n in enumerate(leopard_counts):
-            for _ in range(n):
-                recs.append(record(i, "leopard", f"leopard_{k:02d}"))
-                i += 1
-        return mf.Manifest(tuple(recs))
-
-    def test_min_images_per_individual(self):
-        m = self.individuals_manifest()
-        kept = mf.filter_manifest(m, min_images_per_individual=100)
-        individuals = {(r.species, r.individual) for r in kept}
-        assert sum(1 for s, _ in individuals if s == "tiger") == 3
-        assert sum(1 for s, _ in individuals if s == "leopard") == 21
-        assert len(individuals) == 24
+    def test_has_individual_keeps_labeled_records(self):
+        m = mf.Manifest((record(0, "tiger", "tiger_00"), record(1, "tiger"), record(2, "leopard", "leopard_00"),
+                         record(3, "chital"), record(4, "leopard", "leopard_01", "night")))
+        assert mf.filter_manifest(m, has_individual=True).ids() == ["r0", "r2", "r4"]
+        assert mf.filter_manifest(m, species=["leopard"], has_individual=True).ids() == ["r2", "r4"]
+        assert len(mf.filter_manifest(m, species=["chital"], has_individual=True)) == 0
 
     def test_illumination_filter_empties(self):
         m = mf.Manifest(tuple(record(i, illumination="night") for i in range(4)))

@@ -1,6 +1,8 @@
-"""Synthetic corpus: bookkeeping, determinism, night rendering, ground-truth
-masks, PPM round trips, and the individual-separability oracle."""
+"""Synthetic corpus: bookkeeping, determinism, night rendering, the pixel
+and planted-box maps, PPM round trips, and the individual-separability
+oracle."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -24,24 +26,20 @@ def corpus_checksum(images):
     h = hashlib.sha256()
     for rid in sorted(images):
         h.update(rid.encode())
-        h.update(images[rid].pixels.tobytes())
+        h.update(images[rid].tobytes())
     return h.hexdigest()
 
 
 class TestGenerate:
     def test_bookkeeping(self):
-        man, images = synth.generate_corpus(small_config())
+        man, pixels, _ = synth.generate_corpus(small_config())
         counts = man.species_counts()
         assert counts["tiger"] == 30 and counts["leopard"] == 30
         assert counts["unclassified"] == 10
-        assert len(man) == 70 and len(images) == 70
-        positives = [im for im in images.values() if im.record.has_animal]
-        assert all(im.ground_truth_box is not None for im in positives)
-        negatives = [im for im in images.values() if not im.record.has_animal]
-        assert all(im.ground_truth_box is None for im in negatives)
+        assert len(man) == 70 and list(pixels) == man.ids()
 
     def test_individual_labels(self):
-        man, _ = synth.generate_corpus(small_config())
+        man, _, _ = synth.generate_corpus(small_config())
         tigers = {r.individual for r in man if r.species == "tiger"}
         assert tigers == {"tiger_00", "tiger_01", "tiger_02"}
         per = [sum(1 for r in man if r.individual == t) for t in sorted(tigers)]
@@ -49,33 +47,33 @@ class TestGenerate:
 
     def test_determinism(self):
         cfg = small_config()
-        _, a = synth.generate_corpus(cfg)
-        _, b = synth.generate_corpus(cfg)
+        _, a, _ = synth.generate_corpus(cfg)
+        _, b, _ = synth.generate_corpus(cfg)
         assert corpus_checksum(a) == corpus_checksum(b)
 
     def test_seed_changes_pixels(self):
-        _, a = synth.generate_corpus(small_config(seed=0))
-        _, b = synth.generate_corpus(small_config(seed=1))
+        _, a, _ = synth.generate_corpus(small_config(seed=0))
+        _, b, _ = synth.generate_corpus(small_config(seed=1))
         assert corpus_checksum(a) != corpus_checksum(b)
 
     def test_pixels_and_boxes_in_bounds(self):
-        _, images = synth.generate_corpus(small_config())
-        for im in images.values():
-            assert im.pixels.shape == (64, 64, 3)
-            assert im.pixels.min() >= 0.0 and im.pixels.max() <= 1.0
-            if im.ground_truth_box is not None:
-                x0, y0, x1, y1 = im.ground_truth_box
-                assert 0 <= x0 < x1 <= 64 and 0 <= y0 < y1 <= 64
+        _, pixels, boxes = synth.generate_corpus(small_config())
+        for px in pixels.values():
+            assert px.shape == (64, 64, 3)
+            assert px.min() >= 0.0 and px.max() <= 1.0
+        for x0, y0, x1, y1 in boxes.values():
+            assert 0 <= x0 < x1 <= 64 and 0 <= y0 < y1 <= 64
 
     def test_night_darker_than_day(self):
         cfg = small_config()
-        rid = "tiger-00-000"
-        day, _ = synth.render_image(cfg, rid, "tiger", "tiger_00", night=False)
-        night, _ = synth.render_image(cfg, rid, "tiger", "tiger_00", night=True)
+        record = synth.generate_corpus(cfg)[0].by_id()["tiger-00-000"]
+        assert record.illumination == "day"
+        day, _ = synth.render_image(cfg, record)
+        night, _ = synth.render_image(cfg, dataclasses.replace(record, illumination="night"))
         assert night.mean() < day.mean()
 
     def test_night_fraction_counts(self):
-        man, _ = synth.generate_corpus(small_config(night_fraction=0.5))
+        man, _, _ = synth.generate_corpus(small_config(night_fraction=0.5))
         nights = sum(1 for r in man if r.illumination == "night")
         assert abs(nights - len(man) / 2) <= len(man) * 0.1
 
@@ -86,29 +84,18 @@ class TestGenerate:
             small_config(night_fraction=1.5)
 
 
-class TestGroundTruthMask:
-    def test_mask_area_equals_box(self):
-        _, images = synth.generate_corpus(small_config())
-        im = images["tiger-00-000"]
-        mask = synth.ground_truth_mask(im)
-        x0, y0, x1, y1 = im.ground_truth_box
-        assert int(mask.sum()) == (x1 - x0) * (y1 - y0)
-        assert mask[y0, x0] == 1 and mask[y1 - 1, x1 - 1] == 1
-        if y0 > 0:
-            assert mask[y0 - 1, x0] == 0
+class TestCorpusMaps:
+    def test_boxes_hold_exactly_the_positives(self):
+        man, _, boxes = synth.generate_corpus(small_config())
+        assert list(boxes) == [r.id for r in man if r.has_animal]
 
-    def test_negative_rejected(self):
-        _, images = synth.generate_corpus(small_config())
-        with pytest.raises(ValueError):
-            synth.ground_truth_mask(images["unclassified-xx-000"])
-
-    def test_full_box_all_ones(self):
-        im = synth.SynthImage(
-            pixels=np.zeros((8, 8, 3)),
-            record=next(iter(synth.generate_corpus(small_config())[0])),
-            ground_truth_box=(0, 0, 8, 8),
-        )
-        assert synth.ground_truth_mask(im).all()
+    def test_pixels_equal_render_image(self):
+        cfg = small_config(night_fraction=0.4)
+        man, pixels, boxes = synth.generate_corpus(cfg)
+        for r in man:
+            px, box = synth.render_image(cfg, r)
+            assert px.tobytes() == pixels[r.id].tobytes(), r.id
+            assert box == boxes.get(r.id), r.id
 
 
 class TestPpm:
@@ -178,15 +165,13 @@ class TestPpm:
                 synth.read_ppm(path)
 
     def test_corpus_written_to_disk(self, tmp_path):
-        man, images = synth.generate_corpus(small_config(), out_dir=tmp_path)
+        man, pixels, _ = synth.generate_corpus(small_config(), out_dir=tmp_path)
         assert (tmp_path / "manifest.csv").exists()
-        loaded = synth.load_images(man, tmp_path)
-        assert set(loaded) == set(images)
-        rid = "leopard-01-002"
-        assert np.abs(loaded[rid] - images[rid].pixels).max() <= 1.0 / 255.0 + 1e-12
+        for r in man:
+            assert np.abs(synth.read_record(tmp_path, r) - pixels[r.id]).max() <= 1.0 / 255.0 + 1e-12
 
 
-def nearest_centroid_accuracy(images, species, size=8):
+def nearest_centroid_accuracy(man, pixels, species, size=8):
     """Held-out nearest-centroid over raw downsampled pixels, leave-one-out."""
     def down(px):
         h, w = px.shape[:2]
@@ -194,11 +179,7 @@ def nearest_centroid_accuracy(images, species, size=8):
             size, h // size, size, w // size, 3
         ).mean(axis=(1, 3)).ravel()
 
-    items = [
-        (im.record.individual, down(im.pixels))
-        for im in images.values()
-        if im.record.species == species
-    ]
+    items = [(r.individual, down(pixels[r.id])) for r in man if r.species == species]
     labels = sorted({lab for lab, _ in items})
     correct = 0
     for i, (true, vec) in enumerate(items):
@@ -221,7 +202,7 @@ class TestSeparability:
             n_negatives=0,
             seed=0,
         )
-        _, images = synth.generate_corpus(cfg)
+        man, pixels, _ = synth.generate_corpus(cfg)
         for species in ("tiger", "leopard"):
-            acc = nearest_centroid_accuracy(images, species)
+            acc = nearest_centroid_accuracy(man, pixels, species)
             assert acc > 0.9, (species, acc)
