@@ -227,6 +227,10 @@ def _cmd_segment(args) -> int:
     pp = seg.PairwiseParams(args.w, args.theta_pos, args.theta_color, args.iterations)
     params, pyramid = _net_and_pyramid(args)
     image = synth.read_ppm(args.image, params.downsample)
+    h, w = image.shape[:2]
+    if args.patch_size > min(h, w):
+        raise ValueError(f"{args.image}: --patch-size {args.patch_size} is larger than the shorter side "
+                         f"of the {w}x{h} image")
     detector = svm.load_model(args.detector)
     dim = ft.feature_dim(params, pyramid)
     if detector.dim != dim:

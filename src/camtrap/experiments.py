@@ -6,12 +6,16 @@ base_seed + trial index, aggregation order is fixed by that index, and CSV
 bytes are reproducible and do not depend on ``jobs``.
 
 ``jobs`` threads, the calling thread one of them, share per-image feature
-work (`_map_images`): every runner first pools each image it will read into
-the `PipelineContext`, and a segmented run computes its masked images'
-region features on them.  The conv GEMMs are numpy work that releases the
-GIL; keep jobs x BLAS threads <= cores.  Every SVM and head fit, the
-segmented runs' patch masks, and all scoring run on the calling thread in
-trial-index order.
+work (`_map_images`).  The detector sweeps and `illumination` read only
+full-frame rows: they pool each image's full frame alone on those threads
+(`PipelineContext.image_feature`, not cached) and fit their detectors in
+lockstep (`svm.train_linear_svms`).  The runners that train heads first
+pool every proposal window of each image they will read into the
+`PipelineContext`, and a segmented run pools the patch grid too and
+computes its masked images' region features on the threads.  The conv GEMMs
+are numpy work that releases the GIL; keep jobs x BLAS threads <= cores.
+Every SVM and head fit, the segmented runs' patch masks, and all scoring
+run on the calling thread in trial-index order.
 
 Runners that train heads (species, individual, joint-individuals) plan every
 trial's fits, build each distinct fit's dataset, fit the heads in one
@@ -100,8 +104,12 @@ class ExperimentConfig:
         if self.synth_config is not None and self.synth_config.image_size < ft.receptive_field(self.channels):
             raise ValueError(f"image_size {self.synth_config.image_size} is smaller than the network's receptive "
                              f"field of {ft.receptive_field(self.channels)} px a side")
-        if self.segment and self.synth_config is None and self.protocol in ("individual", "joint-individuals"):
-            raise ValueError(f"segment = true needs a synthetic corpus's planted boxes, and {self.manifest_path} has none")
+        if self.segment and self.protocol in ("individual", "joint-individuals"):
+            if self.synth_config is None:
+                raise ValueError(f"segment = true needs a synthetic corpus's planted boxes, and {self.manifest_path} has none")
+            if self.patch_size > self.synth_config.image_size:
+                raise ValueError(f"patch_size {self.patch_size} is larger than image_size "
+                                 f"{self.synth_config.image_size}: segment = true needs patches within the image")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -146,8 +154,14 @@ class PipelineContext:
         return seg.PatchGrid(self.cfg.patch_size, r.width, r.height)
 
     def image_feature(self, rid: str) -> np.ndarray:
-        # the full image is the last proposed region, so one conv pass serves both
-        return self.region_features(rid).matrix[-1]
+        """The image's full-frame row: the last of its windows' rows if those
+        are pooled (the full frame is the last window), else the full frame
+        pooled alone, with the same bytes and not cached."""
+        if rid in self._region_feats:
+            return self._region_feats[rid].matrix[-1]
+        r = self.by_id[rid]
+        full = [ft.Region(0, 0, r.width, r.height)]
+        return ft.extract_region_features(self.images[rid], full, self.params, self.pyramid).matrix[0]
 
     def region_features(self, rid: str) -> ft.RegionFeatures:
         if rid not in self._region_feats:
@@ -238,11 +252,14 @@ def _trials(cfg: ExperimentConfig):
     return [(t, cfg.base_seed + t) for t in range(cfg.n_seeds)]
 
 
+def _presence_labels(ctx, ids) -> np.ndarray:
+    """+1 (animal) / -1 (no animal) per image."""
+    return np.array([1.0 if ctx.by_id[i].has_animal else -1.0 for i in ids])
+
+
 def _presence_rows(ctx, ids):
-    """Full-image feature rows and their +1 (animal) / -1 (no animal) labels."""
-    x = np.stack([ctx.image_feature(i) for i in ids])
-    y = np.array([1.0 if ctx.by_id[i].has_animal else -1.0 for i in ids])
-    return x, y
+    """Full-image feature rows and their presence labels."""
+    return np.stack([ctx.image_feature(i) for i in ids]), _presence_labels(ctx, ids)
 
 
 def _fit_detector(cfg, x, y, seed) -> svm.LinearModel:
@@ -259,13 +276,12 @@ def _fit_heads(cfg, fits) -> List[wsddn.TwoStreamHead]:
 def _detector_metrics(ctx, cfg, plans) -> List[dict]:
     """Train and test measures of one detector per (train ids, validation ids,
     seed) plan; the detectors are fitted in lockstep on one matrix of the
-    plans' full-image rows."""
+    plans' full-image rows, each image's full frame pooled alone."""
     if not plans:
         return []
     ids = list(dict.fromkeys(i for train, val, _ in plans for i in (*train, *val)))
     row_of = {rid: n for n, rid in enumerate(ids)}
-    _map_images(cfg, ctx.region_features, ids)
-    x, y = _presence_rows(ctx, ids)
+    x, y = np.stack(_map_images(cfg, ctx.image_feature, ids)), _presence_labels(ctx, ids)
     index = [([row_of[i] for i in train], [row_of[i] for i in val]) for train, val, _ in plans]
     fits = [(rows, y[rows], seed) for (rows, _), (_, _, seed) in zip(index, plans)]
     models = svm.train_linear_svms(x, fits, cfg.svm_epochs, cfg.svm_lambda)

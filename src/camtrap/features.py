@@ -9,6 +9,7 @@ fine-tuning.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -251,33 +252,53 @@ def _cell_spans(lo: np.ndarray, hi: np.ndarray, g: int) -> Tuple[np.ndarray, np.
     return a, np.where(empty, a + 1, b)
 
 
+# two plans, because a segmented run alternates between an image's windows
+# and its windows plus patch grid; a 1920 x 1080 frame's plan at the default
+# windows and levels holds 7.4 MB
+@functools.lru_cache(maxsize=2)
+def _spp_plan(fh: int, fw: int, boxes: Tuple[Tuple[int, int, int, int], ...], levels: Tuple[int, ...],
+              downsample: int) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+    """`spp_pool`'s gather plan for an fh x fw map and regions `boxes`
+    (x0, y0, x1, y1): per cell height and width, the flat indices of those
+    cells in the (R * n_cells) output and the (cells, height * width) flat
+    indices of the map pixels each reads; all read-only.  One plan serves
+    every same-size image with the same windows, as in SPP-net."""
+    size = np.array([fh, fw])
+    box = np.array(boxes, dtype=np.int64).reshape(-1, 4)[:, [1, 0, 3, 2]]  # y0, x0, y1, x1
+    lo = np.minimum(box[:, :2] // downsample, size - 1)  # (R, 2): y, x
+    hi = np.maximum(np.minimum(-(-box[:, 2:] // downsample), size), lo + 1)
+    shape, corner = [], []  # per cell: height and width as one key; top-left pixel
+    for g in levels:  # cells level-major, then row-major
+        a, b = _cell_spans(lo, hi, g)  # (R, 2, g): row spans, then column spans
+        h, w = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+        shape.append((h[:, :, None] * (fw + 1) + w[:, None, :]).reshape(-1, g * g))
+        corner.append((a[:, 0, :, None] * fw + a[:, 1, None, :]).reshape(-1, g * g))
+    shape, corner = np.concatenate(shape, axis=1).ravel(), np.concatenate(corner, axis=1).ravel()
+    plan = []
+    for key in set(shape.tolist()):  # np.unique imports numpy.ma: ~1 MiB of RSS
+        cells = np.flatnonzero(shape == key)
+        hh, ww = divmod(key, fw + 1)
+        gather = corner[cells][:, None] + (np.arange(hh)[:, None] * fw + np.arange(ww)).ravel()
+        for a in (cells, gather):
+            a.flags.writeable = False
+        plan.append((cells, gather))
+    return tuple(plan)
+
+
 def spp_pool(
     fmap: np.ndarray, regions: Sequence[Region], pyramid: PyramidConfig, downsample: int = 1
 ) -> np.ndarray:
     """Max-pool each region over nested g x g grids, one (R, C * n_cells) row
     per region: level-major, cells row-major, channels fastest.  The cells of
-    all regions are grouped by height and width, and each group is one gather
-    of its cells' pixels and one max."""
+    all regions are grouped by height and width (`_spp_plan`), and each
+    group is one gather of its cells' pixels and one max."""
     fh, fw, c = fmap.shape
-    size = np.array([fh, fw])
-    box = np.array([(r.y0, r.x0, r.y1, r.x1) for r in regions], dtype=np.int64).reshape(-1, 4)
-    lo = np.minimum(box[:, :2] // downsample, size - 1)  # (R, 2): y, x
-    hi = np.maximum(np.minimum(-(-box[:, 2:] // downsample), size), lo + 1)
-    shape, corner = [], []  # per cell: height and width as one key; top-left row in `pixels`
-    for g in pyramid.levels:  # cells level-major, then row-major
-        a, b = _cell_spans(lo, hi, g)  # (R, 2, g): row spans, then column spans
-        h, w = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
-        shape.append((h[:, :, None] * (fw + 1) + w[:, None, :]).reshape(-1, g * g))
-        corner.append((a[:, 0, :, None] * fw + a[:, 1, None, :]).reshape(-1, g * g))
-    shape, corner = np.concatenate(shape, axis=1), np.concatenate(corner, axis=1)
+    plan = _spp_plan(fh, fw, tuple(r.as_tuple() for r in regions), pyramid.levels, downsample)
     pixels = fmap.reshape(fh * fw, c)
-    out = np.empty((len(box), pyramid.n_cells, c))
-    for key in set(shape.ravel().tolist()):  # np.unique imports numpy.ma: ~1 MiB of RSS
-        sel = shape == key
-        hh, ww = divmod(key, fw + 1)
-        offsets = (np.arange(hh)[:, None] * fw + np.arange(ww)).ravel()
-        out[sel] = pixels[corner[sel][:, None] + offsets].max(axis=1)
-    return out.reshape(len(box), pyramid.n_cells * c)
+    out = np.empty((len(regions) * pyramid.n_cells, c))
+    for cells, gather in plan:
+        out[cells] = pixels[gather].max(axis=1)
+    return out.reshape(len(regions), pyramid.n_cells * c)
 
 
 def feature_dim(params: ConvNetParams, pyramid: PyramidConfig) -> int:

@@ -116,12 +116,12 @@ def _stratum_key(record: ImageRecord, stratify_by: str):
         if record.individual is None:
             raise ValueError(f"record {record.id!r} has no individual label")
         return (record.species, record.individual)
-    if stratify_by == "presence":
-        return "animal" if record.has_animal else "unclassified"
-    raise ValueError(f"unknown stratify_by {stratify_by!r}")
+    return "animal" if record.has_animal else "unclassified"  # presence
 
 
 def _group_by_stratum(records: Iterable[ImageRecord], stratify_by: str) -> "OrderedDict":
+    if stratify_by not in ("species", "individual", "presence"):
+        raise ValueError(f"unknown stratify_by {stratify_by!r}")
     groups = OrderedDict()
     for r in records:
         groups.setdefault(_stratum_key(r, stratify_by), []).append(r)

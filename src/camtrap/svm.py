@@ -51,7 +51,8 @@ class LinearModel:
 def svm_objective(weights: np.ndarray, bias: float, lam: float, x: np.ndarray, y: np.ndarray) -> float:
     margins = y * (x @ weights + bias)
     hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * lam * float(weights @ weights) + float(hinge.mean())
+    # sum / n is hinge.mean() bit for bit, without its per-call Python overhead
+    return 0.5 * lam * float(weights @ weights) + float(hinge.sum()) / len(hinge)
 
 
 def _checked_rows(features, labels):
@@ -98,17 +99,26 @@ def _row_dots(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], w[:, :, None])[:, 0, 0]
 
 
+# global steps per block of the lockstep visit order (a few hundred KiB at
+# K = 100 fits)
+BLOCK_STEPS = 256
+
+
 def train_linear_svms(features: np.ndarray, fits, epochs: int, lam: float) -> List[LinearModel]:
     """One model per fit `(row indices, labels, seed)` on rows of the shared
     `features`, each byte-identical to
     ``train_linear_svm(features[rows], labels, SvmTrainConfig(epochs, lam, seed))``.
 
     Every fit is checked before any step.  The fits then run in lockstep:
-    global step t is step t of every fit still running.  Their current rows
-    form a (K, D) block; all K margins come from one batched product that
-    reduces like the single fit's ``x[i] @ w``, the shrink applies to all K
-    weight rows, and the update to the rows whose margin is below 1.  Fits
-    are sorted longest first, so those still running are a prefix.
+    global step t is step t of every fit still running.  Fits are sorted
+    longest first, so those still running are a prefix.  Their visit order
+    is laid out step-major, `BLOCK_STEPS` global steps at a time, each fit
+    drawing its epochs' permutations from its own generator in order; a
+    step reads one row of that block.  Its K current rows are gathered into
+    one (K, D) buffer, all K margins come from one batched product that
+    reduces like the single fit's ``x[i] @ w``, and the shrink applies to
+    all K weight rows.  A row whose margin is not below 1 gets a zero step,
+    so the update is one unmasked add of the scaled buffer.
     """
     check_train_values(epochs, lam)
     f = np.asarray(features, dtype=float)
@@ -125,42 +135,59 @@ def train_linear_svms(features: np.ndarray, fits, epochs: int, lam: float) -> Li
     k_all = len(order)
     w = np.zeros((k_all, f.shape[1]))
     b = np.zeros(k_all)
-    # each fit's current epoch: the feature row and label it visits at each position
-    visit_rows = np.zeros((k_all, n[0]), dtype=np.intp)
-    visit_y = np.zeros(visit_rows.shape)
-
-    def next_epoch(p):
-        perm = rngs[p].permutation(n[p])
-        visit_rows[p, : n[p]] = rows_of[p][perm]
-        visit_y[p, : n[p]] = y_of[p][perm]
-
     epoch_ends = {}  # global step -> the fits that end an epoch there
     for p in range(k_all):
-        next_epoch(p)
         for e in range(1, epochs + 1):
             epoch_ends.setdefault(e * n[p], []).append(p)
-    n_arr = np.array(n, dtype=np.intp)
-    fit_idx = np.arange(k_all)
+    undrawn = [np.zeros(0, dtype=np.intp)] * k_all  # each fit's drawn positions not yet laid out
+
+    def lay(p, count):
+        """The next `count` positions of fit p's visit order."""
+        while len(undrawn[p]) < count:
+            undrawn[p] = np.concatenate([undrawn[p], rngs[p].permutation(n[p])])
+        pos, undrawn[p] = undrawn[p][:count], undrawn[p][count:]
+        return pos
+
+    # rows and labels visited at each step of the block, step-major; zeroed,
+    # so rows past a fit's last step hold finite values, never uninitialized
+    # memory that `eta_y` could overflow on
+    idx = np.zeros((BLOCK_STEPS, k_all), dtype=np.intp)
+    ys = np.zeros((BLOCK_STEPS, k_all))
     objectives = [[] for _ in order]
     k = k_all
-    for t in range(1, epochs * n[0] + 1):
-        eta = 1.0 / (lam * t)
-        col = (t - 1) % n_arr[:k]  # each fit's position in its current epoch
-        xr = f[visit_rows[fit_idx[:k], col]]
-        yr = visit_y[fit_idx[:k], col]
-        wk, bk = w[:k], b[:k]
-        margin = yr * (_row_dots(xr, wk) + bk)
-        wk *= 1.0 - eta * lam
-        hit = margin < 1.0
-        step = eta * yr
-        np.add(wk, step[:, None] * xr, out=wk, where=hit[:, None])
-        np.add(bk, step, out=bk, where=hit)
-        for p in epoch_ends.get(t, ()):
-            objectives[p].append(svm_objective(w[p], b[p], lam, f[rows_of[p]], y_of[p]))
-            if len(objectives[p]) < epochs:
-                next_epoch(p)
-        while k and epochs * n[k - 1] == t:
-            k -= 1
+    last = epochs * n[0]
+    for t0 in range(1, last + 1, BLOCK_STEPS):
+        steps = min(BLOCK_STEPS, last + 1 - t0)
+        for p in range(k):
+            pos = lay(p, min(steps, epochs * n[p] + 1 - t0))
+            idx[: len(pos), p] = rows_of[p][pos]
+            ys[: len(pos), p] = y_of[p][pos]
+        eta = 1.0 / (lam * np.arange(t0, t0 + steps, dtype=float))
+        shrink = 1.0 - eta * lam
+        eta_y = eta[:, None] * ys[:steps, :k]
+        for s in range(steps):
+            t = t0 + s
+            xr = f.take(idx[s, :k], axis=0)
+            wk, bk = w[:k], b[:k]
+            margin = _row_dots(xr, wk)
+            margin += bk
+            margin *= ys[s, :k]
+            wk *= shrink[s]
+            # a row with margin >= 1 gets a zero step, and adding it keeps the
+            # bytes of skipping it: x + (+-0.0) changes only x = -0.0, and no weight
+            # or bias is ever -0.0.  Both start at +0.0; the first shrink factor
+            # 1 - (1/(lam t)) lam is 0.0 or tiny (1.1e-16 at lam 1e-5), never
+            # negative, as x * RN(1/x) <= 1; under round-to-nearest an exact
+            # cancellation gives +0.0.  (Later factors are about 0.5 or more, so
+            # only a weight of -2^-1074 shrunk at t = 2 could round to -0.0.)
+            step = (margin < 1.0) * eta_y[s, :k]
+            xr *= step[:, None]
+            wk += xr
+            bk += step
+            for p in epoch_ends.get(t, ()):
+                objectives[p].append(svm_objective(w[p], b[p], lam, f[rows_of[p]], y_of[p]))
+            while k and epochs * n[k - 1] == t:
+                k -= 1
     models = [None] * k_all
     for p, j in enumerate(order):
         models[j] = LinearModel(weights=w[p].copy(), bias=float(b[p]), lam=lam, objective_by_epoch=objectives[p])

@@ -273,6 +273,23 @@ class TestConfigFile:
             assert code == 2 and str(path) in err and f"{manifest} has none" in err, err
             assert not (tmp_path / "o").exists()
 
+    def test_segment_patch_larger_than_image_exit_2_names_key(self, tmp_path, capsys, monkeypatch):
+        def no_render(*args, **kwargs):
+            raise AssertionError("corpus rendered before the config was checked")
+
+        monkeypatch.setattr(cli.synth, "generate_corpus", no_render)
+        path = tmp_path / "c.toml"
+        path.write_text("image_size = 32\nsegment = true\npatch_size = 40\n")
+        for protocol in ("individual", "joint-individuals"):
+            code, _, err = run(["experiment", protocol, "--config", str(path), "--out", str(tmp_path / "o")], capsys)
+            assert code == 2 and str(path) in err and "patch_size 40 is larger than image_size 32" in err, err
+            assert not (tmp_path / "o").exists()
+        # a run that reads no patch mask takes any patch size
+        path.write_text("image_size = 32\nsegment = true\npatch_size = 40\nn_seeds = 1\nfractions = 1.0\n"
+                        "svm_epochs = 2\nn_negatives = 8\nindividuals = 2\nimages_per_individual = 4\n")
+        monkeypatch.undo()
+        assert run(["experiment", "volume", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
 
 class TestPipeline:
     def test_synth_writes_manifest(self, corpus):
@@ -439,6 +456,18 @@ class TestPipeline:
                                (["--channels", "3,0"], "channels must be 2 or more ints >= 1, got (3, 0)")):
             code, _, err = run(segment + flags, capsys)
             assert code == 2 and message in err, (flags, err)
+        assert not (tmp_path / "m.pbm").exists()
+
+    def test_segment_patch_larger_than_image_exit_2_names_flag_and_image(self, corpus, tmp_path, capsys, monkeypatch):
+        def no_read(*_):
+            raise AssertionError("model read before the patch size was checked")
+
+        monkeypatch.setattr(cli.svm, "load_model", no_read)
+        image = sorted(corpus.glob("tiger-*.ppm"))[0]  # 64 x 64
+        code, _, err = run(["segment", "--image", str(image), "--detector", str(tmp_path / "x.model"),
+                            "--out", str(tmp_path / "m.pbm"), "--patch-size", "65"], capsys)
+        assert code == 2
+        assert f"{image}: --patch-size 65 is larger than the shorter side of the 64x64 image" in err, err
         assert not (tmp_path / "m.pbm").exists()
 
     def test_segment_bad_scale_or_image_exit_2(self, corpus, tmp_path, capsys):

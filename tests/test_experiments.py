@@ -116,10 +116,47 @@ class TestConfig:
     @pytest.mark.parametrize("protocol", ["species", "volume"])
     def test_unsegmented_runners_pool_no_patch_grid(self, protocol):
         # segment = true sets only the individual runs' masks: a runner that
-        # reads no mask neither pools nor keeps an image's patch grid
+        # reads no mask neither pools nor keeps an image's patch grid, and a
+        # detector sweep pools no windows either, only each full frame
         ctx = ex.PipelineContext(config(protocol, segment=True))
         ex.run_protocol(config(protocol, segment=True, n_seeds=1, head_epochs=5, fractions=(1.0,)), ctx)
-        assert ctx._region_feats and not ctx._patch_rows
+        if protocol == "volume":
+            assert not ctx._region_feats and not ctx._patch_rows
+        else:
+            assert ctx._region_feats and not ctx._patch_rows
+
+
+def assert_image_feature_is_last_window_row(cfg):
+    """On a fresh context, each image's full frame pooled alone has the bytes
+    of the last row of its windows, pooled by another context."""
+    fresh, windows = ex.PipelineContext(cfg), ex.PipelineContext(cfg)
+    for rid in fresh.manifest.ids():
+        assert fresh.image_feature(rid).tobytes() == windows.region_features(rid).matrix[-1].tobytes(), rid
+    assert not fresh._region_feats
+
+
+class TestImageFeature:
+    def test_full_frame_alone_is_last_window_row(self):
+        assert_image_feature_is_last_window_row(config("volume"))
+
+    def test_full_frame_alone_on_mixed_size_ppms(self, tmp_path):
+        rng = np.random.default_rng(3)
+        records = []
+        for n, (w, h) in enumerate(((64, 64), (96, 48)) * 3):
+            synth.write_ppm(tmp_path / f"{n}.ppm", rng.random((h, w, 3)))
+            records.append(mf.ImageRecord(f"i{n}", f"{n}.ppm", ("tiger", "unclassified")[n % 2], None, "day", w, h))
+        mf.save_manifest(mf.Manifest(tuple(records)), tmp_path / "manifest.csv")
+        assert_image_feature_is_last_window_row(
+            ex.ExperimentConfig(protocol="volume", manifest_path=str(tmp_path / "manifest.csv")))
+
+    def test_volume_pools_each_image_once_with_one_region(self, monkeypatch):
+        pooled, spp_pool = [], ft.spp_pool
+        monkeypatch.setattr(ft, "spp_pool", lambda fmap, regions, *args, **kwargs: (
+            pooled.append(len(regions)) or spp_pool(fmap, regions, *args, **kwargs)))
+        cfg = config("volume", fractions=(0.5, 1.0))
+        ctx = ex.PipelineContext(cfg)
+        ex.run_protocol(cfg, ctx)
+        assert pooled == [1] * len(ctx.manifest)
 
 
 class TestDetectorSweeps:

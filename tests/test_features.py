@@ -324,6 +324,29 @@ class TestSppPool:
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
 
+    def test_plan_cache_cold_and_warm_give_reference_bytes(self):
+        # one plan per map size and window set: the first call builds it, and
+        # later maps of that size reuse it with the reference's bytes
+        rng = np.random.default_rng(5)
+        pyramid = ft.PyramidConfig((1, 2, 3))
+        regions = ft.propose_regions(40, 24, (0.5, 0.75)) + [ft.Region(3, 1, 9, 30)]
+        fmaps = [rng.uniform(-1, 1, size=(6, 10, 4)) for _ in range(3)]
+        ft._spp_plan.cache_clear()
+        cold = ft.spp_pool(fmaps[0], regions, pyramid, downsample=4)
+        assert ft._spp_plan.cache_info()[:2] == (0, 1)  # hits, misses
+        for fmap in fmaps:
+            got = ft.spp_pool(fmap, regions, pyramid, downsample=4)
+            assert got.tobytes() == reference_pooler(fmap, regions, pyramid, downsample=4).tobytes()
+        assert ft._spp_plan.cache_info()[:2] == (3, 1)
+        assert got is not cold and ft.spp_pool(fmaps[0], regions, pyramid, downsample=4).tobytes() == cold.tobytes()
+        plan = ft._spp_plan(6, 10, tuple(r.as_tuple() for r in regions), pyramid.levels, 4)
+        assert all(not a.flags.writeable for cells, gather in plan for a in (cells, gather))
+        for shape in ((5, 10, 4), (6, 9, 4), (6, 10, 4)):  # the cache keeps at most two plans
+            fmap = rng.uniform(-1, 1, size=shape)
+            got = ft.spp_pool(fmap, regions, pyramid, downsample=4)
+            assert got.tobytes() == reference_pooler(fmap, regions, pyramid, downsample=4).tobytes()
+        assert ft._spp_plan.cache_info().currsize == 2
+
 
 class TestExtract:
     def test_duplicate_regions_identical(self):

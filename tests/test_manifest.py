@@ -159,6 +159,14 @@ class TestStratifiedSplit:
         with pytest.raises(ValueError):
             mf.stratified_split(m, 0.5, seed=0, stratify_by="presence")
 
+    def test_stratum_key_errors_keep_their_messages(self):
+        m = mf.Manifest((record(0, "tiger", "tiger_00"), record(1, "tiger"), record(2, "tiger", "tiger_00")))
+        for corpus in (m, mf.Manifest(())):  # checked before any record is read
+            with pytest.raises(ValueError, match="^unknown stratify_by 'colour'$"):
+                mf.stratified_split(corpus, 0.5, seed=0, stratify_by="colour")
+        with pytest.raises(ValueError, match="^record 'r1' has no individual label$"):
+            mf.stratified_split(m, 0.5, seed=0, stratify_by="individual")
+
     def test_fraction_bounds(self):
         m = mf.Manifest(tuple(record(i) for i in range(4)))
         for bad in (0.0, 1.0, 1.5):

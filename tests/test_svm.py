@@ -166,7 +166,43 @@ lockstep_cases = st.tuples(
 )
 
 
+@st.composite
+def zero_step_cases(draw):
+    """(rows, column signs, fits, epochs, lambda): a small shared row matrix
+    of dyadic and non-dyadic values, whose columns a sign of -1 turns
+    negative and of 0 zeroes, and 1-6 fits `(rows, labels, seed)` of
+    unequal lengths, rows repeated, labels of several magnitudes."""
+    n_rows, dim = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    cell = st.sampled_from((0.0, 0.1, 0.25, 0.5, 1.0, 1.7, 2.0, 3.0))
+    rows = draw(st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=n_rows, max_size=n_rows))
+    signs = draw(st.lists(st.sampled_from((1.0, -1.0, 0.0)), min_size=dim, max_size=dim))
+    fits = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(2, 12))
+        picked = draw(st.lists(st.integers(0, n_rows - 1), min_size=n, max_size=n))
+        labels = draw(st.lists(st.sampled_from((-2.5, -1.0, -0.5, 0.5, 1.0, 3.0)), min_size=n, max_size=n))
+        if min(labels) > 0 or max(labels) < 0:
+            labels[0] = -labels[0]  # both classes
+        fits.append((picked, labels, draw(st.integers(0, 2**63 - 1))))
+    return rows, signs, fits, draw(st.integers(1, 4)), draw(st.sampled_from((1e-5, 1e-3, 0.1, 1.0, 7.5)))
+
+
 class TestLockstep:
+    @settings(max_examples=150, deadline=None)
+    @given(zero_step_cases())
+    # step 3 of both fits misses (margin >= 1): every row of the step gets a zero step
+    @example(([[1.0]], [1.0], [([0, 0], [2.0, -0.5], 0), ([0, 0], [2.0, -0.5], 1)], 2, 1.0))
+    # step 2 shrinks w to 0.5, and the step -0.5 cancels it to exactly 0
+    @example(([[1.0]], [1.0], [([0, 0], [1.0, -1.0], 0)], 2, 1.0))
+    def test_zero_steps_keep_single_fit_bytes(self, case):
+        rows, signs, fits, epochs, lam = case
+        features = np.array(rows) * np.array(signs)
+        want = single_fits(features, fits, epochs, lam)
+        assert_same_models(svm.train_linear_svms(features, fits, epochs, lam), want)
+        for block in (1, 5):  # many block boundaries, mid-epoch and at epoch ends
+            with mock.patch.object(svm, "BLOCK_STEPS", block):
+                assert_same_models(svm.train_linear_svms(features, fits, epochs, lam), want)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 30), st.integers(1, 200), st.integers(0, 2**32 - 1))
     def test_row_dots_round_like_one_dot(self, k, dim, data_seed):
