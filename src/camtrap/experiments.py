@@ -6,12 +6,13 @@ base_seed + trial index, aggregation order is fixed by that index, and CSV
 bytes are reproducible and do not depend on ``jobs``.
 
 ``jobs`` threads, the calling thread one of them, share per-image feature
-work (`_map_images`).  The detector sweeps and `illumination` read only
-full-frame rows: they pool each image's full frame alone on those threads
-(`PipelineContext.image_feature`, not cached) and fit their detectors in
-lockstep (`svm.train_linear_svms`).  The runners that train heads first
-pool every proposal window of each image they will read into the
-`PipelineContext`, and a segmented run pools the patch grid too and
+work (`_map_images`): each renders or reads an image's pixels as it pools
+it, and the `PipelineContext` keeps only the rows.  The detector sweeps and
+`illumination` read only full-frame rows: they pool each image's full frame
+alone on those threads (`PipelineContext.image_feature`, not cached) and fit
+their detectors in lockstep (`svm.train_linear_svms`).  The runners that
+train heads first pool every proposal window of each image they will read
+into the `PipelineContext`, and a segmented run pools the patch grid too and
 computes its masked images' region features on the threads.  The conv GEMMs
 are numpy work that releases the GIL; keep jobs x BLAS threads <= cores.
 Every SVM and head fit, the segmented runs' patch masks, and all scoring
@@ -129,9 +130,16 @@ class Report:
 
 
 class PipelineContext:
-    """Corpus images plus shared, lazily built caches of each image's
-    region features and patch-grid rows.  The context alone decides an
-    image's windows and patch grid, and which rows it pools."""
+    """A corpus and shared, lazily built caches of each image's region
+    features and patch-grid rows.  The context alone decides an image's
+    windows and patch grid, and which rows it pools.
+
+    It keeps feature rows, never pixels: `images` and `boxes` are read-only
+    maps (`synth.RecordMap`) that render or read a record's pixels on each
+    access, so pixels live only while an image is pooled (and, for a
+    segmented run, until its masked forwards).  The planted box of a
+    synthetic positive is kept once found, as a 4-tuple; pooling an image
+    finds it."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -141,7 +149,7 @@ class PipelineContext:
         else:
             self.manifest = mf.load_manifest(cfg.manifest_path)
             root = cfg.images_root or str(Path(cfg.manifest_path).parent)
-            self.images = {r.id: synth.read_record(root, r, self.params.downsample) for r in self.manifest}
+            self.images = synth.manifest_pixels(root, self.manifest, self.params.downsample)
             self.boxes = {}
         self.by_id = self.manifest.by_id()
         self.pyramid = ft.PyramidConfig(cfg.pyramid_levels)
@@ -165,7 +173,7 @@ class PipelineContext:
 
     def region_features(self, rid: str) -> ft.RegionFeatures:
         if rid not in self._region_feats:
-            self._pool(rid, patches=False)
+            self._pool(rid, self.images[rid], patches=False)
         return self._region_feats[rid]
 
     def patch_rows(self, rid: str) -> np.ndarray:
@@ -173,18 +181,27 @@ class PipelineContext:
         read a patch grid pay for this cache; feature maps are not cached,
         because one per image raised peak memory on every workload."""
         if rid not in self._patch_rows:
-            self._pool(rid, patches=True)
+            self._pool(rid, self.images[rid], patches=True)
         return self._patch_rows[rid]
 
-    def _pool(self, rid: str, patches: bool) -> None:
+    def pooled_pixels(self, rid: str) -> np.ndarray:
+        """The image's pixels, once its region and patch-grid rows are cached
+        (pooled from these pixels if they were not): a segmented run reads
+        both row sets of an image, then masks its pixels."""
+        img = self.images[rid]
+        if rid not in self._patch_rows:
+            self._pool(rid, img, patches=True)
+        return img
+
+    def _pool(self, rid: str, img: np.ndarray, patches: bool) -> None:
         """Cache the image's proposal-region features unless cached, and its
-        patch-grid rows if `patches`, from one conv forward: both region
-        sets are pooled as one list, whose rows are split."""
+        patch-grid rows if `patches`, from one conv forward of its pixels
+        `img`: both region sets are pooled as one list, whose rows are split."""
         r = self.by_id[rid]
         proposals = [] if rid in self._region_feats else ft.propose_regions(
             r.width, r.height, self.cfg.region_scales, self.cfg.region_stride)
         cells = self.grid(rid).regions() if patches else []
-        rows = ft.extract_region_features(self.images[rid], proposals + cells, self.params, self.pyramid).matrix
+        rows = ft.extract_region_features(img, proposals + cells, self.params, self.pyramid).matrix
         if proposals:
             self._region_feats[rid] = ft.RegionFeatures(regions=tuple(proposals), matrix=rows[: len(proposals)])
         if cells:
@@ -531,27 +548,33 @@ def _train_patch_detector(ctx, cfg, train_ids, seed):
 def _individual_features(ctx, cfg, runs):
     """Region features by image id of each run key: the raw image's, or, in a
     segmented run, those of the image with its background grayed out by a
-    patch detector fitted on the run's training ids.  The detectors, then
-    every (run, image) patch mask, are computed in run order on the calling
+    patch detector fitted on the run's training ids.  Every image the runs
+    read is pooled first, on `cfg.jobs` threads; an image that a segmented
+    run reads has its patch grid pooled from the same forward, and its
+    pixels are kept until its masked forwards.  The detectors, then every
+    (run, image) patch mask, are computed in run order on the calling
     thread; then, image by image on `cfg.jobs` threads, one masked forward
-    serves each distinct (image, patch mask).  Nothing of the masked images
-    is kept on `ctx`.
+    serves each distinct (image, patch mask), and the image's pixels are
+    dropped.  Nothing of the masked images is kept on `ctx`.
 
     The mean field stays on the calling thread because perfbench's tracer
     wraps each call in `tracemalloc.start()` / `stop()`, and on CPython 3.11
     a stop racing numpy's allocations in another thread crashed the traced
     process."""
+    masked_ids = list(dict.fromkeys(i for train, val, *_, segmented in runs if segmented for i in (*train, *val)))
+    pixels = dict(zip(masked_ids, _map_images(cfg, ctx.pooled_pixels, masked_ids)))  # until the masked forwards
+    _map_images(cfg, ctx.region_features, list(dict.fromkeys(i for train, val, *_ in runs for i in (*train, *val))))
     runs_of = {}  # image id -> (run, patch mask) of each segmented run that reads it
     for n, (train, val, _, seed, segmented) in enumerate(runs):
         if segmented:
             detector = _train_patch_detector(ctx, cfg, train, seed)
             for rid in (*train, *val):
                 runs_of.setdefault(rid, []).append(
-                    (n, seg.patch_mask(ctx.patch_rows(rid), ctx.images[rid], ctx.grid(rid), detector)))
+                    (n, seg.patch_mask(ctx.patch_rows(rid), pixels[rid], ctx.grid(rid), detector)))
 
     def masked_features(rid):
         """(run, region features) of each segmented run that reads the image."""
-        img, regions = ctx.images[rid], ctx.region_features(rid).regions
+        img, regions = pixels.pop(rid), ctx.region_features(rid).regions
         by_mask, out = {}, []
         for n, mask in runs_of[rid]:
             key = mask.tobytes()
@@ -581,15 +604,12 @@ def _individual_key(ctx, cfg, man, classes, seed, balanced, segmented):
 
 def _individual_runs(ctx, cfg, keys):
     """(confusion matrix on the validation ids, training image count per
-    individual) of each run key, in order.  Every image the runs read is
-    pooled first; then each distinct key is built once: its features and
-    dataset, then every head is fitted (`_fit_heads`), then each head is
-    scored.  A key seen again reuses that result."""
+    individual) of each run key, in order.  Each distinct key is built
+    once: its features (`_individual_features`, which pools every image the
+    runs read first) and dataset, then every head is fitted (`_fit_heads`),
+    then each head is scored.  A key seen again reuses that result."""
     by_id = ctx.by_id
     runs = list(dict.fromkeys(keys))
-    ids = list(dict.fromkeys(i for train, val, *_ in runs for i in (*train, *val)))
-    # a segmented run reads both row sets of an image, and patch_rows pools both from one forward
-    _map_images(cfg, ctx.patch_rows if any(segmented for *_, segmented in runs) else ctx.region_features, ids)
     feats = _individual_features(ctx, cfg, runs)
     heads = _fit_heads(cfg, [([(f(i), wsddn.one_hot(by_id[i].individual, classes)) for i in train], classes, seed)
                              for f, (train, _, classes, seed, _) in zip(feats, runs)])

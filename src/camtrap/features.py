@@ -113,25 +113,30 @@ BAND_BYTES = 256 * 1024
 def _conv_pool_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray, pre: Optional[np.ndarray] = None) -> np.ndarray:
     """One layer: 3x3 same-padded conv, 2x2 stride-2 max pool, then ReLU (it
     commutes with the max), one band of an even number of rows at a time;
-    an odd last row or column is dropped by the pool.  Each band runs one
-    GEMM per tap, summed in tap order onto the first tap plus the bias
-    (t0 + b is b + t0 bit for bit), so its rows have the bytes of the
-    whole-image conv.  The conv output is written into `pre` when given."""
+    an odd last row or column is dropped by the pool.  Each band's input
+    rows, with one halo row above and below, are copied into one reused
+    zero-padded buffer, so no padded copy of the whole input exists.  Each
+    band runs one GEMM per tap, summed in tap order onto the first tap plus
+    the bias (t0 + b is b + t0 bit for bit), so its rows have the bytes of
+    the whole-image conv.  The conv output is written into `pre` when given."""
     h, wd, c_out = x.shape[0], x.shape[1], w.shape[3]
-    xp = np.zeros((h + 2, wd + 2, x.shape[2]))  # zero padding, without np.pad's per-call overhead
-    xp[1:-1, 1:-1] = x
     rows = min(h, max(2, BAND_BYTES // (8 * wd * c_out) // 2 * 2))
+    xp = np.zeros((rows + 2, wd + 2, x.shape[2]))  # padded band: row i holds input row r0 - 1 + i
     band, tap = np.empty((rows, wd, c_out)), np.empty((rows, wd, c_out))
     h2, w2 = h // 2, wd // 2
     out = np.empty((h2, w2, c_out))
     for r0 in range(0, h, rows):
         n = min(rows, h - r0)
+        lo, hi = max(r0 - 1, 0), min(r0 + n + 1, h)
+        xp[lo - r0 + 1 : hi - r0 + 1, 1:-1] = x[lo:hi]
+        if r0 + n == h:  # the last band: its halo row below is padding
+            xp[n + 1] = 0.0
         acc = band[:n] if pre is None else pre[r0 : r0 + n]
-        np.matmul(xp[r0 : r0 + n, :wd], w[0, 0], out=acc)
+        np.matmul(xp[:n, :wd], w[0, 0], out=acc)
         acc += b
         for t in range(1, 9):
             dy, dx = divmod(t, 3)
-            acc += np.matmul(xp[r0 + dy : r0 + dy + n, dx : dx + wd], w[dy, dx], out=tap[:n])
+            acc += np.matmul(xp[dy : dy + n, dx : dx + wd], w[dy, dx], out=tap[:n])
         # 2x2 max of the band's row pairs, windows read in `_pool_windows` order
         pooled = out[r0 // 2 : (r0 + n) // 2]
         m = 2 * len(pooled)

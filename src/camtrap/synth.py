@@ -4,14 +4,18 @@ Positives carry one planted texture patch (stripes for tiger, spots for
 leopard, checker for other species); pattern parameters are a fixed function
 of (species, individual, seed) so individuals are identifiable.  Negatives
 contain background clutter only.  Every pixel depends only on (config,
-manifest record), so generation order never matters.
+manifest record), so generation order never matters, and a corpus's pixels
+need never be held at once: `generate_corpus` and `manifest_pixels` return
+maps that render or read one record's pixels on each access and keep none.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Tuple
@@ -78,14 +82,24 @@ def _rng_for(*parts) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=list(words)))
 
 
-def _smooth_field(rng, size, cells=6):
-    coarse = rng.normal(size=(cells, cells))
+@functools.lru_cache(maxsize=4)
+def _interpolation(size: int, cells: int):
+    """Linear-interpolation grid of `size` points over `cells` knots: left
+    knot, right knot and the weights 1 - t and t; read-only."""
     xs = np.linspace(0, cells - 1, size)
     i0 = np.clip(xs.astype(int), 0, cells - 2)
     t = xs - i0
-    rows = coarse[i0] * (1 - t)[:, None] + coarse[i0 + 1] * t[:, None]
-    cols = rows[:, i0] * (1 - t)[None, :] + rows[:, i0 + 1] * t[None, :]
-    return cols
+    grid = (i0, i0 + 1, 1 - t, t)
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
+def _smooth_field(rng, size, cells=6):
+    coarse = rng.normal(size=(cells, cells))
+    i0, i1, s, t = _interpolation(size, cells)
+    rows = coarse[i0] * s[:, None] + coarse[i1] * t[:, None]
+    return rows[:, i0] * s[None, :] + rows[:, i1] * t[None, :]
 
 
 def _background(rng, size):
@@ -234,14 +248,38 @@ def render_image(cfg: SynthConfig, record: ImageRecord):
         sig = _pattern_signature(spec.family, rng_sig, tint)
         box = _plant_patch(rng, img, spec.family, sig)
     if record.illumination == "night":
-        img = img * 0.35 + rng.normal(0.0, 0.05, size=img.shape)
-    return np.clip(img, 0.0, 1.0), box
+        img *= 0.35
+        img += rng.normal(0.0, 0.05, size=img.shape)
+    return np.clip(img, 0.0, 1.0, out=img), box
+
+
+class RecordMap(Mapping):
+    """Read-only {record id: value} over manifest records: each access returns
+    `fetch(record)`, made then, and the map keeps nothing of it."""
+
+    def __init__(self, records, fetch):
+        self._by_id = {r.id: r for r in records}
+        self._fetch = fetch
+
+    def __getitem__(self, rid):
+        return self._fetch(self._by_id[rid])
+
+    def __contains__(self, rid):
+        return rid in self._by_id
+
+    def __iter__(self):
+        return iter(self._by_id)
+
+    def __len__(self):
+        return len(self._by_id)
 
 
 def generate_corpus(cfg: SynthConfig, out_dir=None):
-    """Build the full corpus.  Returns (manifest, {id: pixels}, {id: planted
-    box} of the positives); when out_dir is given also writes PPM images plus
-    manifest.csv there."""
+    """Build the corpus.  Returns (manifest, {id: pixels}, {id: planted box} of
+    the positives), two `RecordMap`s: a pixel access renders the record, and a
+    box access returns the box found when the record was last rendered, else
+    renders it once and keeps the 4-tuple only.  When out_dir is given, also
+    writes each record's PPM as it is rendered, then manifest.csv, there."""
     records = []
 
     def add(record_id, species, individual, night):
@@ -266,24 +304,33 @@ def generate_corpus(cfg: SynthConfig, out_dir=None):
         add(f"unclassified-xx-{i:03d}", "unclassified", None, i in nights)
 
     manifest = Manifest(records=tuple(records))
-    pixels, boxes = {}, {}
-    for r in manifest:
-        pixels[r.id], box = render_image(cfg, r)
+    boxes = {}  # planted box of each positive rendered so far
+
+    def pixels_of(record):
+        px, box = render_image(cfg, record)
         if box is not None:
-            boxes[r.id] = box
+            boxes[record.id] = box
+        return px
+
+    def box_of(record):
+        if record.id not in boxes:
+            pixels_of(record)
+        return boxes[record.id]
+
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for r in manifest:
-            write_ppm(out_dir / r.path, pixels[r.id])
+            write_ppm(out_dir / r.path, pixels_of(r))
         save_manifest(manifest, out_dir / "manifest.csv")
-    return manifest, pixels, boxes
+    return manifest, RecordMap(manifest, pixels_of), RecordMap([r for r in manifest if r.has_animal], box_of)
 
 
 def write_ppm(path, pixels: np.ndarray) -> None:
     """Binary P6 portable pixel map, 8 bits per channel."""
     h, w = pixels.shape[:2]
-    data = np.clip(np.round(pixels * 255.0), 0, 255).astype(np.uint8)
+    scaled = pixels * 255.0
+    data = np.clip(np.round(scaled, out=scaled), 0, 255, out=scaled).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode())
         fh.write(data.tobytes())
@@ -292,6 +339,13 @@ def write_ppm(path, pixels: np.ndarray) -> None:
 # Netpbm header separator: whitespace, or a `#` comment up to the end of its line
 _SEP = rb"(?:\s|#[^\r\n]*[\r\n])+"
 _PPM_HEADER = re.compile(rb"P6" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)\s")
+
+
+def check_side(path, width: int, height: int, min_side: int) -> None:
+    """The one rule for an image's least side: `min_side`, a conv net's receptive field, 2^layers."""
+    if min(width, height) < min_side:
+        raise ValueError(f"{path}: image is {width}x{height}, smaller than the network's receptive field of "
+                         f"{min_side} px a side")
 
 
 def read_ppm(path, min_side: int = 1) -> np.ndarray:
@@ -306,8 +360,7 @@ def read_ppm(path, min_side: int = 1) -> np.ndarray:
     w, h, maxval = (int(g) for g in header.groups())
     if w < 1 or h < 1 or not 1 <= maxval <= 65535:
         raise ValueError(f"{path}: bad width {w}, height {h} or maxval {maxval}")
-    if min(w, h) < min_side:
-        raise ValueError(f"{path}: image is {w}x{h}, smaller than the network's receptive field of {min_side} px a side")
+    check_side(path, w, h, min_side)
     dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
     need, have = w * h * 3 * dtype.itemsize, len(data) - header.end()
     if have < need:
@@ -325,3 +378,14 @@ def read_record(root, record: ImageRecord, min_side: int = 1) -> np.ndarray:
     if (w, h) != (record.width, record.height):
         raise ValueError(f"{path}: image is {w}x{h}, manifest says {record.width}x{record.height}")
     return pixels
+
+
+def manifest_pixels(root, manifest: Manifest, min_side: int) -> RecordMap:
+    """{id: pixels} of a manifest's records, each read from under `root` on
+    access (`read_record`).  Every record's width and height is checked
+    against `min_side` first, so an image the manifest shows too small fails
+    before any read; a raster the manifest cannot show wrong (truncated, or
+    not the size it gives) fails when it is read."""
+    for r in manifest:
+        check_side(Path(root) / r.path, r.width, r.height, min_side)
+    return RecordMap(manifest, lambda record: read_record(root, record, min_side))

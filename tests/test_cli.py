@@ -122,6 +122,23 @@ class TestExitCodes:
         assert f"{first}: image is 3x3, smaller than the network's receptive field of 4 px a side" in err, err
         assert not (tmp_path / "out").exists()
 
+    def test_truncated_ppm_read_by_sweep_exit_2_names_it(self, corpus, tmp_path, capsys):
+        # the manifest shows nothing wrong, so the context is built; the
+        # volume sweep reads every image at fraction 1.0 and fails at the
+        # truncated one
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in corpus.iterdir():
+            (data / f.name).write_bytes(f.read_bytes())
+        bad = sorted(data.glob("leopard-*.ppm"))[1]
+        bad.write_bytes(bad.read_bytes()[:-10])
+        (tmp_path / "volume.cfg").write_text("fractions = 1.0\nn_seeds = 1\nsvm_epochs = 2\n")
+        code, _, err = run(["experiment", "volume", "--manifest", str(data / "manifest.csv"),
+                            "--config", str(tmp_path / "volume.cfg"), "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert f"{bad}: raster has" in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_subcommand_exit_1(self):
         assert cli.main(["frobnicate"]) == 1
 

@@ -3,8 +3,10 @@ Trend assertions live in the acceptance suite; these tests use tiny corpora
 and short training budgets."""
 
 import filecmp
+import gc
 import sys
 import threading
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -325,40 +327,51 @@ class TestIndividual:
         # one forward per raw image (its region set and its patch grid pooled
         # from one feature map), one per masked image, each image masked at
         # most once per segmented run, and one array-form pooling per forward,
-        # none per region
-        forward, apply_mask, pool = ft.forward, seg.apply_mask, ft.spp_pool
-        forwards, masks, pools = [], [], []  # the lists keep their arrays alive, so ids stay unique
+        # none per region.  Images are keyed by record id: each pixel access
+        # renders a fresh array, so the array a forward reads is traced back
+        # to the record it was rendered from
+        render, forward, apply_mask, pool = synth.render_image, ft.forward, seg.apply_mask, ft.spp_pool
+        rendered = {}  # id of a rendered array -> its record id
+        kept, forwards, masks, pools = [], [], [], []  # `kept` keeps every array alive, so ids stay unique
+
+        def recording_render(cfg, record):
+            px, box = render(cfg, record)
+            kept.append(px)
+            rendered[id(px)] = record.id
+            return px, box
 
         def counting_forward(image, params, return_cache=False):
             forwards.append(image)
             return forward(image, params, return_cache)
 
         def recording_mask(image, mask):
-            masks.append((image, apply_mask(image, mask)))
-            return masks[-1][1]
+            out = apply_mask(image, mask)
+            kept.append(out)
+            masks.append((rendered[id(image)], out))
+            return out
 
         def counting_pool(fmap, regions, pyramid, downsample=1):
             pools.append(fmap)
             return pool(fmap, regions, pyramid, downsample)
 
+        monkeypatch.setattr(synth, "render_image", recording_render)
         monkeypatch.setattr(ft, "forward", counting_forward)
         monkeypatch.setattr(seg, "apply_mask", recording_mask)
         monkeypatch.setattr(ft, "spp_pool", counting_pool)
         cfg = config("individual", n_seeds=1, head_epochs=5, segment=True)
         ctx = ex.PipelineContext(cfg)
         ex.run_individual_study(cfg, ctx)
-        raw = {id(img) for img in ctx.images.values()}
-        masked = {id(out) for _, out in masks}
-        per_image = Counter(id(img) for img in forwards)
-        assert set(per_image) <= raw | masked
-        assert max(per_image[i] for i in raw) == 1
-        assert all(per_image[i] == 1 for i in masked)
+        masked = Counter(id(img) for img in forwards if id(img) not in rendered)
+        assert set(masked) == {id(out) for _, out in masks}
+        raw = Counter(rendered[id(img)] for img in forwards if id(img) in rendered)
+        assert raw and max(raw.values()) == 1
+        assert all(n == 1 for n in masked.values())
         assert len(pools) == len(forwards)
         # each image is in 4 segmented runs: its species and joint, unbalanced and balanced
-        per_source = Counter(id(src) for src, _ in masks)
-        assert masks and set(per_source) <= raw and max(per_source.values()) <= 4
+        per_source = Counter(rid for rid, _ in masks)
+        assert masks and set(per_source) <= set(raw) and max(per_source.values()) <= 4
         # one masked forward per (image, mask), however many runs reach that mask
-        assert len({(id(src), out.tobytes()) for src, out in masks}) == len(masks)
+        assert len({(rid, out.tobytes()) for rid, out in masks}) == len(masks)
 
     def test_segmented_run_matches_reference_pooler(self, monkeypatch, tmp_path):
         cfg = config("individual", n_seeds=1, head_epochs=10, segment=True)
@@ -443,6 +456,58 @@ class TestIndividual:
         for seed in (0, 7):
             got, ref = ex._train_patch_detector(ctx, cfg, ids, seed), reference(seed)
             assert got.weights.tobytes() == ref.weights.tobytes() and got.bias == ref.bias
+
+
+def arrays_in(obj, path="ctx", seen=None):
+    """(path, array) of every numpy array reachable from `obj` through dicts,
+    lists, tuples and object attributes."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, (str, bytes, int, float, type)) or obj is None:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [(path, obj)]
+    if isinstance(obj, dict):
+        items = [(f"{path}[{k!r}]", v) for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        items = [(f"{path}[{n}]", v) for n, v in enumerate(obj)]
+    else:
+        items = [(f"{path}.{k}", v) for k, v in getattr(obj, "__dict__", {}).items()]
+    return [found for sub, v in items for found in arrays_in(v, sub, seen)]
+
+
+class TestTransientPixels:
+    @pytest.mark.parametrize("protocol, extra", [("individual", dict(segment=True)), ("species", {})])
+    def test_context_keeps_rows_not_pixels(self, protocol, extra):
+        cfg = config(protocol, n_seeds=1, head_epochs=5, **extra)
+        ctx = ex.PipelineContext(cfg)
+        ex.run_protocol(cfg, ctx)
+        size = SMALL_SYNTH.image_size
+        held = arrays_in(ctx)
+        assert any(a.ndim == 2 for _, a in held)  # the walk reaches the cached rows
+        assert not [p for p, a in held if a.shape == (size, size, 3)]
+        # every access renders the record's pixels afresh, byte for byte
+        for r in ctx.manifest:
+            assert ctx.images[r.id].tobytes() == synth.render_image(SMALL_SYNTH, r)[0].tobytes(), r.id
+        # nothing refers back to the context: it is freed by refcount alone
+        ref = weakref.ref(ctx)
+        gc.disable()
+        try:
+            del ctx
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_manifest_context_reads_on_access(self, tmp_path):
+        man, _, _ = synth.generate_corpus(SMALL_SYNTH, tmp_path)
+        cfg = ex.ExperimentConfig(protocol="volume", manifest_path=str(tmp_path / "manifest.csv"),
+                                  n_seeds=1, fractions=(1.0,), svm_epochs=2)
+        ctx = ex.PipelineContext(cfg)
+        ex.run_protocol(cfg, ctx)
+        assert not [p for p, a in arrays_in(ctx) if a.ndim == 3 and a.shape[2] == 3]
+        r = man.records[5]
+        assert ctx.images[r.id].tobytes() == synth.read_record(tmp_path, r).tobytes()
+        assert ctx.images[r.id] is not ctx.images[r.id]
 
 
 class TestJoint:

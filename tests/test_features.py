@@ -151,6 +151,22 @@ class TestForwardOracle:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
 
+    def test_forward_pads_one_band_at_a_time_at_512px(self):
+        # a padded copy of the whole input peaked at 10.7 MiB here; padded
+        # bands leave layer 2's 4 MiB input and 2 MiB output plus the band
+        # buffers, under 1 MiB
+        params = ft.init_convnet((3, 8, 16), seed=0)
+        image = np.random.default_rng(5).uniform(size=(512, 512, 3))
+        ft.forward(image, params)
+        tracemalloc.start()
+        try:
+            got = ft.forward(image, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (4 + 2 + 1) * 2**20, peak
+        assert got.tobytes() == reference_forward(image, params)[0].tobytes()
+
     def test_feature_bytes_match_reference_at_160px(self):
         params = ft.init_convnet((3, 8, 16), seed=0)
         image = np.random.default_rng(3).uniform(size=(160, 160, 3))

@@ -4,6 +4,7 @@ oracle."""
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,31 @@ class TestPpm:
             path.write_bytes(data)
             with pytest.raises(ValueError, match=path.name):
                 synth.read_ppm(path)
+
+    def test_corpus_ppm_bytes_match_rendered_pixels(self, tmp_path):
+        # each written file has the bytes of its record's rendered pixels,
+        # quantized as a whole-image round and clip would
+        cfg = small_config(night_fraction=0.4, n_negatives=4)
+        man, _, _ = synth.generate_corpus(cfg, out_dir=tmp_path)
+        for r in man:
+            px = synth.render_image(cfg, r)[0]
+            raster = np.clip(np.round(px * 255.0), 0, 255).astype(np.uint8).tobytes()
+            assert (tmp_path / r.path).read_bytes() == b"P6\n64 64\n255\n" + raster, r.id
+
+    def test_writing_holds_one_image_at_a_time(self, tmp_path):
+        # each record is rendered, written and dropped: the traced peak of
+        # writing a 20-image 128 px corpus stays under 3 images' pixels
+        specs = (synth.SpeciesSpec("tiger", "stripes", 2, 8), synth.SpeciesSpec("leopard", "spots", 2, 8))
+        cfg = synth.SynthConfig(image_size=128, species_specs=specs, n_negatives=4, seed=3, night_fraction=0.5)
+        synth.write_ppm(tmp_path / "warm.ppm", synth.render_image(cfg, synth.generate_corpus(cfg)[0].records[0])[0])
+        tracemalloc.start()  # after numpy.random's first-use imports
+        try:
+            man, _, _ = synth.generate_corpus(cfg, out_dir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(man) == 20 and len(list(tmp_path.glob("*-*.ppm"))) == 20
+        assert peak < 3 * 128 * 128 * 3 * 8, peak
 
     def test_corpus_written_to_disk(self, tmp_path):
         man, pixels, _ = synth.generate_corpus(small_config(), out_dir=tmp_path)
