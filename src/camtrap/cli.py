@@ -259,6 +259,8 @@ def _read_label_csv(path):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
             if row[0] in out:
                 raise ValueError(f"{path}:{lineno}: duplicate id {row[0]!r}")
+            if not all(label.strip() for label in row[1:]):
+                raise ValueError(f"{path}:{lineno}: empty label")
             out[row[0]] = row[1:]
     if not out:
         raise ValueError(f"{path}: no rows")
@@ -266,6 +268,7 @@ def _read_label_csv(path):
 
 
 def _cmd_eval(args) -> int:
+    wsddn.check_k(args.k, "--k")
     pred = _read_label_csv(args.pred)
     truth = _read_label_csv(args.truth)
     if set(pred) != set(truth):
@@ -275,10 +278,10 @@ def _cmd_eval(args) -> int:
     pairs = [(pred[i][0], truth[i][0]) for i in ids]
     cm = mt.accumulate(pairs, classes)
     rows = mt.metrics_report(cm)
+    # top-k first: a ranking narrower than k fails before anything is written
+    acc = mt.topk_accuracy([pred[i] for i in ids], [truth[i][0] for i in ids], args.k) if args.k > 1 else None
     sys.stdout.write(mt.format_summary(rows))
-    if args.k > 1:
-        rankings = [pred[i] for i in ids]
-        acc = mt.topk_accuracy(rankings, [truth[i][0] for i in ids], args.k)
+    if acc is not None:
         print(f"top-{args.k} accuracy {acc!r}")
     if args.out:
         out = Path(args.out)

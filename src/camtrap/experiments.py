@@ -12,7 +12,8 @@ it, and the `PipelineContext` keeps only the rows.  The detector sweeps and
 alone on those threads (`PipelineContext.image_feature`, not cached) and fit
 their detectors in lockstep (`svm.train_linear_svms`).  The runners that
 train heads first pool every proposal window of each image they will read
-into the `PipelineContext`, and a segmented run pools the patch grid too and
+into the `PipelineContext`; a segmented run also pools the patch grid
+(`PipelineContext.pool`), holds those rows only until its masks exist, and
 computes its masked images' region features on the threads.  The conv GEMMs
 are numpy work that releases the GIL; keep jobs x BLAS threads <= cores.
 Every SVM and head fit, the segmented runs' patch masks, and all scoring
@@ -130,16 +131,17 @@ class Report:
 
 
 class PipelineContext:
-    """A corpus and shared, lazily built caches of each image's region
-    features and patch-grid rows.  The context alone decides an image's
-    windows and patch grid, and which rows it pools.
+    """A corpus and a shared, lazily built cache of each image's window
+    (region) features.  The context alone decides an image's windows and
+    patch grid, and which rows it pools; `pool` is its one pooling method.
 
-    It keeps feature rows, never pixels: `images` and `boxes` are read-only
-    maps (`synth.RecordMap`) that render or read a record's pixels on each
-    access, so pixels live only while an image is pooled (and, for a
-    segmented run, until its masked forwards).  The planted box of a
-    synthetic positive is kept once found, as a 4-tuple; pooling an image
-    finds it."""
+    It keeps window rows, never pixels or patch-grid rows: `images` and
+    `boxes` are read-only maps (`synth.RecordMap`) that render or read a
+    record's pixels on each access, and `pool` hands an image's pixels and
+    grid rows to its caller, so they live only while an image is pooled
+    (and, for a segmented run, until its masks and masked forwards).  The
+    planted box of a synthetic positive is kept once found, as a 4-tuple;
+    pooling an image finds it."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -154,7 +156,6 @@ class PipelineContext:
         self.by_id = self.manifest.by_id()
         self.pyramid = ft.PyramidConfig(cfg.pyramid_levels)
         self._region_feats: Dict[str, ft.RegionFeatures] = {}
-        self._patch_rows: Dict[str, np.ndarray] = {}
 
     def grid(self, rid: str) -> seg.PatchGrid:
         """The image's patch grid at the config's patch size, from its manifest record."""
@@ -173,39 +174,24 @@ class PipelineContext:
 
     def region_features(self, rid: str) -> ft.RegionFeatures:
         if rid not in self._region_feats:
-            self._pool(rid, self.images[rid], patches=False)
+            self.pool(rid)
         return self._region_feats[rid]
 
-    def patch_rows(self, rid: str) -> np.ndarray:
-        """Feature rows of the image's patch grid, row-major.  Only runs that
-        read a patch grid pay for this cache; feature maps are not cached,
-        because one per image raised peak memory on every workload."""
-        if rid not in self._patch_rows:
-            self._pool(rid, self.images[rid], patches=True)
-        return self._patch_rows[rid]
-
-    def pooled_pixels(self, rid: str) -> np.ndarray:
-        """The image's pixels, once its region and patch-grid rows are cached
-        (pooled from these pixels if they were not): a segmented run reads
-        both row sets of an image, then masks its pixels."""
-        img = self.images[rid]
-        if rid not in self._patch_rows:
-            self._pool(rid, img, patches=True)
-        return img
-
-    def _pool(self, rid: str, img: np.ndarray, patches: bool) -> None:
-        """Cache the image's proposal-region features unless cached, and its
-        patch-grid rows if `patches`, from one conv forward of its pixels
-        `img`: both region sets are pooled as one list, whose rows are split."""
-        r = self.by_id[rid]
-        proposals = [] if rid in self._region_feats else ft.propose_regions(
+    def pool(self, rid: str, grid: bool = False) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """(pixels, patch-grid rows or None) of the image, from one conv
+        forward of pixels rendered or read for it.  Its window rows are
+        cached unless they are; its grid is pooled in the same region list
+        only if `grid`, and neither its grid rows nor its feature map is
+        cached (a map per image raised peak memory on every workload)."""
+        img, r = self.images[rid], self.by_id[rid]
+        windows = [] if rid in self._region_feats else ft.propose_regions(
             r.width, r.height, self.cfg.region_scales, self.cfg.region_stride)
-        cells = self.grid(rid).regions() if patches else []
-        rows = ft.extract_region_features(img, proposals + cells, self.params, self.pyramid).matrix
-        if proposals:
-            self._region_feats[rid] = ft.RegionFeatures(regions=tuple(proposals), matrix=rows[: len(proposals)])
-        if cells:
-            self._patch_rows[rid] = rows[len(proposals) :]
+        cells = self.grid(rid).regions() if grid else []
+        rows = ft.extract_region_features(img, windows + cells, self.params, self.pyramid).matrix
+        if windows:  # a copy when split, so the cache does not keep the grid rows alive
+            self._region_feats[rid] = ft.RegionFeatures(
+                regions=tuple(windows), matrix=rows[: len(windows)].copy() if grid else rows)
+        return img, rows[len(windows) :] if grid else None
 
 
 # the config fields a PipelineContext is built from
@@ -521,8 +507,10 @@ def run_species_comparison(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
 # individual recognition
 
 
-def _train_patch_detector(ctx, cfg, train_ids, seed):
-    """Patch-level detector from planted ground-truth boxes."""
+def _train_patch_detector(ctx, cfg, train_ids, seed, grid_rows=None):
+    """Patch-level detector from planted ground-truth boxes, on the patch-grid
+    rows of the training positives: `grid_rows[rid]` if given, else pooled
+    here and not kept."""
     rng = np.random.default_rng(np.uint64(seed))
     rows, labs = [], []
     for i in train_ids:
@@ -537,7 +525,7 @@ def _train_patch_detector(ctx, cfg, train_ids, seed):
         take = min(len(pos), len(neg), 8)
         if take == 0:
             continue
-        patch = ctx.patch_rows(i)
+        patch = ctx.pool(i, grid=True)[1] if grid_rows is None else grid_rows[i]
         rows += [patch[rng.choice(pos, take, replace=False)], patch[rng.choice(neg, take, replace=False)]]
         labs += [np.ones(take), -np.ones(take)]
     if not rows:
@@ -550,27 +538,31 @@ def _individual_features(ctx, cfg, runs):
     segmented run, those of the image with its background grayed out by a
     patch detector fitted on the run's training ids.  Every image the runs
     read is pooled first, on `cfg.jobs` threads; an image that a segmented
-    run reads has its patch grid pooled from the same forward, and its
-    pixels are kept until its masked forwards.  The detectors, then every
-    (run, image) patch mask, are computed in run order on the calling
-    thread; then, image by image on `cfg.jobs` threads, one masked forward
-    serves each distinct (image, patch mask), and the image's pixels are
-    dropped.  Nothing of the masked images is kept on `ctx`.
+    run reads has its patch grid pooled from the same forward (`ctx.pool`),
+    its grid rows held here, not on `ctx`, until its masks exist and its
+    pixels until its masked forwards.  The detectors, then every (run,
+    image) patch mask, are computed in run order on the calling thread;
+    then, image by image on `cfg.jobs` threads, one masked forward serves
+    each distinct (image, patch mask), and the image's pixels are dropped.
+    Nothing of the masked images is kept on `ctx`.
 
     The mean field stays on the calling thread because perfbench's tracer
     wraps each call in `tracemalloc.start()` / `stop()`, and on CPython 3.11
     a stop racing numpy's allocations in another thread crashed the traced
     process."""
     masked_ids = list(dict.fromkeys(i for train, val, *_, segmented in runs if segmented for i in (*train, *val)))
-    pixels = dict(zip(masked_ids, _map_images(cfg, ctx.pooled_pixels, masked_ids)))  # until the masked forwards
+    pixels, grid_rows = {}, {}  # until the masked forwards, and until the masks exist
+    for rid, pooled in zip(masked_ids, _map_images(cfg, functools.partial(ctx.pool, grid=True), masked_ids)):
+        pixels[rid], grid_rows[rid] = pooled
     _map_images(cfg, ctx.region_features, list(dict.fromkeys(i for train, val, *_ in runs for i in (*train, *val))))
     runs_of = {}  # image id -> (run, patch mask) of each segmented run that reads it
     for n, (train, val, _, seed, segmented) in enumerate(runs):
         if segmented:
-            detector = _train_patch_detector(ctx, cfg, train, seed)
+            detector = _train_patch_detector(ctx, cfg, train, seed, grid_rows)
             for rid in (*train, *val):
                 runs_of.setdefault(rid, []).append(
-                    (n, seg.patch_mask(ctx.patch_rows(rid), pixels[rid], ctx.grid(rid), detector)))
+                    (n, seg.patch_mask(grid_rows[rid], pixels[rid], ctx.grid(rid), detector)))
+    del grid_rows
 
     def masked_features(rid):
         """(run, region features) of each segmented run that reads the image."""
@@ -591,7 +583,7 @@ def _individual_features(ctx, cfg, runs):
     return [by_run[n].__getitem__ if n in by_run else ctx.region_features for n in range(len(runs))]
 
 
-def _individual_key(ctx, cfg, man, classes, seed, balanced, segmented):
+def _individual_key(cfg, man, classes, seed, balanced, segmented):
     """Split `man` and balance its training ids if asked.  The run's result
     is a function of the five values returned: train ids after balancing,
     validation ids, classes, seed and `segmented`."""
@@ -626,7 +618,7 @@ def _individual_runs(ctx, cfg, keys):
 def _individual_run(ctx, cfg, man, classes, seed, balanced, segmented):
     """One individual run, fitted and scored on its own (criterion 8's
     balanced-versus-unbalanced check calls this)."""
-    return _individual_runs(ctx, cfg, [_individual_key(ctx, cfg, man, classes, seed, balanced, segmented)])[0]
+    return _individual_runs(ctx, cfg, [_individual_key(cfg, man, classes, seed, balanced, segmented)])[0]
 
 
 def _individual_rows(cm, classes, train_counts) -> List[dict]:
@@ -680,14 +672,14 @@ def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] =
                 for trial_idx, seed in _trials(cfg):
                     prefix = {"species": sp_name, "balanced": int(balanced),
                               "segmented": int(segmented), "trial": trial_idx, "seed": seed}
-                    plan.append((_individual_key(ctx, cfg, man, classes, seed, balanced, segmented),
+                    plan.append((_individual_key(cfg, man, classes, seed, balanced, segmented),
                                  functools.partial(_trial_rows, prefix, classes)))
         if cfg.sweep_individuals:
             for n in range(2, len(classes) + 1):
                 subset = classes[:n]
                 sub_man = mf.Manifest(tuple(r for r in man if r.individual in set(subset)))
                 seed = cfg.base_seed
-                plan.append((_individual_key(ctx, cfg, sub_man, subset, seed, True, False),
+                plan.append((_individual_key(cfg, sub_man, subset, seed, True, False),
                              functools.partial(_sweep_rows, sp_name, subset, seed)))
     for (_, rows_of), result in zip(plan, _individual_runs(ctx, cfg, [key for key, _ in plan])):
         report.rows.extend(rows_of(*result))
@@ -710,7 +702,7 @@ def run_joint_individuals(cfg: ExperimentConfig, ctx: Optional[PipelineContext] 
     classes = sorted({r.individual for r in man})
     report = Report(cfg)
     keep = ("individual", "train_images", "sensitivity", "specificity", "accuracy")
-    keys = [_individual_key(ctx, cfg, man, classes, seed, cfg.balance, cfg.segment) for _, seed in _trials(cfg)]
+    keys = [_individual_key(cfg, man, classes, seed, cfg.balance, cfg.segment) for _, seed in _trials(cfg)]
     for (trial_idx, seed), (cm, train_counts) in zip(_trials(cfg), _individual_runs(ctx, cfg, keys)):
         trial_rows = [
             {"trial": trial_idx, "seed": seed, **{k: r[k] for k in keep}}

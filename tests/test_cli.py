@@ -434,6 +434,26 @@ class TestPipeline:
         assert cli.main(["eval", "--pred", str(tmp_path / "p.csv"),
                          "--truth", str(tmp_path / "t.csv")]) == 2
 
+    @pytest.mark.parametrize("k, message", [("0", "--k must be >= 1, got 0"), ("-3", "--k must be >= 1, got -3"),
+                                            ("5", "ranking of length 1 shorter than k=5")])
+    def test_eval_bad_k_exit_2_writes_nothing(self, tmp_path, capsys, k, message):
+        # k below 1, or wider than the pred file's rankings, fails before the summary or --out
+        (tmp_path / "t.csv").write_text("id,label\na,tiger\nb,leopard\n")
+        code, out, err = run(["eval", "--pred", str(tmp_path / "t.csv"), "--truth", str(tmp_path / "t.csv"),
+                              "--k", k, "--out", str(tmp_path / "out")], capsys)
+        assert code == 2 and message in err, err
+        assert not out and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("which", ["pred", "truth"])
+    def test_eval_empty_label_exit_2_names_file_and_line(self, tmp_path, capsys, which):
+        (tmp_path / "good.csv").write_text("id,label\na,tiger\nb,leopard\n")
+        (tmp_path / "bad.csv").write_text("id,label\nb,leopard\na,\n")
+        files = {"pred": "good.csv", "truth": "good.csv", which: "bad.csv"}
+        code, out, err = run(["eval", "--pred", str(tmp_path / files["pred"]),
+                              "--truth", str(tmp_path / files["truth"]), "--out", str(tmp_path / "out")], capsys)
+        assert code == 2 and f"{tmp_path / 'bad.csv'}:3: empty label" in err, err
+        assert not out and not (tmp_path / "out").exists()
+
     def test_segment_writes_mask(self, corpus, tmp_path):
         model = tmp_path / "det.model"
         assert cli.main(["train-detect", "--manifest", str(corpus / "manifest.csv"),

@@ -116,16 +116,22 @@ class TestConfig:
 
 
     @pytest.mark.parametrize("protocol", ["species", "volume"])
-    def test_unsegmented_runners_pool_no_patch_grid(self, protocol):
+    def test_unsegmented_runners_pool_no_patch_grid(self, protocol, monkeypatch):
         # segment = true sets only the individual runs' masks: a runner that
-        # reads no mask neither pools nor keeps an image's patch grid, and a
-        # detector sweep pools no windows either, only each full frame
+        # reads no mask pools no image's patch grid (no pooling call holds
+        # more regions than an image's windows), and a detector sweep pools
+        # no windows either, only each full frame
+        pooled, spp_pool = [], ft.spp_pool
+        monkeypatch.setattr(ft, "spp_pool", lambda fmap, regions, *args, **kwargs: (
+            pooled.append(len(regions)) or spp_pool(fmap, regions, *args, **kwargs)))
         ctx = ex.PipelineContext(config(protocol, segment=True))
         ex.run_protocol(config(protocol, segment=True, n_seeds=1, head_epochs=5, fractions=(1.0,)), ctx)
+        size = SMALL_SYNTH.image_size
+        n_windows = len(ft.propose_regions(size, size, ctx.cfg.region_scales, ctx.cfg.region_stride))
         if protocol == "volume":
-            assert not ctx._region_feats and not ctx._patch_rows
+            assert not ctx._region_feats and set(pooled) == {1}
         else:
-            assert ctx._region_feats and not ctx._patch_rows
+            assert ctx._region_feats and pooled and max(pooled) == n_windows
 
 
 def assert_image_feature_is_last_window_row(cfg):
@@ -435,7 +441,7 @@ class TestIndividual:
             rows, labs = [], []
             for i in ids:
                 x0, y0, x1, y1 = ctx.boxes[i]
-                patch = ctx.patch_rows(i)
+                patch = ctx.pool(i, grid=True)[1]
                 pos, neg = [], []
                 for idx, reg in enumerate(seg.grid_for(ctx.images[i], cfg.patch_size).regions()):
                     if reg.x0 >= x0 and reg.x1 <= x1 and reg.y0 >= y0 and reg.y1 <= y1:
@@ -457,16 +463,35 @@ class TestIndividual:
             got, ref = ex._train_patch_detector(ctx, cfg, ids, seed), reference(seed)
             assert got.weights.tobytes() == ref.weights.tobytes() and got.bias == ref.bias
 
+    def test_patch_detector_same_with_pass_rows(self, monkeypatch):
+        # the segmented pass hands its grid rows to each detector fit; a fit
+        # given none pools them itself, on a fresh context, to the same bytes
+        train, calls = ex._train_patch_detector, []
+
+        def recording_train(ctx, cfg, train_ids, seed, grid_rows=None):
+            model = train(ctx, cfg, train_ids, seed, grid_rows)
+            calls.append((cfg, train_ids, seed, grid_rows, model))
+            return model
+
+        monkeypatch.setattr(ex, "_train_patch_detector", recording_train)
+        cfg = config("individual", n_seeds=1, head_epochs=5, segment=True, jobs=2)
+        ex.run_individual_study(cfg)
+        fresh = ex.PipelineContext(cfg)
+        assert calls and all(rows is not None for _, _, _, rows, _ in calls)
+        for cfg, train_ids, seed, _, model in calls:
+            alone = train(fresh, cfg, train_ids, seed)
+            assert alone.weights.tobytes() == model.weights.tobytes() and alone.bias == model.bias
+
 
 def arrays_in(obj, path="ctx", seen=None):
     """(path, array) of every numpy array reachable from `obj` through dicts,
-    lists, tuples and object attributes."""
+    lists, tuples, object attributes and views' bases."""
     seen = set() if seen is None else seen
     if id(obj) in seen or isinstance(obj, (str, bytes, int, float, type)) or obj is None:
         return []
     seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        return [(path, obj)]
+    if isinstance(obj, np.ndarray):  # and the array a view keeps alive
+        return [(path, obj)] + arrays_in(obj.base, f"{path}.base", seen)
     if isinstance(obj, dict):
         items = [(f"{path}[{k!r}]", v) for k, v in obj.items()]
     elif isinstance(obj, (list, tuple)):
@@ -486,6 +511,9 @@ class TestTransientPixels:
         held = arrays_in(ctx)
         assert any(a.ndim == 2 for _, a in held)  # the walk reaches the cached rows
         assert not [p for p, a in held if a.shape == (size, size, 3)]
+        # nor patch-grid rows: the segmented pass held those only until its masks existed
+        n_cells = len(seg.PatchGrid(cfg.patch_size, size, size).regions())
+        assert not [p for p, a in held if a.ndim == 2 and a.shape[0] >= n_cells]
         # every access renders the record's pixels afresh, byte for byte
         for r in ctx.manifest:
             assert ctx.images[r.id].tobytes() == synth.render_image(SMALL_SYNTH, r)[0].tobytes(), r.id

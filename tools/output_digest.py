@@ -11,7 +11,10 @@ the CLI in child processes with PYTHONPATH=SRC:
   individual sweep, two-value sweeps, a 0.4 night fraction, three seeds);
 - `species`, `individual` and `joint-individuals` on the default corpus;
 - `train-detect`, `train-species`, `train-individual` and `segment` on a
-  synthesized 64 px corpus.
+  synthesized 64 px corpus;
+- `volume` and `species` on the same config, reading that corpus's PPMs
+  through `--manifest` and `--images`, run from OUT with relative paths so
+  that `config.json` does not record OUT.
 
 Every `experiment` call gets `--jobs N`.  Environment variables such as
 OPENBLAS_NUM_THREADS pass through to the children.  Run it on two checkouts
@@ -28,6 +31,7 @@ from pathlib import Path
 
 PROTOCOLS = ("volume", "proportion", "split", "illumination", "species", "individual", "joint-individuals")
 HEAD_PROTOCOLS = ("species", "individual", "joint-individuals")
+MANIFEST_PROTOCOLS = ("volume", "species")
 
 SMALL_CONFIG = """\
 image_size = 64
@@ -69,8 +73,8 @@ def main(argv=None) -> int:
     out.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve())}
 
-    def camtrap(*argv):
-        done = subprocess.run([sys.executable, "-m", "camtrap.cli", *map(str, argv)], env=env,
+    def camtrap(*argv, cwd=None):
+        done = subprocess.run([sys.executable, "-m", "camtrap.cli", *map(str, argv)], env=env, cwd=cwd,
                               capture_output=True, text=True)
         if done.returncode:
             sys.exit(f"camtrap {' '.join(map(str, argv))} exited {done.returncode}:\n{done.stderr}")
@@ -98,6 +102,11 @@ def main(argv=None) -> int:
     camtrap("segment", "--image", image, "--detector", train / "det.model", "--out", train / "mask.pbm",
             "--patch-size", 8)
     trees.append(train)
+    for protocol in MANIFEST_PROTOCOLS:
+        tree = Path("manifest", protocol)
+        camtrap("experiment", protocol, "--config", config.name, "--manifest", "corpus/manifest.csv",
+                "--images", "corpus", "--jobs", args.jobs, "--out", tree, cwd=out)
+        trees.append(out / tree)
 
     for tree in trees:
         print(f"{tree_sha256(tree)}  {tree.relative_to(out)}")
