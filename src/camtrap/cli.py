@@ -1,11 +1,13 @@
 """Command-line entry point.
 
 Every subcommand is a thin adapter over the library: parse flags, read and
-write files, call one module.  Exit codes: 0 success, 1 usage error, 2 data
-error.  All randomness sits behind ``--seed``.  ``experiment --jobs N``
-builds image features on N threads (fits and scoring stay serial), and its
-output bytes do not depend on N.  The ``CAMTRAP_OUT`` environment variable
-overrides the default output directory.
+write files, call one module.  The ``train-*`` subcommands pool their
+features through the ``PipelineContext`` of the protocol whose fit they
+reproduce, so they build the rows that protocol measures.  Exit codes: 0
+success, 1 usage error, 2 data error.  All randomness sits behind ``--seed``.
+``experiment --jobs N`` builds image features on N threads (fits and scoring
+stay serial), and its output bytes do not depend on N.  The ``CAMTRAP_OUT``
+environment variable overrides the default output directory.
 """
 
 from __future__ import annotations
@@ -120,20 +122,18 @@ def _coerce(text: str):
 # shared helpers
 
 
-def _net_and_pyramid(args):
-    params = ft.init_convnet(args.channels, seed=args.net_seed)
-    pyramid = ft.PyramidConfig(args.levels)
-    return params, pyramid
-
-
-def _record_features(args, man, regions_of):
-    """The region features of each record of `man`, in manifest order, over
-    the regions `regions_of(image)` of its image; each image is read, pooled
-    and dropped before the next is read."""
-    params, pyramid = _net_and_pyramid(args)
-    root = args.images or str(Path(args.manifest).parent)
-    return [ft.extract_region_features(img, regions_of(img), params, pyramid)
-            for img in (synth.read_record(root, r, params.downsample) for r in man)]
+def _context(args) -> ex.PipelineContext:
+    """The feature context of the protocol whose fit a `train-*` command
+    reproduces (`args.protocol`), over its manifest; its net and window
+    values are checked under their flag names first."""
+    ft.check_net_values(args.channels, args.levels)
+    windows = {}
+    if "scales" in args:
+        ft.check_region_values(args.scales, args.stride)
+        windows = {"region_scales": args.scales, "region_stride": args.stride}
+    return ex.PipelineContext(ex.ExperimentConfig(
+        args.protocol, manifest_path=args.manifest, images_root=args.images, channels=args.channels,
+        pyramid_levels=args.levels, feature_seed=args.net_seed, **windows))
 
 
 def _add_net_flags(p):
@@ -180,9 +180,9 @@ def _cmd_split(args) -> int:
 
 def _cmd_train_detect(args) -> int:
     cfg = svm.SvmTrainConfig(args.epochs, args.lam, args.seed)
-    man = mf.load_manifest(args.manifest)
-    x = np.stack([rf.matrix[0] for rf in _record_features(args, man, lambda img: [ft.full_image_region(img)])])
-    y = np.array([1.0 if r.has_animal else -1.0 for r in man])
+    ctx = _context(args)
+    x = np.stack([ctx.image_feature(r.id) for r in ctx.manifest])
+    y = np.array([1.0 if r.has_animal else -1.0 for r in ctx.manifest])
     model = svm.train_linear_svm(x, y, cfg)
     svm.save_model(model, args.out)
     pred = svm.predict_labels(model, x)
@@ -190,12 +190,17 @@ def _cmd_train_detect(args) -> int:
     return EXIT_OK
 
 
-def _train_head_command(args, man, label_of, class_names) -> int:
-    """Train a two-stream head on the region features of every record in `man`."""
+def _train_head_command(args, ctx, records, label_of, class_names) -> int:
+    """Train a two-stream head on the window features of `records`."""
     cfg = wsddn.HeadTrainConfig(args.epochs, args.lr, args.seed, args.l2)
-    ft.check_region_values(args.scales, args.stride)
-    feats = _record_features(args, man, lambda img: ft.propose_regions(img.shape[1], img.shape[0], args.scales, args.stride))
-    ds = [(rf, wsddn.one_hot(label_of(r), class_names)) for rf, r in zip(feats, man)]
+    # one window count on every image, checked from the records' sizes before any image is pooled
+    count_ids = {}  # the first record of each window count
+    for r in records:
+        count_ids.setdefault(len(ft.propose_regions(r.width, r.height, ctx.cfg.region_scales, ctx.cfg.region_stride)), r.id)
+    if len(count_ids) > 1:
+        raise ValueError(f"{args.manifest}: a head needs one window count on every image, found "
+                         + ", ".join(f"{n} on {rid!r}" for n, rid in sorted(count_ids.items())))
+    ds = [(ctx.region_features(r.id), wsddn.one_hot(label_of(r), class_names)) for r in records]
     head = wsddn.train_head(ds, class_names, cfg)
     wsddn.save_head(head, args.out)
     print(f"saved {args.out}; classes {' '.join(class_names)}; final loss {float(head.loss_by_epoch[-1])!r}")
@@ -203,20 +208,21 @@ def _train_head_command(args, man, label_of, class_names) -> int:
 
 
 def _cmd_train_species(args) -> int:
-    man = mf.load_manifest(args.manifest)
-    classes = sorted({r.species for r in man})
+    ctx = _context(args)
+    classes = sorted({r.species for r in ctx.manifest})
     if len(classes) < 2:
         raise ValueError(f"{args.manifest}: need images of at least 2 species, found {classes}")
-    return _train_head_command(args, man, lambda r: r.species, classes)
+    return _train_head_command(args, ctx, ctx.manifest, lambda r: r.species, classes)
 
 
 def _cmd_train_individual(args) -> int:
+    ctx = _context(args)
     species = args.species.split(",") if args.species else None
-    labeled = mf.filter_manifest(mf.load_manifest(args.manifest), species=species, has_individual=True)
+    labeled = mf.filter_manifest(ctx.manifest, species=species, has_individual=True)
     if not labeled:
         raise ValueError(f"{args.manifest}: no record{' of ' + args.species if species else ''} has an individual label")
     classes = sorted({r.individual for r in labeled})
-    return _train_head_command(args, labeled, lambda r: r.individual, classes)
+    return _train_head_command(args, ctx, labeled, lambda r: r.individual, classes)
 
 
 def _cmd_segment(args) -> int:
@@ -225,7 +231,7 @@ def _cmd_segment(args) -> int:
     seg.check_tau(args.tau)
     svm.check_scale(args.scale)
     pp = seg.PairwiseParams(args.w, args.theta_pos, args.theta_color, args.iterations)
-    params, pyramid = _net_and_pyramid(args)
+    params, pyramid = ft.init_convnet(args.channels, seed=args.net_seed), ft.PyramidConfig(args.levels)
     image = synth.read_ppm(args.image, params.downsample)
     h, w = image.shape[:2]
     if args.patch_size > min(h, w):
@@ -270,6 +276,9 @@ def _read_label_csv(path):
 def _cmd_eval(args) -> int:
     wsddn.check_k(args.k, "--k")
     pred = _read_label_csv(args.pred)
+    width = len(next(iter(pred.values())))  # every row has its header's width
+    if args.k > width:
+        raise ValueError(f"{args.pred}:1: the header ranks {width} label(s), fewer than --k {args.k}")
     truth = _read_label_csv(args.truth)
     if set(pred) != set(truth):
         raise ValueError("prediction and truth files cover different ids")
@@ -278,7 +287,6 @@ def _cmd_eval(args) -> int:
     pairs = [(pred[i][0], truth[i][0]) for i in ids]
     cm = mt.accumulate(pairs, classes)
     rows = mt.metrics_report(cm)
-    # top-k first: a ranking narrower than k fails before anything is written
     acc = mt.topk_accuracy([pred[i] for i in ids], [truth[i][0] for i in ids], args.k) if args.k > 1 else None
     sys.stdout.write(mt.format_summary(rows))
     if acc is not None:
@@ -394,11 +402,11 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=ex.ExperimentConfig.svm_epochs)
     p.add_argument("--lam", type=float, default=ex.ExperimentConfig.svm_lambda, help="regularization strength")
     _add_net_flags(p)
-    p.set_defaults(fn=_cmd_train_detect)
+    p.set_defaults(fn=_cmd_train_detect, protocol="volume")
 
-    for name, fn, extra in (
-        ("train-species", _cmd_train_species, "species-identification head"),
-        ("train-individual", _cmd_train_individual, "individual-recognition head"),
+    for name, fn, protocol, extra in (
+        ("train-species", _cmd_train_species, "species", "species-identification head"),
+        ("train-individual", _cmd_train_individual, "individual", "individual-recognition head"),
     ):
         p = sub.add_parser(name, help=f"train the {extra}")
         p.add_argument("--manifest", required=True)
@@ -412,7 +420,7 @@ def build_parser() -> _Parser:
             p.add_argument("--species", default=None, help="comma list, e.g. tiger,leopard")
         _add_net_flags(p)
         _add_region_flags(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, protocol=protocol)
 
     p = sub.add_parser("segment", help="segment one image with a patch detector")
     p.add_argument("--image", required=True, help="PPM input")

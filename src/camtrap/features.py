@@ -322,7 +322,3 @@ def extract_region_features(
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return RegionFeatures(regions=tuple(regions), matrix=rows / norms)
-
-
-def full_image_region(image: np.ndarray) -> Region:
-    return Region(0, 0, image.shape[1], image.shape[0])

@@ -8,12 +8,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from camtrap import cli, synth, wsddn
+from camtrap import cli, features as ft, synth, wsddn
 
 
 def run(argv, capsys=None):
@@ -103,9 +104,11 @@ class TestExitCodes:
         assert str(corpus / image) in err and "64x64" in err
         assert not (tmp_path / "det.model").exists()
 
-    @pytest.mark.parametrize("subcommand", ["train-detect", "train-species", "segment", "experiment"])
+    @pytest.mark.parametrize("subcommand", ["train-detect", "train-species", "train-individual", "segment",
+                                            "experiment"])
     def test_image_below_receptive_field_exit_2_names_image(self, subcommand, tmp_path, capsys):
-        # 3x3 images; the default net's two layers need 2^2 = 4 px a side
+        # 3x3 images; the default net's two layers need 2^2 = 4 px a side (train-individual
+        # checks every record's size up front, labelled by an individual or not)
         rows = ["id,path,species,individual,illumination,width,height"]
         for n, species in enumerate(("tiger", "leopard", "unclassified") * 2):
             synth.write_ppm(tmp_path / f"{n}.ppm", np.full((3, 3, 3), 0.5))
@@ -115,6 +118,7 @@ class TestExitCodes:
         manifest, first, out = str(tmp_path / "manifest.csv"), str(tmp_path / "0.ppm"), str(tmp_path / "out")
         argv = {"train-detect": ["train-detect", "--manifest", manifest],
                 "train-species": ["train-species", "--manifest", manifest],
+                "train-individual": ["train-individual", "--manifest", manifest],
                 "segment": ["segment", "--image", first, "--detector", str(tmp_path / "x.model")],
                 "experiment": ["experiment", "volume", "--manifest", manifest, "--config", str(tmp_path / "volume.cfg")]}
         code, _, err = run(argv[subcommand] + ["--out", out], capsys)
@@ -361,31 +365,74 @@ class TestPipeline:
             assert code == 2 and f"{manifest}: no record" in err and "has an individual label" in err, err
         assert not (tmp_path / "h").exists()
 
-    def test_train_holds_one_image_at_a_time(self, tmp_path):
-        # each image is read, pooled and dropped: the traced peak of
-        # train-detect does not grow with the number of images it reads
+    @pytest.mark.parametrize("subcommand", ["train-detect", "train-species", "train-individual"])
+    def test_train_holds_one_image_at_a_time(self, subcommand, tmp_path, monkeypatch):
+        # each image is read, pooled and dropped: no image read earlier is
+        # alive when the next is read
         assert cli.main(["synth", "--seed", "3", "--individuals", "1", "--images-per-individual", "5",
                          "--negatives", "5", "--image-size", "128", "--out", str(tmp_path)]) == 0
+        read_ppm, alive = synth.read_ppm, []
+
+        def spy(*a, **kw):
+            assert all(ref() is None for ref in alive), "an earlier image is still held"
+            pixels = read_ppm(*a, **kw)
+            alive.append(weakref.ref(pixels))
+            return pixels
+
+        monkeypatch.setattr(synth, "read_ppm", spy)
+        argv = [subcommand, "--images", str(tmp_path), "--out", str(tmp_path / "out"), "--epochs", "1"]
+        assert cli.main(argv + ["--manifest", str(tmp_path / "manifest.csv")]) == 0
+        # train-individual reads only the 10 tiger and leopard records, which name an individual
+        assert len(alive) == (10 if subcommand == "train-individual" else 20)
+        if subcommand != "train-detect":
+            return  # a head's training arrays grow with the number of images
+        # the traced peak of train-detect does not grow with the number of images it reads
         lines = (tmp_path / "manifest.csv").read_text().splitlines(keepends=True)
         (tmp_path / "five.csv").write_text(lines[0] + "".join(lines[1::4]))
         peaks = {}
         for name in ("manifest.csv", "five.csv"):  # 20 images, then 5
             tracemalloc.start()
             try:
-                assert cli.main(["train-detect", "--manifest", str(tmp_path / name), "--images", str(tmp_path),
-                                 "--out", str(tmp_path / "det.model"), "--epochs", "1"]) == 0
+                assert cli.main(argv + ["--manifest", str(tmp_path / name)]) == 0
                 peaks[name] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         image_bytes = 128 * 128 * 3 * 8  # one image's float64 pixels
         assert peaks["manifest.csv"] - peaks["five.csv"] < image_bytes, peaks
 
+    def test_mixed_window_counts_exit_2_names_manifest_and_records(self, corpus, tmp_path, capsys, monkeypatch):
+        # a 96x48 frame among 64x64 ones has 22 windows, not 10; the head
+        # commands name one record of each count before reading any image
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in corpus.glob("*.ppm"):
+            (data / f.name).write_bytes(f.read_bytes())
+        lines = (corpus / "manifest.csv").read_text().splitlines(keepends=True)
+        fields = lines[1].rstrip("\n").split(",")
+        synth.write_ppm(data / fields[1], np.full((48, 96, 3), 0.5))
+        lines[1] = ",".join(fields[:-2] + ["96", "48"]) + "\n"
+        manifest = data / "manifest.csv"
+        manifest.write_text("".join(lines))
+        second = lines[2].split(",")[0]
+
+        def no_read(*_):
+            raise AssertionError("image read before the window counts were checked")
+
+        monkeypatch.setattr(synth, "read_ppm", no_read)
+        for sub in ("train-species", "train-individual"):
+            code, _, err = run([sub, "--manifest", str(manifest), "--out", str(tmp_path / "h")], capsys)
+            assert code == 2, err
+            assert f"{manifest}: a head needs one window count on every image" in err, err
+            assert f"10 on '{second}'" in err and f"22 on '{fields[0]}'" in err, err
+        assert not (tmp_path / "h").exists()
+
     def test_bad_head_training_value_exit_2_names_field(self, corpus, tmp_path, capsys, monkeypatch):
         # the config is checked before any image is read or any feature extracted
         def no_images(*_):
-            raise AssertionError("images loaded before the training config was checked")
+            raise AssertionError("image read or forward before the training config was checked")
 
-        monkeypatch.setattr(cli, "_record_features", no_images)
+        monkeypatch.setattr(synth, "read_ppm", no_images)
+        monkeypatch.setattr(ft, "forward", no_images)
         head = tmp_path / "species.head"
         for flag, value, field in (("--lr", "0", "learning_rate"), ("--epochs", "0", "epochs"),
                                    ("--l2", "-1", "l2")):
@@ -398,9 +445,10 @@ class TestPipeline:
     def test_bad_detector_training_value_exit_2_names_field(self, corpus, tmp_path, capsys, monkeypatch):
         # the config is checked before any image is read or any feature extracted
         def no_images(*_):
-            raise AssertionError("images loaded before the training config was checked")
+            raise AssertionError("image read or forward before the training config was checked")
 
-        monkeypatch.setattr(cli, "_record_features", no_images)
+        monkeypatch.setattr(synth, "read_ppm", no_images)
+        monkeypatch.setattr(ft, "forward", no_images)
         model = tmp_path / "det.model"
         for flag, value, message in (("--epochs", "0", "epochs must be >= 1, got 0"),
                                      ("--lam", "0", "lam must be > 0, got 0.0"),
@@ -435,7 +483,7 @@ class TestPipeline:
                          "--truth", str(tmp_path / "t.csv")]) == 2
 
     @pytest.mark.parametrize("k, message", [("0", "--k must be >= 1, got 0"), ("-3", "--k must be >= 1, got -3"),
-                                            ("5", "ranking of length 1 shorter than k=5")])
+                                            ("5", "t.csv:1: the header ranks 1 label(s), fewer than --k 5")])
     def test_eval_bad_k_exit_2_writes_nothing(self, tmp_path, capsys, k, message):
         # k below 1, or wider than the pred file's rankings, fails before the summary or --out
         (tmp_path / "t.csv").write_text("id,label\na,tiger\nb,leopard\n")

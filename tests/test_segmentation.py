@@ -317,9 +317,10 @@ class TestThresholdAndMask:
         params = ft.init_convnet((3, 4), seed=0)
         img = rng.uniform(size=(32, 32, 3))
         mask = np.ones((32, 32), dtype=np.uint8)
+        full = [ft.Region(0, 0, 32, 32)]
         assert np.allclose(
-            ft.extract_region_features(seg.apply_mask(img, mask), [ft.full_image_region(img)], params).matrix,
-            ft.extract_region_features(img, [ft.full_image_region(img)], params).matrix,
+            ft.extract_region_features(seg.apply_mask(img, mask), full, params).matrix,
+            ft.extract_region_features(img, full, params).matrix,
         )
 
 

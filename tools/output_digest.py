@@ -10,8 +10,8 @@ the CLI in child processes with PYTHONPATH=SRC:
 - all seven protocols on one fixed 64 px config (segmentation, the
   individual sweep, two-value sweeps, a 0.4 night fraction, three seeds);
 - `species`, `individual` and `joint-individuals` on the default corpus;
-- `train-detect`, `train-species`, `train-individual` and `segment` on a
-  synthesized 64 px corpus;
+- `train-detect`, `train-species`, `train-individual` (all individuals, and
+  `--species tiger` alone) and `segment` on a synthesized 64 px corpus;
 - `volume` and `species` on the same config, reading that corpus's PPMs
   through `--manifest` and `--images`, run from OUT with relative paths so
   that `config.json` does not record OUT.
@@ -98,6 +98,7 @@ def main(argv=None) -> int:
     camtrap("train-detect", *data, "--out", train / "det.model", "--epochs", 20)
     camtrap("train-species", *data, "--out", train / "species.head", "--epochs", 60)
     camtrap("train-individual", *data, "--out", train / "individual.head", "--epochs", 60)
+    camtrap("train-individual", *data, "--species", "tiger", "--out", train / "tiger.head", "--epochs", 60)
     image = sorted(corpus.glob("tiger-*.ppm"))[0]
     camtrap("segment", "--image", image, "--detector", train / "det.model", "--out", train / "mask.pbm",
             "--patch-size", 8)
