@@ -12,10 +12,11 @@ it, and the `PipelineContext` keeps only the rows.  The detector sweeps and
 alone on those threads (`PipelineContext.image_feature`, not cached) and fit
 their detectors in lockstep (`svm.train_linear_svms`).  The runners that
 train heads first pool every proposal window of each image they will read
-into the `PipelineContext`; a segmented run also pools the patch grid
-(`PipelineContext.pool`), holds those rows only until its masks exist, and
-computes its masked images' region features on the threads.  The conv GEMMs
-are numpy work that releases the GIL; keep jobs x BLAS threads <= cores.
+into the `PipelineContext`; a segmented run also pools the patch grid and
+takes the patch mean colors (`PipelineContext.pool`), holds those only
+until its masks exist, and renders or reads each masked image again for its
+masked forwards on the threads.  The conv GEMMs are numpy work that releases
+the GIL; keep jobs x BLAS threads <= cores.
 Every SVM and head fit, the segmented runs' patch masks, and all scoring
 run on the calling thread in trial-index order.
 
@@ -137,11 +138,11 @@ class PipelineContext:
 
     It keeps window rows, never pixels or patch-grid rows: `images` and
     `boxes` are read-only maps (`synth.RecordMap`) that render or read a
-    record's pixels on each access, and `pool` hands an image's pixels and
-    grid rows to its caller, so they live only while an image is pooled
-    (and, for a segmented run, until its masks and masked forwards).  The
-    planted box of a synthetic positive is kept once found, as a 4-tuple;
-    pooling an image finds it."""
+    record's pixels on each access, so pixels live only while an image is
+    pooled (or, in a segmented run, masked), and `pool` hands an image's
+    patch mean colors and grid rows to its caller.  The planted box of a
+    synthetic positive is kept once found, as a 4-tuple; pooling an image
+    finds it."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -177,12 +178,12 @@ class PipelineContext:
             self.pool(rid)
         return self._region_feats[rid]
 
-    def pool(self, rid: str, grid: bool = False) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """(pixels, patch-grid rows or None) of the image, from one conv
-        forward of pixels rendered or read for it.  Its window rows are
-        cached unless they are; its grid is pooled in the same region list
-        only if `grid`, and neither its grid rows nor its feature map is
-        cached (a map per image raised peak memory on every workload)."""
+    def pool(self, rid: str, grid: bool = False) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """One conv forward of pixels rendered or read for the image, dropped
+        on return; its window rows are cached unless they are.  If `grid`,
+        its patch grid is pooled in the same region list and its (patch mean
+        colors, grid rows) are returned, else None; neither, nor its feature
+        map, is cached (a map per image raised peak memory on every workload)."""
         img, r = self.images[rid], self.by_id[rid]
         windows = [] if rid in self._region_feats else ft.propose_regions(
             r.width, r.height, self.cfg.region_scales, self.cfg.region_stride)
@@ -191,7 +192,7 @@ class PipelineContext:
         if windows:  # a copy when split, so the cache does not keep the grid rows alive
             self._region_feats[rid] = ft.RegionFeatures(
                 regions=tuple(windows), matrix=rows[: len(windows)].copy() if grid else rows)
-        return img, rows[len(windows) :] if grid else None
+        return (seg.patch_mean_colors(img, self.grid(rid)), rows[len(windows) :]) if grid else None
 
 
 # the config fields a PipelineContext is built from
@@ -507,10 +508,10 @@ def run_species_comparison(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
 # individual recognition
 
 
-def _train_patch_detector(ctx, cfg, train_ids, seed, grid_rows=None):
+def _train_patch_detector(ctx, cfg, train_ids, seed, pooled=None):
     """Patch-level detector from planted ground-truth boxes, on the patch-grid
-    rows of the training positives: `grid_rows[rid]` if given, else pooled
-    here and not kept."""
+    rows of the training positives: those of `pooled[rid]`, the image's
+    `ctx.pool(rid, grid=True)`, if given, else pooled here and not kept."""
     rng = np.random.default_rng(np.uint64(seed))
     rows, labs = [], []
     for i in train_ids:
@@ -525,7 +526,7 @@ def _train_patch_detector(ctx, cfg, train_ids, seed, grid_rows=None):
         take = min(len(pos), len(neg), 8)
         if take == 0:
             continue
-        patch = ctx.pool(i, grid=True)[1] if grid_rows is None else grid_rows[i]
+        patch = (ctx.pool(i, grid=True) if pooled is None else pooled[i])[1]
         rows += [patch[rng.choice(pos, take, replace=False)], patch[rng.choice(neg, take, replace=False)]]
         labs += [np.ones(take), -np.ones(take)]
     if not rows:
@@ -539,34 +540,33 @@ def _individual_features(ctx, cfg, runs):
     patch detector fitted on the run's training ids.  Every image the runs
     read is pooled first, on `cfg.jobs` threads; an image that a segmented
     run reads has its patch grid pooled from the same forward (`ctx.pool`),
-    its grid rows held here, not on `ctx`, until its masks exist and its
-    pixels until its masked forwards.  The detectors, then every (run,
-    image) patch mask, are computed in run order on the calling thread;
-    then, image by image on `cfg.jobs` threads, one masked forward serves
-    each distinct (image, patch mask), and the image's pixels are dropped.
-    Nothing of the masked images is kept on `ctx`.
+    its patch mean colors and grid rows held here, not on `ctx`, until its
+    masks exist.  The detectors, then every (run, image) patch mask, are
+    computed from those in run order on the calling thread; then, image by
+    image on `cfg.jobs` threads, the image is rendered or read again and one
+    masked forward serves each distinct (image, patch mask).  No pixels are
+    held, and nothing of the masked images is kept on `ctx`.
 
     The mean field stays on the calling thread because perfbench's tracer
     wraps each call in `tracemalloc.start()` / `stop()`, and on CPython 3.11
     a stop racing numpy's allocations in another thread crashed the traced
     process."""
     masked_ids = list(dict.fromkeys(i for train, val, *_, segmented in runs if segmented for i in (*train, *val)))
-    pixels, grid_rows = {}, {}  # until the masked forwards, and until the masks exist
-    for rid, pooled in zip(masked_ids, _map_images(cfg, functools.partial(ctx.pool, grid=True), masked_ids)):
-        pixels[rid], grid_rows[rid] = pooled
+    # (patch mean colors, grid rows) of each masked image, until the masks exist
+    pooled = dict(zip(masked_ids, _map_images(cfg, functools.partial(ctx.pool, grid=True), masked_ids)))
     _map_images(cfg, ctx.region_features, list(dict.fromkeys(i for train, val, *_ in runs for i in (*train, *val))))
     runs_of = {}  # image id -> (run, patch mask) of each segmented run that reads it
     for n, (train, val, _, seed, segmented) in enumerate(runs):
         if segmented:
-            detector = _train_patch_detector(ctx, cfg, train, seed, grid_rows)
+            detector = _train_patch_detector(ctx, cfg, train, seed, pooled)
             for rid in (*train, *val):
-                runs_of.setdefault(rid, []).append(
-                    (n, seg.patch_mask(grid_rows[rid], pixels[rid], ctx.grid(rid), detector)))
-    del grid_rows
+                colors, rows = pooled[rid]
+                runs_of.setdefault(rid, []).append((n, seg.patch_mask(rows, colors, ctx.grid(rid), detector)))
+    del pooled
 
     def masked_features(rid):
         """(run, region features) of each segmented run that reads the image."""
-        img, regions = pixels.pop(rid), ctx.region_features(rid).regions
+        img, regions = ctx.images[rid], ctx.region_features(rid).regions
         by_mask, out = {}, []
         for n, mask in runs_of[rid]:
             key = mask.tobytes()

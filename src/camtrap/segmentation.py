@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -140,13 +141,16 @@ def _pairwise_kernel(grid: PatchGrid, colors: np.ndarray, pp: PairwiseParams) ->
     return k
 
 
-def refine_mean_field(unary: np.ndarray, image: np.ndarray, grid: PatchGrid, pp: PairwiseParams = PairwiseParams()) -> np.ndarray:
-    """Synchronous sweeps of q_i <- sigmoid(logit(u_i) + w * sum_j k_ij (2 q_j - 1))."""
+def refine_mean_field(unary: np.ndarray, image: Optional[np.ndarray], grid: PatchGrid,
+                      pp: PairwiseParams = PairwiseParams(), colors: Optional[np.ndarray] = None) -> np.ndarray:
+    """Synchronous sweeps of q_i <- sigmoid(logit(u_i) + w * sum_j k_ij (2 q_j - 1)),
+    the kernel from `colors` (`patch_mean_colors` of the image) if given, else from `image`."""
     if unary.shape != (grid.ny, grid.nx):
         raise ValueError(f"unary shape {unary.shape} does not match grid {(grid.ny, grid.nx)}")
     if pp.w == 0.0:
         return unary.copy()
-    colors = patch_mean_colors(image, grid)
+    if colors is None:
+        colors = patch_mean_colors(image, grid)
     k = _pairwise_kernel(grid, colors, pp)
     u = np.clip(unary.reshape(-1), 1e-12, 1.0 - 1e-12)
     logit_u = np.log(u / (1.0 - u))
@@ -191,11 +195,12 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.logical_and(a, b).sum() / union)
 
 
-def patch_mask(rows: np.ndarray, image: np.ndarray, grid: PatchGrid, detector: svm.LinearModel,
+def patch_mask(rows: np.ndarray, colors: np.ndarray, grid: PatchGrid, detector: svm.LinearModel,
                pp: PairwiseParams = PairwiseParams(), tau: float = 0.5, scale: float = 1.0) -> np.ndarray:
     """(ny, nx) uint8 mask of an image's patches from the feature rows of
-    `grid.regions()`: unary -> mean-field -> threshold, the one rows -> mask path."""
-    return threshold_mask(refine_mean_field(compute_unary(rows, grid, detector, scale), image, grid, pp), tau)
+    `grid.regions()` and its patch mean colors: unary -> mean-field ->
+    threshold, the one rows -> mask path."""
+    return threshold_mask(refine_mean_field(compute_unary(rows, grid, detector, scale), None, grid, pp, colors), tau)
 
 
 def segment_image(image: np.ndarray, detector: svm.LinearModel, params: feat.ConvNetParams,
@@ -204,7 +209,7 @@ def segment_image(image: np.ndarray, detector: svm.LinearModel, params: feat.Con
     """(H, W) uint8 mask of an image: its patch-grid rows, then `patch_mask`, upsampled."""
     grid = grid_for(image, patch_size)
     rows = feat.extract_region_features(image, grid.regions(), params, pyramid).matrix
-    return upsample_mask(patch_mask(rows, image, grid, detector, pp, tau, scale), grid)
+    return upsample_mask(patch_mask(rows, patch_mean_colors(image, grid), grid, detector, pp, tau, scale), grid)
 
 
 def write_pbm(path, mask: np.ndarray) -> None:

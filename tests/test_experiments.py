@@ -526,6 +526,44 @@ class TestTransientPixels:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_segmented_run_holds_no_pixels(self, jobs, monkeypatch):
+        # each image is rendered for its pooling forward or its masked
+        # forwards and dropped after them: at every render, at most one
+        # earlier image per thread is still alive, and the masks hold none
+        render, alive, renders = synth.render_image, [], Counter()
+
+        def spy(cfg, record):
+            held = sum(ref() is not None for ref in alive)
+            assert held <= jobs, f"{held} earlier images are still held"
+            px, box = render(cfg, record)
+            alive.append(weakref.ref(px))
+            renders[record.id] += 1
+            return px, box
+
+        monkeypatch.setattr(synth, "render_image", spy)
+        ex.run_individual_study(config("individual", n_seeds=1, head_epochs=5, segment=True, jobs=jobs))
+        # once for the pooling forward, once for the masked forwards
+        assert renders and set(renders.values()) == {2}
+
+    @pytest.mark.parametrize("size, patch, seed", [(64, 12, 0), (70, 16, 1), (48, 16, 2), (61, 9, 3)])
+    def test_mean_field_from_pooled_colors_matches_image(self, size, patch, seed):
+        # the colors taken at pooling give the mean field of the image,
+        # byte for byte, clipped last patches included
+        cfg = config("individual", synth_config=synth.SynthConfig(
+            image_size=size, species_specs=SMALL_SPECS, n_negatives=2, seed=seed), patch_size=patch)
+        ctx = ex.PipelineContext(cfg)
+        rng = np.random.default_rng(seed)
+        pp = seg.PairwiseParams(w=3.0, iterations=4)
+        for rid in list(ctx.images)[::9]:
+            colors, rows = ctx.pool(rid, grid=True)
+            grid, image = ctx.grid(rid), ctx.images[rid]
+            assert rows.shape[0] == grid.ny * grid.nx
+            assert colors.tobytes() == seg.patch_mean_colors(image, grid).tobytes()
+            unary = rng.uniform(0.05, 0.95, (grid.ny, grid.nx))
+            got = seg.refine_mean_field(unary, None, grid, pp, colors)
+            assert got.tobytes() == seg.refine_mean_field(unary, image, grid, pp).tobytes(), rid
+
     def test_manifest_context_reads_on_access(self, tmp_path):
         man, _, _ = synth.generate_corpus(SMALL_SYNTH, tmp_path)
         cfg = ex.ExperimentConfig(protocol="volume", manifest_path=str(tmp_path / "manifest.csv"),
