@@ -193,13 +193,7 @@ def _cmd_train_detect(args) -> int:
 def _train_head_command(args, ctx, records, label_of, class_names) -> int:
     """Train a two-stream head on the window features of `records`."""
     cfg = wsddn.HeadTrainConfig(args.epochs, args.lr, args.seed, args.l2)
-    # one window count on every image, checked from the records' sizes before any image is pooled
-    count_ids = {}  # the first record of each window count
-    for r in records:
-        count_ids.setdefault(len(ft.propose_regions(r.width, r.height, ctx.cfg.region_scales, ctx.cfg.region_stride)), r.id)
-    if len(count_ids) > 1:
-        raise ValueError(f"{args.manifest}: a head needs one window count on every image, found "
-                         + ", ".join(f"{n} on {rid!r}" for n, rid in sorted(count_ids.items())))
+    ctx.check_window_counts([r.id for r in records])
     ds = [(ctx.region_features(r.id), wsddn.one_hot(label_of(r), class_names)) for r in records]
     head = wsddn.train_head(ds, class_names, cfg)
     wsddn.save_head(head, args.out)

@@ -163,6 +163,26 @@ class PipelineContext:
         r = self.by_id[rid]
         return seg.PatchGrid(self.cfg.patch_size, r.width, r.height)
 
+    def windows(self, rid: str) -> List[ft.Region]:
+        """The image's proposal windows, from its manifest record."""
+        r = self.by_id[rid]
+        return ft.propose_regions(r.width, r.height, self.cfg.region_scales, self.cfg.region_stride)
+
+    def check_window_counts(self, rids) -> None:
+        """Raise, naming the manifest and the first image of each count,
+        unless the images share one window count, as one head's training
+        images must.  It reads record sizes only, so it runs before any
+        image is pooled (a synthetic corpus has one size)."""
+        sizes = {}  # (width, height) -> the first image of that size
+        for rid in rids:
+            sizes.setdefault((self.by_id[rid].width, self.by_id[rid].height), rid)
+        counts = {}  # window count -> the first image with it
+        for rid in sizes.values():
+            counts.setdefault(len(self.windows(rid)), rid)
+        if len(counts) > 1:
+            raise ValueError(f"{self.cfg.manifest_path}: a head needs one window count on every image, found "
+                             + ", ".join(f"{n} on {rid!r}" for n, rid in sorted(counts.items())))
+
     def image_feature(self, rid: str) -> np.ndarray:
         """The image's full-frame row: the last of its windows' rows if those
         are pooled (the full frame is the last window), else the full frame
@@ -184,9 +204,8 @@ class PipelineContext:
         its patch grid is pooled in the same region list and its (patch mean
         colors, grid rows) are returned, else None; neither, nor its feature
         map, is cached (a map per image raised peak memory on every workload)."""
-        img, r = self.images[rid], self.by_id[rid]
-        windows = [] if rid in self._region_feats else ft.propose_regions(
-            r.width, r.height, self.cfg.region_scales, self.cfg.region_stride)
+        img = self.images[rid]
+        windows = [] if rid in self._region_feats else self.windows(rid)
         cells = self.grid(rid).regions() if grid else []
         rows = ft.extract_region_features(img, windows + cells, self.params, self.pyramid).matrix
         if windows:  # a copy when split, so the cache does not keep the grid rows alive
@@ -428,18 +447,21 @@ def run_species_comparison(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
     wsddn_top1/5    - two-stream region head with top-K aggregation; per-class
                       top-k accuracy = fraction of that class's images whose
                       top-k ranking contains it
-    Every trial's datasets are built first, then all heads are fitted
-    (`_fit_heads`), then each trial is scored.
+    Every trial's region-head images are checked for one window count
+    before any image is pooled; every trial's datasets are built, then all
+    heads are fitted (`_fit_heads`), then each trial is scored.
     """
     ctx = _context(cfg, ctx)
     by_id = ctx.by_id
     agg_cfg = wsddn.AggregationConfig(k=cfg.k)
     report = Report(cfg)
+    splits = [mf.stratified_split(ctx.manifest, cfg.split_fraction, seed, "species") for _, seed in _trials(cfg)]
+    for split in splits:
+        ctx.check_window_counts(split.train)  # the region head's images
     _map_images(cfg, ctx.region_features, ctx.manifest.ids())  # every trial splits the whole corpus
 
     trials, fits = [], []
-    for trial_idx, seed in _trials(cfg):
-        split = mf.stratified_split(ctx.manifest, cfg.split_fraction, seed, "species")
+    for (trial_idx, seed), split in zip(_trials(cfg), splits):
         train_ids = list(split.train)
         species = sorted({by_id[i].species for i in train_ids} - {"unclassified"})
         all_classes = species + ["unclassified"]
@@ -596,12 +618,15 @@ def _individual_key(cfg, man, classes, seed, balanced, segmented):
 
 def _individual_runs(ctx, cfg, keys):
     """(confusion matrix on the validation ids, training image count per
-    individual) of each run key, in order.  Each distinct key is built
-    once: its features (`_individual_features`, which pools every image the
+    individual) of each run key, in order.  Every run's training images are
+    checked for one window count, then each distinct key is built once: its
+    features (`_individual_features`, which pools every image the
     runs read first) and dataset, then every head is fitted (`_fit_heads`),
     then each head is scored.  A key seen again reuses that result."""
     by_id = ctx.by_id
     runs = list(dict.fromkeys(keys))
+    for train, *_ in runs:
+        ctx.check_window_counts(train)
     feats = _individual_features(ctx, cfg, runs)
     heads = _fit_heads(cfg, [([(f(i), wsddn.one_hot(by_id[i].individual, classes)) for i in train], classes, seed)
                              for f, (train, _, classes, seed, _) in zip(feats, runs)])

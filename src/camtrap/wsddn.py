@@ -188,14 +188,18 @@ def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
     outer-axis sum would round differently from C = 8 on.  No operation
     mixes two fits, so each fit gets the bytes it gets alone, and those are
     the class-last form's bytes for every N >= 2, which train_heads always
-    passes (at N = 1 numpy sums the region axis as its innermost).  du and
-    dv are written through a transposed view of the (K, N, R, 2C) buffer
-    that the gradient GEMM reads.
+    passes (at N = 1 numpy sums the region axis as its innermost).
 
-    The step's large arrays are allocated here once and overwritten by
-    every step: allocated afresh, arrays this size went back to the OS
-    between steps (glibc), and the page faults cost as much as lockstep
-    saved on the default corpus.
+    The step lives in three buffers of 5 units (C·R·K·N values) in all,
+    allocated here once and overwritten by every step.  `rows`, the
+    (K, N·R, 2C) GEMM output, holds the logits until they are transposed
+    into the class-major `uv`, then, as two (C, R, K, N) halves, the
+    product scratch `s` and `dp`.  Each stream's softmax in `uv` is
+    overwritten by its gradient (du = p·dp, dv = q·dq), and one transposing
+    copy writes [du | dv] back into `rows` for the gradient GEMM; `dq` has
+    an array of its own.  Allocated afresh, arrays this size went back to
+    the OS between steps (glibc), and the page faults cost as much as
+    lockstep saved on the default corpus.
     """
     k, n, r, d = x.shape
     c = targets.shape[2]
@@ -203,17 +207,15 @@ def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
     t = targets.transpose(2, 0, 1)
     x_blocks = [(x3[:, i : i + GRAD_ROW_BLOCK].transpose(0, 2, 1), slice(i, i + GRAD_ROW_BLOCK))
                 for i in range(0, n * r, GRAD_ROW_BLOCK)]
-    logits = np.empty((k, n * r, 2 * c))
+    rows = np.empty((k, n * r, 2 * c))
+    s, dp = rows.reshape(2, c, r, k, n)  # free once the logits are in uv
     uv = np.empty((2 * c, r, k, n))
-    p, q = uv[:c], uv[c:]  # each stream's softmax overwrites its logits
-    s, dp, dq = (np.empty((c, r, k, n)) for _ in range(3))
-    duv = np.empty((k, n, r, 2 * c))
-    du, dv = duv.transpose(3, 2, 0, 1)[:c], duv.transpose(3, 2, 0, 1)[c:]
-    duv_rows = duv.reshape(k, n * r, 2 * c)
+    p, q = uv[:c], uv[c:]  # each stream's softmax, then its gradient
+    dq = np.empty((c, r, k, n))
 
     def loss_and_grad(w: np.ndarray):
-        np.matmul(x3, w, out=logits)
-        np.copyto(uv, logits.reshape(k, n, r, 2 * c).transpose(3, 2, 0, 1))
+        np.matmul(x3, w, out=rows)
+        np.copyto(uv, rows.reshape(k, n, r, 2 * c).transpose(3, 2, 0, 1))
         np.subtract(p, p.max(axis=0), out=p)
         np.exp(p, out=p)
         np.divide(p, _class_sum(p), out=p)
@@ -233,11 +235,12 @@ def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
         np.subtract(dp, _class_sum(np.multiply(dp, p, out=s)), out=dp)
         np.multiply(ds, p, out=dq)
         np.subtract(dq, np.multiply(dq, q, out=s).sum(axis=1, keepdims=True), out=dq)
-        np.multiply(p, dp, out=du)
-        np.multiply(q, dq, out=dv)
+        np.multiply(p, dp, out=p)
+        np.multiply(q, dq, out=q)
+        np.copyto(rows.reshape(k, n, r, 2 * c), uv.transpose(2, 3, 1, 0))
         g = np.zeros((k, d, 2 * c))
-        for xt, rows in x_blocks:
-            g += np.matmul(xt, duv_rows[:, rows])
+        for xt, block in x_blocks:
+            g += np.matmul(xt, rows[:, block])
         g /= n
         g += l2 * w
         return loss, g

@@ -400,31 +400,54 @@ class TestPipeline:
         image_bytes = 128 * 128 * 3 * 8  # one image's float64 pixels
         assert peaks["manifest.csv"] - peaks["five.csv"] < image_bytes, peaks
 
-    def test_mixed_window_counts_exit_2_names_manifest_and_records(self, corpus, tmp_path, capsys, monkeypatch):
-        # a 96x48 frame among 64x64 ones has 22 windows, not 10; the head
-        # commands name one record of each count before reading any image
-        data = tmp_path / "data"
+    @staticmethod
+    def mixed_sizes(corpus, data, rows):
+        """A copy of `corpus` in `data` whose manifest rows `rows` are 96x48
+        frames (22 windows) among 64x64 ones (10 windows); its manifest
+        path and lines."""
         data.mkdir()
         for f in corpus.glob("*.ppm"):
             (data / f.name).write_bytes(f.read_bytes())
         lines = (corpus / "manifest.csv").read_text().splitlines(keepends=True)
-        fields = lines[1].rstrip("\n").split(",")
-        synth.write_ppm(data / fields[1], np.full((48, 96, 3), 0.5))
-        lines[1] = ",".join(fields[:-2] + ["96", "48"]) + "\n"
+        for n in rows:
+            fields = lines[n].rstrip("\n").split(",")
+            synth.write_ppm(data / fields[1], np.full((48, 96, 3), 0.5))
+            lines[n] = ",".join(fields[:-2] + ["96", "48"]) + "\n"
         manifest = data / "manifest.csv"
         manifest.write_text("".join(lines))
-        second = lines[2].split(",")[0]
+        return manifest, lines
 
-        def no_read(*_):
-            raise AssertionError("image read before the window counts were checked")
+    @staticmethod
+    def no_read(*_):
+        raise AssertionError("image read before the window counts were checked")
 
-        monkeypatch.setattr(synth, "read_ppm", no_read)
+    def test_mixed_window_counts_exit_2_names_manifest_and_records(self, corpus, tmp_path, capsys, monkeypatch):
+        # a 96x48 frame among 64x64 ones has 22 windows, not 10; the head
+        # commands name one record of each count before reading any image
+        manifest, lines = self.mixed_sizes(corpus, tmp_path / "data", [1])
+        fields, second = lines[1].split(","), lines[2].split(",")[0]
+        monkeypatch.setattr(synth, "read_ppm", self.no_read)
         for sub in ("train-species", "train-individual"):
             code, _, err = run([sub, "--manifest", str(manifest), "--out", str(tmp_path / "h")], capsys)
             assert code == 2, err
             assert f"{manifest}: a head needs one window count on every image" in err, err
             assert f"10 on '{second}'" in err and f"22 on '{fields[0]}'" in err, err
         assert not (tmp_path / "h").exists()
+
+    @pytest.mark.parametrize("protocol", ["species", "individual", "joint-individuals"])
+    def test_mixed_window_counts_exit_2_in_head_protocols(self, protocol, corpus, tmp_path, capsys, monkeypatch):
+        # every third frame 96x48: each head protocol names the manifest and
+        # one record of each window count before reading any image
+        n_rows = len((corpus / "manifest.csv").read_text().splitlines()) - 1
+        manifest, _ = self.mixed_sizes(corpus, tmp_path / "data", range(1, n_rows + 1, 3))
+        (tmp_path / "c.toml").write_text("n_seeds = 2\n")
+        monkeypatch.setattr(synth, "read_ppm", self.no_read)
+        code, _, err = run(["experiment", protocol, "--manifest", str(manifest), "--config", str(tmp_path / "c.toml"),
+                            "--out", str(tmp_path / "o")], capsys)
+        assert code == 2, err
+        assert f"{manifest}: a head needs one window count on every image, found 10 on '" in err, err
+        assert ", 22 on '" in err, err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_head_training_value_exit_2_names_field(self, corpus, tmp_path, capsys, monkeypatch):
         # the config is checked before any image is read or any feature extracted

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -510,6 +511,26 @@ class TestTraining:
         assert len(wsddn.train_heads([b[0], a[0], slower, b[1], a[1]])) == 5
         assert groups == [(2, 7), (2, 6), (1, 6)]
         assert wsddn.train_heads([]) == []
+
+    def test_step_holds_five_units(self):
+        """Building a lockstep step and running it once peaks below 5 units
+        of C·R·K·N float64 values (its three buffers), plus 10 (C, K, N)
+        temporaries of the loss and its derivative and two arrays the size
+        of g.  A step on six buffers (9 units) fails this."""
+        k, n, r, d, c = 2, 100, 10, 16, 24
+        x, targets, _, _ = self.pipeline_like(k * n, r, d, c, 1.0, k)
+        x, targets = x.reshape(k, n, r, d), targets.reshape(k, n, c)
+        w = np.random.default_rng(k).uniform(-0.5, 0.5, size=(k, d, 2 * c))
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        wsddn._bce_step(x, targets, 1e-4)(w)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        if not tracing:
+            tracemalloc.stop()
+        unit = c * r * k * n * 8
+        assert peak < 5 * unit + 10 * c * k * n * 8 + 2 * k * d * 2 * c * 8, peak / unit
 
     def test_blas_thread_count_leaves_head_bytes(self):
         # 2000 rows x 80 dims against 48 gradient columns: one unblocked

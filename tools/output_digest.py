@@ -10,6 +10,9 @@ the CLI in child processes with PYTHONPATH=SRC:
 - all seven protocols on one fixed 64 px config (segmentation, the
   individual sweep, two-value sweeps, a 0.4 night fraction, three seeds);
 - `species`, `individual` and `joint-individuals` on the default corpus;
+- `joint-individuals` on a 64 px config with 5 individuals per species, so
+  that one head has C = 10 classes: more than 8 and not a multiple of 8,
+  the case where `wsddn._class_sum` adds a tail after its 8 running sums;
 - `train-detect`, `train-species`, `train-individual` (all individuals, and
   `--species tiger` alone) and `segment` on a synthesized 64 px corpus;
 - `volume` and `species` on the same config, reading that corpus's PPMs
@@ -47,6 +50,15 @@ train_proportions = 0.5, 1.0
 split_ratios = 0.6, 0.8
 head_epochs = 40
 svm_epochs = 8
+"""
+
+JOINT10_CONFIG = """\
+image_size = 64
+individuals = 5
+images_per_individual = 4
+n_negatives = 8
+n_seeds = 2
+head_epochs = 30
 """
 
 SYNTH_ARGS = ["--seed", "11", "--individuals", "2", "--images-per-individual", "6",
@@ -90,6 +102,11 @@ def main(argv=None) -> int:
         tree = out / "default" / protocol
         camtrap("experiment", protocol, "--jobs", args.jobs, "--out", tree)
         trees.append(tree)
+    joint10 = out / "joint10.cfg"
+    joint10.write_text(JOINT10_CONFIG)
+    tree = out / "joint10" / "joint-individuals"
+    camtrap("experiment", "joint-individuals", "--config", joint10, "--jobs", args.jobs, "--out", tree)
+    trees.append(tree)
 
     corpus, train = out / "corpus", out / "train"
     camtrap("synth", *SYNTH_ARGS, "--out", corpus)
