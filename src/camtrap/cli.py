@@ -19,8 +19,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import experiments as ex
 from . import features as ft
 from . import manifest as mf
@@ -151,19 +149,17 @@ def _add_region_flags(p):
 # subcommands
 
 
+def _synth_config(image_size, individuals, images_per_individual, n_negatives, night_fraction, corpus_seed):
+    """The synthetic corpus of `synth`'s flags and of an experiment config's corpus keys."""
+    return synth.SynthConfig(image_size, synth.default_species_specs(individuals, images_per_individual),
+                             n_negatives, float(night_fraction), corpus_seed)
+
+
 def _cmd_synth(args) -> int:
-    specs = synth.default_species_specs(args.individuals, args.images_per_individual)
-    cfg = synth.SynthConfig(
-        image_size=args.image_size,
-        species_specs=specs,
-        n_negatives=args.negatives,
-        night_fraction=args.night_fraction,
-        seed=args.seed,
-    )
     out = Path(args.out)
-    synth.generate_corpus(cfg, out_dir=out)
-    n = sum(s.n_images for s in specs) + args.negatives
-    print(f"wrote {n} images and manifest.csv to {out}")
+    manifest, _, _ = synth.generate_corpus(_synth_config(args.image_size, args.individuals, args.images_per_individual,
+                                                         args.negatives, args.night_fraction, args.seed), out_dir=out)
+    print(f"wrote {len(manifest)} images and manifest.csv to {out}")
     return EXIT_OK
 
 
@@ -181,8 +177,8 @@ def _cmd_split(args) -> int:
 def _cmd_train_detect(args) -> int:
     cfg = svm.SvmTrainConfig(args.epochs, args.lam, args.seed)
     ctx = _context(args)
-    x = np.stack([ctx.image_feature(r.id) for r in ctx.manifest])
-    y = np.array([1.0 if r.has_animal else -1.0 for r in ctx.manifest])
+    mf.check_presence(ctx.manifest, args.manifest)
+    x, y = ex.presence_rows(ctx, ctx.manifest.ids())
     model = svm.train_linear_svm(x, y, cfg)
     svm.save_model(model, args.out)
     pred = svm.predict_labels(model, x)
@@ -190,23 +186,24 @@ def _cmd_train_detect(args) -> int:
     return EXIT_OK
 
 
-def _train_head_command(args, ctx, records, label_of, class_names) -> int:
-    """Train a two-stream head on the window features of `records`."""
+def _train_head_command(args, ctx, records, label, plural) -> int:
+    """Train a two-stream head on the window features of `records`, one class
+    per value of their `label` field; `plural` names those values in errors."""
+    classes = sorted({getattr(r, label) for r in records})
+    if len(classes) < 2:
+        raise ValueError(f"{args.manifest}: need images of at least 2 {plural}, found {classes}")
     cfg = wsddn.HeadTrainConfig(args.epochs, args.lr, args.seed, args.l2)
     ctx.check_window_counts([r.id for r in records])
-    ds = [(ctx.region_features(r.id), wsddn.one_hot(label_of(r), class_names)) for r in records]
-    head = wsddn.train_head(ds, class_names, cfg)
+    ds = [(ctx.region_features(r.id), wsddn.one_hot(getattr(r, label), classes)) for r in records]
+    head = wsddn.train_head(ds, classes, cfg)
     wsddn.save_head(head, args.out)
-    print(f"saved {args.out}; classes {' '.join(class_names)}; final loss {float(head.loss_by_epoch[-1])!r}")
+    print(f"saved {args.out}; classes {' '.join(classes)}; final loss {float(head.loss_by_epoch[-1])!r}")
     return EXIT_OK
 
 
 def _cmd_train_species(args) -> int:
     ctx = _context(args)
-    classes = sorted({r.species for r in ctx.manifest})
-    if len(classes) < 2:
-        raise ValueError(f"{args.manifest}: need images of at least 2 species, found {classes}")
-    return _train_head_command(args, ctx, ctx.manifest, lambda r: r.species, classes)
+    return _train_head_command(args, ctx, ctx.manifest, "species", "species")
 
 
 def _cmd_train_individual(args) -> int:
@@ -215,8 +212,7 @@ def _cmd_train_individual(args) -> int:
     labeled = mf.filter_manifest(ctx.manifest, species=species, has_individual=True)
     if not labeled:
         raise ValueError(f"{args.manifest}: no record{' of ' + args.species if species else ''} has an individual label")
-    classes = sorted({r.individual for r in labeled})
-    return _train_head_command(args, ctx, labeled, lambda r: r.individual, classes)
+    return _train_head_command(args, ctx, labeled, "individual", "individuals")
 
 
 def _cmd_segment(args) -> int:
@@ -274,8 +270,10 @@ def _cmd_eval(args) -> int:
     if args.k > width:
         raise ValueError(f"{args.pred}:1: the header ranks {width} label(s), fewer than --k {args.k}")
     truth = _read_label_csv(args.truth)
-    if set(pred) != set(truth):
-        raise ValueError("prediction and truth files cover different ids")
+    differ = sorted(set(pred) ^ set(truth))
+    if differ:
+        raise ValueError(f"--pred {args.pred} and --truth {args.truth} cover different ids, "
+                         f"{len(differ)} in one only: {', '.join(map(repr, differ[:5]))}")
     ids = sorted(pred)
     classes = sorted({truth[i][0] for i in ids} | {pred[i][0] for i in ids})
     pairs = [(pred[i][0], truth[i][0]) for i in ids]
@@ -343,13 +341,7 @@ def _config_from(values: dict, flags: dict) -> ex.ExperimentConfig:
     kwargs = {**{k: v for k, v in values.items() if k not in _CORPUS_DEFAULTS}, **flags, "synth_config": None}
     if "manifest_path" not in kwargs:
         corpus = {**_CORPUS_DEFAULTS, "corpus_seed": kwargs.get("base_seed", ex.ExperimentConfig.base_seed), **values}
-        kwargs["synth_config"] = synth.SynthConfig(
-            image_size=corpus["image_size"],
-            species_specs=synth.default_species_specs(corpus["individuals"], corpus["images_per_individual"]),
-            n_negatives=corpus["n_negatives"],
-            night_fraction=float(corpus["night_fraction"]),
-            seed=corpus["corpus_seed"],
-        )
+        kwargs["synth_config"] = _synth_config(**{k: corpus[k] for k in _CORPUS_DEFAULTS})
     return ex.ExperimentConfig(**kwargs)
 
 
@@ -465,6 +457,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (mf.ManifestError, ValueError, OSError) as exc:
+        if isinstance(exc, mf.StratumError) and getattr(args, "manifest", None):
+            exc = f"{args.manifest}: {exc}"  # a split names no file; name the manifest it split
         print(f"camtrap {args.subcommand}: {exc}", file=sys.stderr)
         return EXIT_DATA
 

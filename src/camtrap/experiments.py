@@ -46,17 +46,6 @@ from . import svm
 from . import synth
 from . import wsddn
 
-PROTOCOLS = (
-    "volume",
-    "proportion",
-    "split",
-    "illumination",
-    "species",
-    "individual",
-    "joint-individuals",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     protocol: str
@@ -280,9 +269,16 @@ def _presence_labels(ctx, ids) -> np.ndarray:
     return np.array([1.0 if ctx.by_id[i].has_animal else -1.0 for i in ids])
 
 
-def _presence_rows(ctx, ids):
+def presence_rows(ctx, ids):
     """Full-image feature rows and their presence labels."""
     return np.stack([ctx.image_feature(i) for i in ids]), _presence_labels(ctx, ids)
+
+
+def _check_presence(ctx, cfg) -> None:
+    """The presence check of a runner that fits detectors, before any image is
+    pooled; it names the manifest, or the key that sizes a synthetic corpus's
+    negatives."""
+    mf.check_presence(ctx.manifest, cfg.manifest_path or f"n_negatives = {cfg.synth_config.n_negatives}")
 
 
 def _fit_detector(cfg, x, y, seed) -> svm.LinearModel:
@@ -383,13 +379,13 @@ def run_detector_sweep(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = N
     fixed validation set, or train:validation ratio (best ratio marked)."""
     key, values_field, split_fn = _SWEEPS[cfg.protocol]
     ctx = _context(cfg, ctx)
+    _check_presence(ctx, cfg)
     cells = [(value, trial_idx, seed, split_fn(ctx, cfg, value, seed))
              for value in getattr(cfg, values_field) for trial_idx, seed in _trials(cfg)]
     metrics = _detector_metrics(ctx, cfg, [(train, val, seed) for _, _, seed, (train, val, _) in cells])
     rows = [{key: value, "trial": trial_idx, "seed": seed, **extra, **m["test"]}
             for (value, trial_idx, seed, (_, _, extra)), m in zip(cells, metrics)]
-    metrics_keys = ["sensitivity", "specificity", "precision", "accuracy"]
-    report = Report(cfg, rows, _aggregate(rows, [key], metrics_keys))
+    report = Report(cfg, rows, _aggregate(rows, [key], mt.MEASURES))
     if cfg.protocol == "split":
         best = max(report.aggregates, key=lambda a: (a["accuracy_mean"], -a["train_ratio"]))
         for a in report.aggregates:
@@ -452,6 +448,7 @@ def run_species_comparison(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
     heads are fitted (`_fit_heads`), then each trial is scored.
     """
     ctx = _context(cfg, ctx)
+    _check_presence(ctx, cfg)  # for the gate
     by_id = ctx.by_id
     agg_cfg = wsddn.AggregationConfig(k=cfg.k)
     report = Report(cfg)
@@ -474,7 +471,7 @@ def run_species_comparison(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
         # (c/d) WSDDN head: all classes, region features
         fits.append(([(ctx.region_features(i), wsddn.one_hot(by_id[i].species, all_classes)) for i in train_ids],
                      all_classes, seed))
-        detector = _fit_detector(cfg, *_presence_rows(ctx, train_ids), seed)  # for the gate
+        detector = _fit_detector(cfg, *presence_rows(ctx, train_ids), seed)  # for the gate
         trials.append((trial_idx, seed, split.validation, species, all_classes, detector))
     heads = _fit_heads(cfg, fits)
 
@@ -656,20 +653,6 @@ def _individual_rows(cm, classes, train_counts) -> List[dict]:
     return rows
 
 
-def _trial_rows(prefix, classes, cm, train_counts) -> List[dict]:
-    return [{**prefix, **r} for r in _individual_rows(cm, classes, train_counts)]
-
-
-def _sweep_rows(sp_name, subset, seed, cm, _train_counts) -> List[dict]:
-    ms = [mt.measures(mt.binary_counts(cm, c)) for c in subset]
-    # specificity and precision are absent, so written as undefined
-    return [{"species": sp_name, "balanced": 1, "segmented": 0, "trial": -1,
-             "seed": seed, "individual": f"sweep_n={len(subset)}", "train_images": 0,
-             "tp": 0, "tn": 0, "fp": 0, "fn": 0,
-             "sensitivity": _mean(m["sensitivity"] for m in ms),
-             "accuracy": _mean(m["accuracy"] for m in ms)}]
-
-
 def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = None) -> Report:
     """{balanced, unbalanced} x {raw, segmented} x {tiger, leopard, joint}
     individual-recognition grid, per-individual counts and measures.  Every
@@ -684,8 +667,8 @@ def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] =
     if len(species_opts) == 2:
         species_opts.append(("joint", ("tiger", "leopard")))
 
-    # (run key, rows of the run's result); a balanced run that balancing left
-    # whole, and the sweep's full-n run (trial 0's balanced raw run), share a key
+    # (run key, classes, row prefix); a balanced run that balancing left whole,
+    # and the sweep's full-n run (trial 0's balanced raw run), share a key
     plan = []
     for sp_name, sp_set in species_opts:
         man = mf.filter_manifest(ctx.manifest, species=sp_set, has_individual=True)
@@ -695,24 +678,23 @@ def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] =
         for balanced in (False, True):
             for segmented in (False, True) if cfg.segment else (False,):
                 for trial_idx, seed in _trials(cfg):
-                    prefix = {"species": sp_name, "balanced": int(balanced),
-                              "segmented": int(segmented), "trial": trial_idx, "seed": seed}
-                    plan.append((_individual_key(cfg, man, classes, seed, balanced, segmented),
-                                 functools.partial(_trial_rows, prefix, classes)))
+                    plan.append((_individual_key(cfg, man, classes, seed, balanced, segmented), classes,
+                                 {"species": sp_name, "balanced": int(balanced), "segmented": int(segmented),
+                                  "trial": trial_idx, "seed": seed}))
         if cfg.sweep_individuals:
             for n in range(2, len(classes) + 1):
                 subset = classes[:n]
                 sub_man = mf.Manifest(tuple(r for r in man if r.individual in set(subset)))
-                seed = cfg.base_seed
-                plan.append((_individual_key(cfg, sub_man, subset, seed, True, False),
-                             functools.partial(_sweep_rows, sp_name, subset, seed)))
-    for (_, rows_of), result in zip(plan, _individual_runs(ctx, cfg, [key for key, _ in plan])):
-        report.rows.extend(rows_of(*result))
-    report.aggregates = _aggregate(
-        [r for r in report.rows if r["trial"] >= 0],
-        ["species", "balanced", "segmented", "individual"],
-        ["sensitivity", "specificity", "precision", "accuracy"],
-    )
+                plan.append((_individual_key(cfg, sub_man, subset, cfg.base_seed, True, False), subset,
+                             {"species": sp_name, "balanced": 1, "segmented": 0, "trial": -1, "seed": cfg.base_seed}))
+    for (_, classes, prefix), (cm, train_counts) in zip(plan, _individual_runs(ctx, cfg, [key for key, *_ in plan])):
+        rows = _individual_rows(cm, classes, train_counts)
+        if prefix["trial"] < 0:  # a sweep row: specificity and precision absent, so written as undefined
+            rows = [{"individual": f"sweep_n={len(classes)}", "train_images": 0, "tp": 0, "tn": 0, "fp": 0, "fn": 0,
+                     **{m: _mean(r[m] for r in rows) for m in ("sensitivity", "accuracy")}}]
+        report.rows.extend({**prefix, **r} for r in rows)
+    report.aggregates = _aggregate([r for r in report.rows if r["trial"] >= 0],
+                                   ["species", "balanced", "segmented", "individual"], mt.MEASURES)
     return report
 
 
@@ -746,6 +728,7 @@ RUNNERS = {
     "individual": run_individual_study,
     "joint-individuals": run_joint_individuals,
 }
+PROTOCOLS = tuple(RUNNERS)
 
 
 def run_protocol(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = None) -> Report:

@@ -40,6 +40,10 @@ class ManifestError(ValueError):
     """Malformed manifest data (bad row, duplicate id, unknown label)."""
 
 
+class StratumError(ValueError):
+    """A stratum too small to split; the message names no file."""
+
+
 @dataclass(frozen=True)
 class ImageRecord:
     id: str
@@ -187,6 +191,15 @@ def check_fraction(value: float, name: str = "fraction") -> None:
         raise ValueError(f"{name} must be in (0,1], got {value}")
 
 
+def check_presence(m: Manifest, source) -> None:
+    """The one rule for a presence detector's corpus: images with and without
+    an animal, checked from the records; `source` names the corpus."""
+    n_pos = sum(r.has_animal for r in m)
+    if n_pos in (0, len(m)):
+        raise ValueError(f"{source}: a presence detector needs images with and without an animal, "
+                         f"found {n_pos} with and {len(m) - n_pos} without")
+
+
 def stratified_split(
     m: Manifest, train_fraction: float, seed: int, stratify_by: str = "presence"
 ) -> SplitAssignment:
@@ -199,7 +212,7 @@ def stratified_split(
     groups = _group_by_stratum(m.records, stratify_by)
     for key, recs in groups.items():
         if len(recs) < 2:
-            raise ValueError(f"stratum {key!r} has fewer than 2 records")
+            raise StratumError(f"stratum {key!r} has fewer than 2 records")
     rng = np.random.default_rng(np.uint64(seed))
     train, validation = [], []
     for key, recs in groups.items():

@@ -100,10 +100,13 @@ def fn_rate(bc: BinaryCounts) -> Optional[float]:
     return _ratio(100.0 * bc.fn, bc.tp)
 
 
+#: the per-class measures of `measures`, in its key order
+MEASURES = ("sensitivity", "specificity", "precision", "accuracy")
+
+
 def measures(bc: BinaryCounts) -> Dict[str, Optional[float]]:
-    """Sensitivity, specificity, precision and accuracy, in that key order."""
-    return {"sensitivity": sensitivity(bc), "specificity": specificity(bc),
-            "precision": precision(bc), "accuracy": accuracy(bc)}
+    """The `MEASURES` of one class's counts, in that key order."""
+    return dict(zip(MEASURES, (sensitivity(bc), specificity(bc), precision(bc), accuracy(bc))))
 
 
 def metrics_report(cm: ConfusionMatrix) -> List[dict]:
@@ -168,9 +171,9 @@ def write_confusion_csv(cm: ConfusionMatrix, path) -> None:
 
 def format_summary(rows: List[dict]) -> str:
     """The metrics_report rows as text, 4 decimals, undefined spelled out."""
-    lines = ["class support sensitivity specificity precision accuracy"]
+    lines = [" ".join(("class", "support") + MEASURES)]
     for row in rows:
-        cells = [row[k] for k in ("sensitivity", "specificity", "precision", "accuracy")]
+        cells = [row[k] for k in MEASURES]
         lines.append(" ".join([row["class"], str(row["support"])]
                               + [_csv_value(v if v is None else f"{v:.4f}") for v in cells]))
     return "\n".join(lines) + "\n"

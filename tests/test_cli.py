@@ -225,6 +225,27 @@ class TestConfigFile:
             assert str(path) in err and line.split(" =")[0] in err, line
             assert not (tmp_path / "o").exists(), line
 
+    @pytest.mark.parametrize("flags, keys", [
+        (["--image-size", "48", "--individuals", "3", "--images-per-individual", "5", "--negatives", "7",
+          "--night-fraction", "0.25", "--seed", "9"],
+         "image_size = 48\nindividuals = 3\nimages_per_individual = 5\nn_negatives = 7\nnight_fraction = 0.25\n"
+         "corpus_seed = 9\n"),
+        # an int night fraction, and the corpus seed taken from the base seed
+        (["--night-fraction", "1", "--seed", "4"], "night_fraction = 1\nbase_seed = 4\n"),
+    ])
+    def test_synth_flags_and_config_keys_build_one_corpus(self, flags, keys, tmp_path, monkeypatch):
+        built, generate = [], synth.generate_corpus
+
+        def spy(cfg, out_dir=None):
+            built.append(cfg)
+            return generate(cfg)  # renders nothing: its pixels are read on access
+
+        monkeypatch.setattr(cli.synth, "generate_corpus", spy)
+        assert cli.main(["synth", "--out", str(tmp_path / "s")] + flags) == 0
+        (tmp_path / "c.toml").write_text(keys)
+        args = cli.build_parser().parse_args(["experiment", "volume", "--config", str(tmp_path / "c.toml")])
+        assert repr(cli._experiment_config(args).synth_config) == repr(built[0])
+
     def test_images_without_manifest_exit_2(self, tmp_path, capsys, monkeypatch):
         # an image root cannot apply to a synthetic corpus; checked before it is rendered
         def no_render(*args, **kwargs):
@@ -365,6 +386,60 @@ class TestPipeline:
             assert code == 2 and f"{manifest}: no record" in err and "has an individual label" in err, err
         assert not (tmp_path / "h").exists()
 
+    @pytest.mark.parametrize("subcommand, kept, message", [
+        ("train-detect", ",tiger,", "a presence detector needs images with and without an animal, "
+                                    "found 12 with and 0 without"),
+        ("train-individual", "tiger-00-", "need images of at least 2 individuals, found ['tiger_00']"),
+    ], ids=["train-detect", "train-individual"])
+    def test_train_one_class_exit_2_names_manifest_before_reading(self, subcommand, kept, message, corpus,
+                                                                  tmp_path, capsys, monkeypatch):
+        lines = (corpus / "manifest.csv").read_text().splitlines(keepends=True)
+        manifest = tmp_path / "one-class.csv"
+        manifest.write_text(lines[0] + "".join(line for line in lines[1:] if kept in line))
+        monkeypatch.setattr(synth, "read_ppm", self.no_read)
+        code, _, err = run([subcommand, "--manifest", str(manifest), "--images", str(corpus),
+                            "--out", str(tmp_path / "m")], capsys)
+        assert code == 2 and f"{manifest}: {message}" in err, err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("protocol, corpus_from", [("volume", "manifest"), ("volume", "config"),
+                                                        ("species", "config")])
+    def test_one_presence_class_exit_2_names_source_before_pooling(self, protocol, corpus_from, corpus, tmp_path,
+                                                                   capsys, monkeypatch):
+        (tmp_path / "c.toml").write_text("image_size = 64\nindividuals = 2\nimages_per_individual = 4\n"
+                                         "n_negatives = 0\nn_seeds = 1\n")
+        argv = ["experiment", protocol, "--config", str(tmp_path / "c.toml"), "--out", str(tmp_path / "o")]
+        source = "n_negatives = 0"
+        if corpus_from == "manifest":
+            lines = (corpus / "manifest.csv").read_text().splitlines(keepends=True)
+            source = tmp_path / "positives.csv"
+            source.write_text(lines[0] + "".join(line for line in lines[1:] if ",unclassified," not in line))
+            argv += ["--manifest", str(source), "--images", str(corpus)]
+        monkeypatch.setattr(synth, "read_ppm", self.no_read)
+        monkeypatch.setattr(ft, "forward", self.no_read)
+        code, _, err = run(argv, capsys)
+        assert code == 2, err
+        assert f"{source}: a presence detector needs images with and without an animal, found " in err, err
+        assert not (tmp_path / "o").exists()
+
+    def test_stratum_errors_name_the_manifest(self, corpus, tmp_path, capsys, monkeypatch):
+        # a split names the manifest it read, once; split reads no image, the
+        # species comparison splits before it reads any
+        lines = (corpus / "manifest.csv").read_text().splitlines(keepends=True)
+        one_animal = tmp_path / "one-animal.csv"
+        one_animal.write_text(lines[0] + "".join(line for line in lines[1:] if ",unclassified," in line) + lines[1])
+        one_tiger = tmp_path / "one-tiger.csv"
+        tigers = [line for line in lines[1:] if ",tiger," in line]
+        one_tiger.write_text(lines[0] + tigers[0] + "".join(line for line in lines[1:] if line not in tigers))
+        monkeypatch.setattr(synth, "read_ppm", self.no_read)
+        for argv, manifest, stratum in (
+                (["split", "--manifest", str(one_animal)], one_animal, "animal"),
+                (["experiment", "species", "--manifest", str(one_tiger), "--images", str(corpus)], one_tiger, "tiger")):
+            code, _, err = run(argv + ["--out", str(tmp_path / "o")], capsys)
+            assert code == 2 and f"{manifest}: stratum '{stratum}' has fewer than 2 records" in err, err
+            assert err.count(str(tmp_path)) == 1, err
+            assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("subcommand", ["train-detect", "train-species", "train-individual"])
     def test_train_holds_one_image_at_a_time(self, subcommand, tmp_path, monkeypatch):
         # each image is read, pooled and dropped: no image read earlier is
@@ -419,7 +494,7 @@ class TestPipeline:
 
     @staticmethod
     def no_read(*_):
-        raise AssertionError("image read before the window counts were checked")
+        raise AssertionError("image read or forward before the records were checked")
 
     def test_mixed_window_counts_exit_2_names_manifest_and_records(self, corpus, tmp_path, capsys, monkeypatch):
         # a 96x48 frame among 64x64 ones has 22 windows, not 10; the head
@@ -499,11 +574,14 @@ class TestPipeline:
         assert code == 0
         assert "top-2 accuracy 1.0" in out
 
-    def test_eval_mismatched_ids_exit_2(self, tmp_path):
-        (tmp_path / "t.csv").write_text("id,label\na,tiger\n")
-        (tmp_path / "p.csv").write_text("id,label\nb,tiger\n")
-        assert cli.main(["eval", "--pred", str(tmp_path / "p.csv"),
-                         "--truth", str(tmp_path / "t.csv")]) == 2
+    def test_eval_mismatched_ids_exit_2(self, tmp_path, capsys):
+        # names both files and the first five ids that only one of them covers
+        (tmp_path / "t.csv").write_text("id,label\na,tiger\nz,tiger\n")
+        (tmp_path / "p.csv").write_text("id,label\nz,tiger\n" + "".join(f"{i},tiger\n" for i in "bcdefg"))
+        code, out, err = run(["eval", "--pred", str(tmp_path / "p.csv"), "--truth", str(tmp_path / "t.csv")], capsys)
+        assert code == 2 and not out
+        assert (f"--pred {tmp_path / 'p.csv'} and --truth {tmp_path / 't.csv'} cover different ids, "
+                "7 in one only: 'a', 'b', 'c', 'd', 'e'\n") in err, err
 
     @pytest.mark.parametrize("k, message", [("0", "--k must be >= 1, got 0"), ("-3", "--k must be >= 1, got -3"),
                                             ("5", "t.csv:1: the header ranks 1 label(s), fewer than --k 5")])
