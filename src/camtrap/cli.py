@@ -347,7 +347,10 @@ def _config_from(values: dict, flags: dict) -> ex.ExperimentConfig:
 
 def _cmd_experiment(args) -> int:
     cfg = _experiment_config(args)
-    report = ex.run_protocol(cfg)
+    try:
+        report = ex.run_protocol(cfg)
+    except mf.StratumError as exc:  # name the manifest split, else the config file that sized the corpus
+        raise ValueError(f"{cfg.manifest_path or args.config}: {exc}") from None
     files = ex.write_report(report, args.out)
     print(f"protocol {cfg.protocol}: {len(report.rows)} trial rows; wrote {' '.join(files)} to {args.out}")
     return EXIT_OK
@@ -457,7 +460,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (mf.ManifestError, ValueError, OSError) as exc:
-        if isinstance(exc, mf.StratumError) and getattr(args, "manifest", None):
+        if isinstance(exc, mf.StratumError) and args.subcommand == "split":
             exc = f"{args.manifest}: {exc}"  # a split names no file; name the manifest it split
         print(f"camtrap {args.subcommand}: {exc}", file=sys.stderr)
         return EXIT_DATA

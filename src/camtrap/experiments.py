@@ -27,7 +27,6 @@ trial's fits, build each distinct fit's dataset, fit the heads in one
 
 from __future__ import annotations
 
-import functools
 import json
 import threading
 from collections import Counter
@@ -274,11 +273,23 @@ def presence_rows(ctx, ids):
     return np.stack([ctx.image_feature(i) for i in ids]), _presence_labels(ctx, ids)
 
 
+def _corpus_source(cfg, positives=False) -> str:
+    """What a runner's corpus check names: the manifest, or the config keys
+    that sized a synthetic corpus's negatives or, if `positives`, its images
+    of each species (as `synth.default_species_specs` sizes them)."""
+    if cfg.manifest_path:
+        return cfg.manifest_path
+    if not positives:
+        return f"n_negatives = {cfg.synth_config.n_negatives}"
+    tagged = cfg.synth_config.species_specs[0]
+    per = f", images_per_individual = {tagged.n_images // tagged.n_individuals}" if tagged.n_individuals else ""
+    return f"individuals = {tagged.n_individuals}{per}"
+
+
 def _check_presence(ctx, cfg) -> None:
     """The presence check of a runner that fits detectors, before any image is
-    pooled; it names the manifest, or the key that sizes a synthetic corpus's
-    negatives."""
-    mf.check_presence(ctx.manifest, cfg.manifest_path or f"n_negatives = {cfg.synth_config.n_negatives}")
+    pooled; it names the corpus, by what sized the class that is short."""
+    mf.check_presence(ctx.manifest, _corpus_source(cfg, positives=not any(r.has_animal for r in ctx.manifest)))
 
 
 def _fit_detector(cfg, x, y, seed) -> svm.LinearModel:
@@ -443,83 +454,56 @@ def run_species_comparison(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
     wsddn_top1/5    - two-stream region head with top-K aggregation; per-class
                       top-k accuracy = fraction of that class's images whose
                       top-k ranking contains it
-    Every trial's region-head images are checked for one window count
-    before any image is pooled; every trial's datasets are built, then all
-    heads are fitted (`_fit_heads`), then each trial is scored.
+    Plan, fit, rank: each trial's training split is checked (2 species, one
+    window count) before any image is pooled, every trial's three heads are
+    fitted together (`_fit_heads`), then its validation images are ranked.
     """
     ctx = _context(cfg, ctx)
     _check_presence(ctx, cfg)  # for the gate
     by_id = ctx.by_id
-    agg_cfg = wsddn.AggregationConfig(k=cfg.k)
-    report = Report(cfg)
     splits = [mf.stratified_split(ctx.manifest, cfg.split_fraction, seed, "species") for _, seed in _trials(cfg)]
-    for split in splits:
+    classes = []  # each trial's (species, species and "unclassified")
+    for trial_idx, split in enumerate(splits):
+        species = sorted({by_id[i].species for i in split.train} - {"unclassified"})
+        if len(species) < 2:  # the gate head's classes
+            raise ValueError(f"{_corpus_source(cfg, positives=True)}: need at least 2 species in each training split, "
+                             f"found {species} in trial {trial_idx} at split_fraction = {cfg.split_fraction}")
         ctx.check_window_counts(split.train)  # the region head's images
+        classes.append((species, species + ["unclassified"]))
     _map_images(cfg, ctx.region_features, ctx.manifest.ids())  # every trial splits the whole corpus
 
-    trials, fits = [], []
-    for (trial_idx, seed), split in zip(_trials(cfg), splits):
-        train_ids = list(split.train)
-        species = sorted({by_id[i].species for i in train_ids} - {"unclassified"})
-        all_classes = species + ["unclassified"]
-        # (a) gate head: species only, image-level features, positives only
-        fits.append(([(_image_level(ctx, i), wsddn.one_hot(by_id[i].species, species))
-                      for i in train_ids if by_id[i].has_animal], species, seed))
-        # (b) direct head: all classes, image-level features
-        fits.append(([(_image_level(ctx, i), wsddn.one_hot(by_id[i].species, all_classes)) for i in train_ids],
-                     all_classes, seed))
-        # (c/d) WSDDN head: all classes, region features
-        fits.append(([(ctx.region_features(i), wsddn.one_hot(by_id[i].species, all_classes)) for i in train_ids],
-                     all_classes, seed))
-        detector = _fit_detector(cfg, *presence_rows(ctx, train_ids), seed)  # for the gate
-        trials.append((trial_idx, seed, split.validation, species, all_classes, detector))
+    detectors, fits = [], []
+    for (_, seed), split, (species, all_classes) in zip(_trials(cfg), splits, classes):
+        labeled = [(i, by_id[i].species) for i in split.train]
+        # (a) gate head: positives, species only; (b) direct head: all classes; (c/d) WSDDN head: region rows
+        fits += [([(_image_level(ctx, i), wsddn.one_hot(s, species)) for i, s in labeled if s in species],
+                  species, seed),
+                 ([(_image_level(ctx, i), wsddn.one_hot(s, all_classes)) for i, s in labeled], all_classes, seed),
+                 ([(ctx.region_features(i), wsddn.one_hot(s, all_classes)) for i, s in labeled], all_classes, seed)]
+        detectors.append(_fit_detector(cfg, *presence_rows(ctx, split.train), seed))  # for the gate
     heads = _fit_heads(cfg, fits)
 
-    for (trial_idx, seed, val_ids, species, all_classes, detector), gate_head, direct_head, region_head in zip(
-            trials, heads[0::3], heads[1::3], heads[2::3]):
-        gated_pairs, direct_pairs = [], []
-        rankings = {c: [] for c in all_classes}  # WSDDN rankings by true class
-        k5 = min(5, len(all_classes))
-        val_x = [ctx.image_feature(i) for i in val_ids]
-        gate = svm.predict_labels(detector, np.stack(val_x)) if val_x else []
-        for i, detected in zip(val_ids, gate):
-            true = by_id[i].species
-            rf1 = _image_level(ctx, i)
-            # (a) detector gate
-            if detected < 0:
-                gated = "unclassified"
-            else:
-                s = wsddn.score_regions(rf1, gate_head)
-                gated = wsddn.predict_topk(wsddn.aggregate_sum(s, species), 1)[0]
-            gated_pairs.append((gated, true))
-            # (b) direct
-            s = wsddn.score_regions(rf1, direct_head)
-            direct_pairs.append((wsddn.predict_topk(wsddn.aggregate_sum(s, all_classes), 1)[0], true))
-            # (c, d) WSDDN top-k
-            s = wsddn.score_regions(ctx.region_features(i), region_head)
-            rankings[true].append(wsddn.predict_topk(wsddn.aggregate_topk(s, all_classes, agg_cfg), k5))
-        gated_cm = mt.accumulate(gated_pairs, all_classes)
-        direct_cm = mt.accumulate(direct_pairs, all_classes)
-
-        def topk(c, k):
-            return mt.topk_accuracy(rankings[c], [c] * len(rankings[c]), k) if rankings[c] else None
-
+    report = Report(cfg)
+    for (trial_idx, seed), split, (_, all_classes), detector, gate_head, direct_head, region_head in zip(
+            _trials(cfg), splits, classes, detectors, heads[0::3], heads[1::3], heads[2::3]):
+        val, truths = split.validation, [by_id[i].species for i in split.validation]
+        detected = svm.predict_labels(detector, np.stack([ctx.image_feature(i) for i in val])) if val else []
+        gated = ["unclassified" if d < 0 else wsddn.rank_classes(_image_level(ctx, i), gate_head)[0]
+                 for i, d in zip(val, detected)]
+        gated_cm = mt.accumulate(zip(gated, truths), all_classes)
+        direct_cm = mt.accumulate([(wsddn.rank_classes(_image_level(ctx, i), direct_head)[0], t)
+                                   for i, t in zip(val, truths)], all_classes)
+        ranked = [wsddn.rank_classes(ctx.region_features(i), region_head, cfg.k) for i in val]
         for c in all_classes:
-            row = {
-                "trial": trial_idx,
-                "seed": seed,
-                "class": c,
-                "detector_gated": mt.accuracy(mt.binary_counts(gated_cm, c)),
-                "direct": mt.accuracy(mt.binary_counts(direct_cm, c)),
-                "wsddn_top1": topk(c, 1),
-                "wsddn_top5": topk(c, k5),
-            }
-            report.rows.append(row)
+            mine = [r for r, t in zip(ranked, truths) if t == c]
+            top = [mt.topk_accuracy(mine, [c] * len(mine), k) if mine else None for k in (1, min(5, len(all_classes)))]
+            report.rows.append({"trial": trial_idx, "seed": seed, "class": c,
+                                "detector_gated": mt.accuracy(mt.binary_counts(gated_cm, c)),
+                                "direct": mt.accuracy(mt.binary_counts(direct_cm, c)),
+                                "wsddn_top1": top[0], "wsddn_top5": top[1]})
         if trial_idx == 0:
             report.confusions["direct"] = direct_cm
-    report.aggregates = _aggregate(
-        report.rows, ["class"], ["detector_gated", "direct", "wsddn_top1", "wsddn_top5"]
-    )
+    report.aggregates = _aggregate(report.rows, ["class"], ["detector_gated", "direct", "wsddn_top1", "wsddn_top5"])
     return report
 
 
@@ -557,10 +541,10 @@ def _individual_features(ctx, cfg, runs):
     """Region features by image id of each run key: the raw image's, or, in a
     segmented run, those of the image with its background grayed out by a
     patch detector fitted on the run's training ids.  Every image the runs
-    read is pooled first, on `cfg.jobs` threads; an image that a segmented
-    run reads has its patch grid pooled from the same forward (`ctx.pool`),
-    its patch mean colors and grid rows held here, not on `ctx`, until its
-    masks exist.  The detectors, then every (run, image) patch mask, are
+    read is pooled first, in one pass on `cfg.jobs` threads; an image that
+    a segmented run reads has its patch grid pooled from the same forward
+    (`ctx.pool`), its patch mean colors and grid rows held here, not on
+    `ctx`, until its masks exist.  The detectors, then every (run, image) patch mask, are
     computed from those in run order on the calling thread; then, image by
     image on `cfg.jobs` threads, the image is rendered or read again and one
     masked forward serves each distinct (image, patch mask).  No pixels are
@@ -570,10 +554,11 @@ def _individual_features(ctx, cfg, runs):
     wraps each call in `tracemalloc.start()` / `stop()`, and on CPython 3.11
     a stop racing numpy's allocations in another thread crashed the traced
     process."""
-    masked_ids = list(dict.fromkeys(i for train, val, *_, segmented in runs if segmented for i in (*train, *val)))
-    # (patch mean colors, grid rows) of each masked image, until the masks exist
-    pooled = dict(zip(masked_ids, _map_images(cfg, functools.partial(ctx.pool, grid=True), masked_ids)))
-    _map_images(cfg, ctx.region_features, list(dict.fromkeys(i for train, val, *_ in runs for i in (*train, *val))))
+    masked = {i for train, val, *_, segmented in runs if segmented for i in (*train, *val)}
+    ids = list(dict.fromkeys(i for train, val, *_ in runs for i in (*train, *val)))
+    # each masked image's (patch mean colors, grid rows), held until the masks exist
+    pooled = dict(zip(ids, _map_images(
+        cfg, lambda i: ctx.pool(i, grid=True) if i in masked else ctx.region_features(i), ids)))
     runs_of = {}  # image id -> (run, patch mask) of each segmented run that reads it
     for n, (train, val, _, seed, segmented) in enumerate(runs):
         if segmented:
@@ -627,12 +612,10 @@ def _individual_runs(ctx, cfg, keys):
     feats = _individual_features(ctx, cfg, runs)
     heads = _fit_heads(cfg, [([(f(i), wsddn.one_hot(by_id[i].individual, classes)) for i in train], classes, seed)
                              for f, (train, _, classes, seed, _) in zip(feats, runs)])
-    agg_cfg = wsddn.AggregationConfig(k=cfg.k)
     results = {}
     for key, f, head in zip(runs, feats, heads):
         train, val, classes, _, _ = key
-        pairs = [(wsddn.predict_topk(wsddn.aggregate_topk(wsddn.score_regions(f(i), head), classes, agg_cfg), 1)[0],
-                  by_id[i].individual) for i in val]
+        pairs = [(wsddn.rank_classes(f(i), head, cfg.k)[0], by_id[i].individual) for i in val]
         results[key] = (mt.accumulate(pairs, classes), Counter(by_id[i].individual for i in train))
     return [results[key] for key in keys]
 
@@ -674,7 +657,8 @@ def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] =
         man = mf.filter_manifest(ctx.manifest, species=sp_set, has_individual=True)
         classes = sorted({r.individual for r in man})
         if len(classes) < 2:
-            raise ValueError(f"{sp_name}: need at least 2 individuals")
+            raise ValueError(f"{_corpus_source(cfg, positives=True)}: {sp_name}: need at least 2 individuals, "
+                             f"found {classes}")
         for balanced in (False, True):
             for segmented in (False, True) if cfg.segment else (False,):
                 for trial_idx, seed in _trials(cfg):
@@ -703,9 +687,10 @@ def run_joint_individuals(cfg: ExperimentConfig, ctx: Optional[PipelineContext] 
     per-individual sensitivity and specificity, sorted by sensitivity."""
     ctx = _context(cfg, ctx)
     man = mf.filter_manifest(ctx.manifest, has_individual=True)
-    n_species = len({r.species for r in man})
-    if n_species < 2:
-        raise ValueError("joint study needs individuals from 2 species")
+    species = sorted({r.species for r in man})
+    if len(species) < 2:
+        raise ValueError(f"{_corpus_source(cfg, positives=True)}: joint study needs individuals from 2 species, "
+                         f"found {species}")
     classes = sorted({r.individual for r in man})
     report = Report(cfg)
     keep = ("individual", "train_images", "sensitivity", "specificity", "accuracy")

@@ -116,6 +116,15 @@ def predict_topk(cs: ClassScores, k: int) -> List[str]:
     return [cs.class_names[i] for i in order[:k]]
 
 
+def rank_classes(rf: RegionFeatures, head: TwoStreamHead, k=None) -> List[str]:
+    """The one ranking rule: the head's class names for one image, best
+    first, from its region scores summed (`k` None) or top-K aggregated
+    with K = k; its first n names are ``predict_topk(…, n)``."""
+    s = score_regions(rf, head)
+    cs = aggregate_sum(s, head.class_names) if k is None else aggregate_topk(s, head.class_names, AggregationConfig(k))
+    return predict_topk(cs, head.n_classes)
+
+
 def detect_region(s: RegionScoreMatrix, class_index: int) -> int:
     if not 0 <= class_index < s.scores.shape[1]:
         raise ValueError(f"class index {class_index} out of range")

@@ -403,13 +403,16 @@ class TestPipeline:
         assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("protocol, corpus_from", [("volume", "manifest"), ("volume", "config"),
-                                                        ("species", "config")])
+                                                        ("species", "config"), ("volume", "no-animal-config"),
+                                                        ("species", "no-animal-config")])
     def test_one_presence_class_exit_2_names_source_before_pooling(self, protocol, corpus_from, corpus, tmp_path,
                                                                    capsys, monkeypatch):
-        (tmp_path / "c.toml").write_text("image_size = 64\nindividuals = 2\nimages_per_individual = 4\n"
-                                         "n_negatives = 0\nn_seeds = 1\n")
+        # the source names what sized the class that is short
+        source, keys = "n_negatives = 0", "individuals = 2\nimages_per_individual = 4\nn_negatives = 0\n"
+        if corpus_from == "no-animal-config":
+            source, keys = "individuals = 0", "individuals = 0\nn_negatives = 8\n"
+        (tmp_path / "c.toml").write_text(f"image_size = 64\n{keys}n_seeds = 1\n")
         argv = ["experiment", protocol, "--config", str(tmp_path / "c.toml"), "--out", str(tmp_path / "o")]
-        source = "n_negatives = 0"
         if corpus_from == "manifest":
             lines = (corpus / "manifest.csv").read_text().splitlines(keepends=True)
             source = tmp_path / "positives.csv"
@@ -423,22 +426,85 @@ class TestPipeline:
         assert not (tmp_path / "o").exists()
 
     def test_stratum_errors_name_the_manifest(self, corpus, tmp_path, capsys, monkeypatch):
-        # a split names the manifest it read, once; split reads no image, the
-        # species comparison splits before it reads any
+        # a split names the corpus it read, once: the manifest, from the flag
+        # or the config, else the config that sized the synthetic corpus;
+        # split reads no image, the protocols split before they pool any
         lines = (corpus / "manifest.csv").read_text().splitlines(keepends=True)
         one_animal = tmp_path / "one-animal.csv"
         one_animal.write_text(lines[0] + "".join(line for line in lines[1:] if ",unclassified," in line) + lines[1])
         one_tiger = tmp_path / "one-tiger.csv"
         tigers = [line for line in lines[1:] if ",tiger," in line]
         one_tiger.write_text(lines[0] + tigers[0] + "".join(line for line in lines[1:] if line not in tigers))
+        from_config = tmp_path / "manifest-path.cfg"
+        from_config.write_text(f"manifest_path = '{one_animal}'\nimages_root = '{corpus}'\nn_seeds = 1\n")
+        one_negative = tmp_path / "one-negative.cfg"
+        one_negative.write_text("image_size = 64\nn_negatives = 1\nn_seeds = 1\n")
         monkeypatch.setattr(synth, "read_ppm", self.no_read)
+        monkeypatch.setattr(ft, "forward", self.no_read)
         for argv, manifest, stratum in (
                 (["split", "--manifest", str(one_animal)], one_animal, "animal"),
-                (["experiment", "species", "--manifest", str(one_tiger), "--images", str(corpus)], one_tiger, "tiger")):
+                (["experiment", "species", "--manifest", str(one_tiger), "--images", str(corpus)], one_tiger, "tiger"),
+                (["experiment", "volume", "--config", str(from_config)], one_animal, "animal"),
+                (["experiment", "volume", "--config", str(one_negative)], one_negative, "unclassified")):
             code, _, err = run(argv + ["--out", str(tmp_path / "o")], capsys)
             assert code == 2 and f"{manifest}: stratum '{stratum}' has fewer than 2 records" in err, err
             assert err.count(str(tmp_path)) == 1, err
             assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("protocol, corpus_from, source, message", [
+        ("individual", "manifest", None, "tiger: need at least 2 individuals, found ['tiger_00']"),
+        ("individual", "config", "individuals = 1, images_per_individual = 4",
+         "tiger: need at least 2 individuals, found ['tiger_00']"),
+        ("joint-individuals", "manifest", None, "joint study needs individuals from 2 species, found ['tiger']"),
+        ("joint-individuals", "config", "individuals = 0", "joint study needs individuals from 2 species, found []"),
+    ], ids=["individual-manifest", "individual-config", "joint-manifest", "joint-config"])
+    def test_individual_studies_name_the_corpus_before_pooling(self, protocol, corpus_from, source, message, corpus,
+                                                               tmp_path, capsys, monkeypatch):
+        # one tiger individual, or no leopard: the manifest, or the keys that
+        # sized the synthetic corpus, are named before any image is pooled
+        argv = ["experiment", protocol, "--out", str(tmp_path / "o")]
+        if corpus_from == "manifest":
+            lines = (corpus / "manifest.csv").read_text().splitlines(keepends=True)
+            dropped = ",tiger_01," if protocol == "individual" else ",leopard,"
+            source = tmp_path / "m.csv"
+            source.write_text("".join(line for line in lines if dropped not in line))
+            argv += ["--manifest", str(source), "--images", str(corpus)]
+        else:
+            individuals = 1 if protocol == "individual" else 0
+            (tmp_path / "c.toml").write_text(f"image_size = 64\nindividuals = {individuals}\n"
+                                             "images_per_individual = 4\nn_seeds = 1\n")
+            argv += ["--config", str(tmp_path / "c.toml")]
+        monkeypatch.setattr(synth, "read_ppm", self.no_read)
+        monkeypatch.setattr(ft, "forward", self.no_read)
+        code, _, err = run(argv, capsys)
+        assert code == 2 and f"{source}: {message}" in err, err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("corpus_from", ["manifest", "config"])
+    def test_species_one_species_in_training_exit_2_names_corpus_before_pooling(self, corpus_from, corpus, tmp_path,
+                                                                                capsys, monkeypatch):
+        # tigers and negatives only; or 2 images of each species at
+        # split_fraction 0.1, which puts none of them in the training split
+        argv = ["experiment", "species", "--out", str(tmp_path / "o")]
+        if corpus_from == "manifest":
+            lines = (corpus / "manifest.csv").read_text().splitlines(keepends=True)
+            source = tmp_path / "tigers.csv"
+            source.write_text(lines[0] + "".join(line for line in lines[1:] if ",leopard," not in line
+                                                 and ",chital," not in line))
+            argv += ["--manifest", str(source), "--images", str(corpus)]
+            found = "['tiger'] in trial 0 at split_fraction = 0.7"
+        else:
+            source = "individuals = 1, images_per_individual = 2"
+            (tmp_path / "c.toml").write_text("image_size = 64\nindividuals = 1\nimages_per_individual = 2\n"
+                                             "split_fraction = 0.1\nn_seeds = 1\n")
+            argv += ["--config", str(tmp_path / "c.toml")]
+            found = "[] in trial 0 at split_fraction = 0.1"
+        monkeypatch.setattr(synth, "read_ppm", self.no_read)
+        monkeypatch.setattr(ft, "forward", self.no_read)
+        code, _, err = run(argv, capsys)
+        assert code == 2, err
+        assert f"{source}: need at least 2 species in each training split, found {found}" in err, err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("subcommand", ["train-detect", "train-species", "train-individual"])
     def test_train_holds_one_image_at_a_time(self, subcommand, tmp_path, monkeypatch):

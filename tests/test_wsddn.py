@@ -184,6 +184,39 @@ class TestPredictTopk:
         assert wsddn.predict_topk(a, c) == wsddn.predict_topk(b, c)
 
 
+class TestRankClasses:
+    @staticmethod
+    def heads(rng, d, c):
+        """A random head, one whose classes 0 and 2 (and 1 and 3) tie, and an all-zero head."""
+        head = rand_head(rng, d, c)
+        tied = [0, 1, 0, 1] + list(range(4, c))
+        yield head
+        yield wsddn.TwoStreamHead(w_rec=head.w_rec[:, tied], w_det=head.w_det[:, tied], class_names=head.class_names)
+        yield wsddn.TwoStreamHead(w_rec=np.zeros((d, c)), w_det=np.zeros((d, c)), class_names=head.class_names)
+
+    def test_equals_the_chains_it_replaces(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            d, c, r = 5, int(rng.integers(4, 9)), int(rng.integers(1, 12))
+            rf = make_rf(rng.normal(size=(r, d)))
+            for head in self.heads(rng, d, c):
+                s, names = wsddn.score_regions(rf, head), head.class_names
+                assert wsddn.rank_classes(rf, head) == wsddn.predict_topk(wsddn.aggregate_sum(s, names), c)
+                for k in (1, r, r + 1, 30):  # K above the region count averages every region
+                    topk = wsddn.aggregate_topk(s, names, wsddn.AggregationConfig(k))
+                    assert wsddn.rank_classes(rf, head, k) == wsddn.predict_topk(topk, c)
+
+    def test_prefix_is_predict_topk(self):
+        rng = np.random.default_rng(10)
+        rf = make_rf(rng.normal(size=(7, 5)))
+        for head in self.heads(rng, 5, 6):
+            s = wsddn.score_regions(rf, head)
+            for agg, k in ((wsddn.aggregate_sum(s, head.class_names), None),
+                           (wsddn.aggregate_topk(s, head.class_names, wsddn.AggregationConfig(3)), 3)):
+                for n in range(1, 7):
+                    assert wsddn.rank_classes(rf, head, k)[:n] == wsddn.predict_topk(agg, n)
+
+
 class TestDetectRegion:
     def test_single_region(self):
         rng = np.random.default_rng(0)
