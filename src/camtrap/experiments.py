@@ -647,6 +647,9 @@ def run_individual_study(cfg: ExperimentConfig, ctx: Optional[PipelineContext] =
     for sp in ("tiger", "leopard"):
         if any(r.species == sp and r.individual for r in ctx.manifest):
             species_opts.append((sp, (sp,)))
+    if not species_opts:
+        raise ValueError(f"{_corpus_source(cfg, positives=True)}: individual study needs individuals of tiger or "
+                         "leopard, found none")
     if len(species_opts) == 2:
         species_opts.append(("joint", ("tiger", "leopard")))
 

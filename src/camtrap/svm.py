@@ -8,12 +8,13 @@ unregularized extra coordinate.
 `train_linear_svm` fits one model with a per-row loop.  `train_linear_svms`
 fits many models on rows of one shared matrix in lockstep, one array step
 per global step for every fit still running, with the same bytes per model.
+Both record the objective only at the curve epochs (`curve_epochs`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -24,6 +25,12 @@ def check_train_values(epochs: int, lam: float, names=("epochs", "lam")) -> None
         raise ValueError(f"{names[0]} must be >= 1, got {epochs!r}")
     if lam <= 0:
         raise ValueError(f"{names[1]} must be > 0, got {lam!r}")
+
+
+def curve_epochs(epochs: int) -> Tuple[int, ...]:
+    """The epochs at which every fit, Pegasos or head, records its training
+    curve, in order: 0, the powers of two below `epochs`, and `epochs`."""
+    return (0, *(1 << i for i in range(epochs.bit_length()) if 1 << i < epochs), epochs)
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,10 @@ class SvmTrainConfig:
 
 @dataclass
 class LinearModel:
+    """A fitted detector.  `objective_by_epoch` holds the objective after
+    each curve epoch from 1 on (`curve_epochs`), so its last value is the
+    returned model's; a loaded model has none."""
+
     weights: np.ndarray
     bias: float
     lam: float
@@ -79,7 +90,8 @@ def train_linear_svm(features: np.ndarray, labels: np.ndarray, cfg: SvmTrainConf
     rng = np.random.default_rng(np.uint64(cfg.seed))
     t = 0
     objective = []
-    for _ in range(cfg.epochs):
+    logged = curve_epochs(cfg.epochs)
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         for i in order:
             t += 1
@@ -89,7 +101,8 @@ def train_linear_svm(features: np.ndarray, labels: np.ndarray, cfg: SvmTrainConf
             if margin < 1.0:
                 w += eta * y[i] * x[i]
                 b += eta * y[i]
-        objective.append(svm_objective(w, b, cfg.lam, x, y))
+        if epoch in logged:
+            objective.append(svm_objective(w, b, cfg.lam, x, y))
     return LinearModel(weights=w, bias=float(b), lam=cfg.lam, objective_by_epoch=objective)
 
 
@@ -118,7 +131,8 @@ def train_linear_svms(features: np.ndarray, fits, epochs: int, lam: float) -> Li
     one (K, D) buffer, all K margins come from one batched product that
     reduces like the single fit's ``x[i] @ w``, and the shrink applies to
     all K weight rows.  A row whose margin is not below 1 gets a zero step,
-    so the update is one unmasked add of the scaled buffer.
+    so the update is one unmasked add of the scaled buffer.  A fit's
+    objective is computed only where it ends a curve epoch (`curve_epochs`).
     """
     check_train_values(epochs, lam)
     f = np.asarray(features, dtype=float)
@@ -135,9 +149,9 @@ def train_linear_svms(features: np.ndarray, fits, epochs: int, lam: float) -> Li
     k_all = len(order)
     w = np.zeros((k_all, f.shape[1]))
     b = np.zeros(k_all)
-    epoch_ends = {}  # global step -> the fits that end an epoch there
+    epoch_ends = {}  # global step -> the fits that end a curve epoch there
     for p in range(k_all):
-        for e in range(1, epochs + 1):
+        for e in curve_epochs(epochs)[1:]:
             epoch_ends.setdefault(e * n[p], []).append(p)
     undrawn = [np.zeros(0, dtype=np.intp)] * k_all  # each fit's drawn positions not yet laid out
 

@@ -18,6 +18,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .features import RegionFeatures
+from .svm import curve_epochs
 
 EPS = 1e-6
 # rows per block of the head-gradient reduction (see _bce_step)
@@ -26,6 +27,10 @@ GRAD_ROW_BLOCK = 160
 
 @dataclass
 class TwoStreamHead:
+    """A two-stream head.  `loss_by_epoch` holds the training loss after e
+    steps for each curve epoch e (`svm.curve_epochs`), so its last value is
+    the loss at the returned weights; a loaded head has none."""
+
     w_rec: np.ndarray  # D x C
     w_det: np.ndarray  # D x C
     class_names: Tuple[str, ...]
@@ -176,8 +181,11 @@ def _class_sum(a: np.ndarray) -> np.ndarray:
 def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
     """The loss-and-gradient function of K fits of one shape: stacked
     features x (K, N, R, D) and one-hot targets (K, N, C) are fixed, and
-    ``loss_and_grad(w)`` maps weights w = [a | b] (K, D, 2C) to losses (K,)
-    and gradients (K, D, 2C) through the sum-aggregated two-stream scores.
+    ``loss_and_grad(w, with_loss=True)`` maps weights w = [a | b] (K, D, 2C)
+    to losses (K,) and gradients (K, D, 2C) through the sum-aggregated
+    two-stream scores.  With `with_loss` false the loss is not computed and
+    None is returned in its place; the gradient bytes are the same.  The
+    gradient is a buffer that the next call overwrites.
 
     Matrix form: with each fit's x viewed as (N·R, D) rows, one GEMM against
     its [a | b] gives both streams' logits and one GEMM of the rows against
@@ -200,7 +208,8 @@ def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
     passes (at N = 1 numpy sums the region axis as its innermost).
 
     The step lives in three buffers of 5 units (C·R·K·N values) in all,
-    allocated here once and overwritten by every step.  `rows`, the
+    plus four (C, K, N) and two (K, D, 2C) ones, allocated here once and
+    overwritten by every step.  `rows`, the
     (K, N·R, 2C) GEMM output, holds the logits until they are transposed
     into the class-major `uv`, then, as two (C, R, K, N) halves, the
     product scratch `s` and `dp`.  Each stream's softmax in `uv` is
@@ -208,7 +217,10 @@ def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
     copy writes [du | dv] back into `rows` for the gradient GEMM; `dq` has
     an array of its own.  Allocated afresh, arrays this size went back to
     the OS between steps (glibc), and the page faults cost as much as
-    lockstep saved on the default corpus.
+    lockstep saved on the default corpus.  The (C, K, N) buffers hold the
+    summed scores `ysum`, their clamp `y`, y·(1−y) and the loss derivative
+    `g_y`; the (K, D, 2C) ones the gradient `g`, re-zeroed each step, and
+    `gw`, each row block's product, then l2·w.
     """
     k, n, r, d = x.shape
     c = targets.shape[2]
@@ -221,8 +233,10 @@ def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
     uv = np.empty((2 * c, r, k, n))
     p, q = uv[:c], uv[c:]  # each stream's softmax, then its gradient
     dq = np.empty((c, r, k, n))
+    ysum, y, y1y, g_y = np.empty((4, c, k, n))
+    g, gw = np.empty((2, k, d, 2 * c))
 
-    def loss_and_grad(w: np.ndarray):
+    def loss_and_grad(w: np.ndarray, with_loss: bool = True):
         np.matmul(x3, w, out=rows)
         np.copyto(uv, rows.reshape(k, n, r, 2 * c).transpose(3, 2, 0, 1))
         np.subtract(p, p.max(axis=0), out=p)
@@ -231,14 +245,17 @@ def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
         np.subtract(q, q.max(axis=1, keepdims=True), out=q)
         np.exp(q, out=q)
         np.divide(q, q.sum(axis=1, keepdims=True), out=q)
-        ysum = np.multiply(p, q, out=s).sum(axis=1)
-        y = np.clip(ysum, EPS, 1.0 - EPS)
-        loss = -(_class_sum(t * np.log(y) + (1.0 - t) * np.log(1.0 - y)).sum(axis=1) / n)  # .mean()'s sums and division
-        wa, wb = w[:, :, :c], w[:, :, c:]
-        loss += 0.5 * l2 * ((wa * wa).reshape(k, -1).sum(axis=1) + (wb * wb).reshape(k, -1).sum(axis=1))
+        np.multiply(p, q, out=s).sum(axis=1, out=ysum)
+        np.clip(ysum, EPS, 1.0 - EPS, out=y)
+        loss = None
+        if with_loss:
+            loss = -(_class_sum(t * np.log(y) + (1.0 - t) * np.log(1.0 - y)).sum(axis=1) / n)  # .mean()'s sums and division
+            wa, wb = w[:, :, :c], w[:, :, c:]
+            loss += 0.5 * l2 * ((wa * wa).reshape(k, -1).sum(axis=1) + (wb * wb).reshape(k, -1).sum(axis=1))
 
-        g_y = (y - t) / (y * (1.0 - y))
-        g_y = np.where((ysum < EPS) | (ysum > 1.0 - EPS), 0.0, g_y)  # clamp is flat
+        np.multiply(y, np.subtract(1.0, y, out=y1y), out=y1y)
+        np.divide(np.subtract(y, t, out=g_y), y1y, out=g_y)
+        np.copyto(g_y, 0.0, where=(ysum < EPS) | (ysum > 1.0 - EPS))  # clamp is flat
         ds = g_y[:, None]
         np.multiply(ds, q, out=dp)
         np.subtract(dp, _class_sum(np.multiply(dp, p, out=s)), out=dp)
@@ -247,11 +264,11 @@ def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
         np.multiply(p, dp, out=p)
         np.multiply(q, dq, out=q)
         np.copyto(rows.reshape(k, n, r, 2 * c), uv.transpose(2, 3, 1, 0))
-        g = np.zeros((k, d, 2 * c))
+        g.fill(0.0)
         for xt, block in x_blocks:
-            g += np.matmul(xt, rows[:, block])
-        g /= n
-        g += l2 * w
+            np.add(g, np.matmul(xt, rows[:, block], out=gw), out=g)
+        np.divide(g, n, out=g)
+        np.add(g, np.multiply(l2, w, out=gw), out=g)
         return loss, g
 
     return loss_and_grad
@@ -299,7 +316,8 @@ def train_heads(
     shape and one (epochs, learning rate, L2) run in lockstep, groups in
     order of first appearance: step t of a group's K fits is one
     `_bce_step` call on their stacked features.  Each fit keeps its own seed
-    and class names.
+    and class names.  The loss is computed only at the curve epochs
+    (`svm.curve_epochs`), the last one after the last step.
     """
     checked = [_checked_fit(ds, names) for ds, names, _ in fits]
     groups = {}
@@ -317,10 +335,12 @@ def train_heads(
             wk[:, c:] = rng.uniform(-bound, bound, size=(d, c))
 
         loss_and_grad = _bce_step(x, targets, l2)
+        logged = set(curve_epochs(epochs))
         history = []
-        for _ in range(epochs):
-            loss, g = loss_and_grad(w)
-            history.append(loss)
+        for epoch in range(epochs):
+            loss, g = loss_and_grad(w, epoch in logged)
+            if loss is not None:
+                history.append(loss)
             g *= learning_rate
             w -= g
         history.append(loss_and_grad(w)[0])

@@ -452,27 +452,30 @@ class TestPipeline:
             assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("protocol, corpus_from, source, message", [
-        ("individual", "manifest", None, "tiger: need at least 2 individuals, found ['tiger_00']"),
+        ("individual", "manifest", ",tiger_01,", "tiger: need at least 2 individuals, found ['tiger_00']"),
         ("individual", "config", "individuals = 1, images_per_individual = 4",
          "tiger: need at least 2 individuals, found ['tiger_00']"),
-        ("joint-individuals", "manifest", None, "joint study needs individuals from 2 species, found ['tiger']"),
+        ("individual", "config", "individuals = 2, images_per_individual = 0",
+         "individual study needs individuals of tiger or leopard, found none"),
+        ("joint-individuals", "manifest", ",leopard,", "joint study needs individuals from 2 species, found ['tiger']"),
         ("joint-individuals", "config", "individuals = 0", "joint study needs individuals from 2 species, found []"),
-    ], ids=["individual-manifest", "individual-config", "joint-manifest", "joint-config"])
+    ], ids=["individual-manifest", "individual-config", "individual-none-config", "joint-manifest", "joint-config"])
     def test_individual_studies_name_the_corpus_before_pooling(self, protocol, corpus_from, source, message, corpus,
                                                                tmp_path, capsys, monkeypatch):
-        # one tiger individual, or no leopard: the manifest, or the keys that
-        # sized the synthetic corpus, are named before any image is pooled
+        # one tiger individual, no leopard, or no individual at all (which
+        # exited 0 with empty CSVs): the manifest, or the keys that sized the
+        # synthetic corpus, are named before any image is pooled.  A manifest
+        # case's `source` is the manifest field whose rows are dropped; a
+        # config case's is also its config
         argv = ["experiment", protocol, "--out", str(tmp_path / "o")]
         if corpus_from == "manifest":
             lines = (corpus / "manifest.csv").read_text().splitlines(keepends=True)
-            dropped = ",tiger_01," if protocol == "individual" else ",leopard,"
-            source = tmp_path / "m.csv"
+            dropped, source = source, tmp_path / "m.csv"
             source.write_text("".join(line for line in lines if dropped not in line))
             argv += ["--manifest", str(source), "--images", str(corpus)]
         else:
-            individuals = 1 if protocol == "individual" else 0
-            (tmp_path / "c.toml").write_text(f"image_size = 64\nindividuals = {individuals}\n"
-                                             "images_per_individual = 4\nn_seeds = 1\n")
+            keys = source.replace(", ", "\n")
+            (tmp_path / "c.toml").write_text(f"image_size = 64\n{keys}\nn_seeds = 1\n")
             argv += ["--config", str(tmp_path / "c.toml")]
         monkeypatch.setattr(synth, "read_ppm", self.no_read)
         monkeypatch.setattr(ft, "forward", self.no_read)

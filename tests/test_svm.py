@@ -52,7 +52,49 @@ def separable_dataset(rng, n_per=4, spread=0.3):
     return x, y
 
 
+def every_epoch_objectives(x, y, cfg):
+    """The Pegasos loop of train_linear_svm, with the objective after every
+    epoch."""
+    w, b, t, objective = np.zeros(x.shape[1]), 0.0, 0, []
+    rng = np.random.default_rng(np.uint64(cfg.seed))
+    for _ in range(cfg.epochs):
+        for i in rng.permutation(len(x)):
+            t += 1
+            eta = 1.0 / (cfg.lam * t)
+            margin = y[i] * (x[i] @ w + b)
+            w *= 1.0 - eta * cfg.lam
+            if margin < 1.0:
+                w += eta * y[i] * x[i]
+                b += eta * y[i]
+        objective.append(svm.svm_objective(w, b, cfg.lam, x, y))
+    return objective
+
+
+def assert_curve(model, x, y, cfg):
+    """The model's curve is the every-epoch objective at the curve epochs,
+    byte for byte, and its last value is the returned model's objective."""
+    every = every_epoch_objectives(x, y, cfg)
+    assert np.array(model.objective_by_epoch).tobytes() == np.array(
+        [every[e - 1] for e in svm.curve_epochs(cfg.epochs)[1:]]).tobytes()
+    final = svm.svm_objective(model.weights, model.bias, cfg.lam, x, y)
+    assert np.float64(model.objective_by_epoch[-1]).tobytes() == np.float64(final).tobytes()
+
+
+def test_curve_epochs_are_zero_powers_of_two_and_the_last():
+    for epochs in range(1, 1300):
+        want = sorted({0, epochs} | {2**i for i in range(epochs.bit_length()) if 2**i <= epochs})
+        assert svm.curve_epochs(epochs) == tuple(want), epochs
+    assert svm.curve_epochs(30) == (0, 1, 2, 4, 8, 16, 30)
+    assert len(svm.curve_epochs(1200)) == 13
+
+
 class TestTraining:
+    @pytest.mark.parametrize("epochs", [1, 2, 10, 30])
+    def test_curve_is_every_epoch_objective_at_curve_epochs(self, epochs):
+        x, y = separable_dataset(np.random.default_rng(epochs), n_per=6, spread=1.5)
+        cfg = svm.SvmTrainConfig(epochs=epochs, lam=1e-2, seed=epochs)
+        assert_curve(svm.train_linear_svm(x, y, cfg), x, y, cfg)
+
     def test_separable_pair(self):
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
         y = np.array([1.0, -1.0])
@@ -93,12 +135,16 @@ class TestTraining:
 
     def test_monotone_objective_on_fixtures(self):
         # fixtures chosen so the epoch trajectory is monotone; the stochastic
-        # subgradient path is not monotone for arbitrary (data, seed, epochs)
+        # subgradient path is not monotone for arbitrary (data, seed, epochs).
+        # A fit records only its curve epochs, and its first e epochs do not
+        # depend on how many follow, so the objective after epoch e is the
+        # last value of an e-epoch fit
         for dseed, seed in ((0, 0), (0, 1), (2, 1), (4, 0)):
             rng = np.random.default_rng(dseed)
             x, y = separable_dataset(rng)
-            model = svm.train_linear_svm(x, y, svm.SvmTrainConfig(epochs=10, lam=1.0, seed=seed))
-            diffs = np.diff(model.objective_by_epoch)
+            trajectory = [svm.train_linear_svm(x, y, svm.SvmTrainConfig(epochs=e, lam=1.0, seed=seed))
+                          .objective_by_epoch[-1] for e in range(1, 11)]
+            diffs = np.diff(trajectory)
             assert diffs.max() <= 1e-6, (dseed, seed, diffs.max())
 
     def test_deterministic(self):
@@ -275,6 +321,13 @@ class TestLockstep:
 
     def test_no_fits(self):
         assert svm.train_linear_svms(np.zeros((3, 2)), [], 5, 0.1) == []
+
+    @pytest.mark.parametrize("epochs", [1, 5, 9])
+    def test_curve_is_every_epoch_objective_at_curve_epochs(self, epochs):
+        features, fits = lockstep_case(epochs, 30, 7, [12, 3, 25, 12])
+        models = svm.train_linear_svms(features, fits, epochs, 0.1)
+        for model, (rows, labels, seed) in zip(models, fits):
+            assert_curve(model, features[rows], labels, svm.SvmTrainConfig(epochs, 0.1, seed))
 
 
 class TestPrediction:

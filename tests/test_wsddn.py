@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from camtrap import wsddn
+from camtrap import svm, wsddn
 from camtrap.features import Region, RegionFeatures
 
 
@@ -281,7 +281,7 @@ class TestTraining:
             ds.append((make_rf(m), t))
         head = wsddn.train_head(ds, ("a", "b"), wsddn.HeadTrainConfig(epochs=200, learning_rate=1.0, seed=0))
         assert head.loss_by_epoch[-1] < head.loss_by_epoch[0]
-        assert len(head.loss_by_epoch) == 201
+        assert len(head.loss_by_epoch) == len(svm.curve_epochs(200)) == 10
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
@@ -440,26 +440,35 @@ class TestTraining:
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
         assert ga.tobytes() == ref_ga.tobytes() and gb.tobytes() == ref_gb.tobytes()
 
-    @pytest.mark.parametrize("n, r, d, c", [(112, 10, 80, 4), (84, 1, 80, 3), (40, 10, 32, 24), (17, 10, 16, 9)])
-    def test_train_head_matches_class_last_loop(self, n, r, d, c):
-        """60 steps at learning rate 8: one changed ulp grows to O(1) in the
-        weights by then, so equal hashes mean every step was bit-equal."""
-        x, targets, _, _ = self.pipeline_like(n, r, d, c, 1.0, n + c)
-        names = tuple(f"c{j}" for j in range(c))
-        ds = [(make_rf(m), t) for m, t in zip(x, targets)]
-        cfg = wsddn.HeadTrainConfig(epochs=60, learning_rate=8.0, seed=5)
-        head = wsddn.train_head(ds, names, cfg)
+    @classmethod
+    def every_epoch_reference(cls, x, targets, cfg):
+        """Weights after `cfg.epochs` class-last steps from train_head's seeded
+        init, and the loss before every step plus the final loss."""
+        d, c = x.shape[2], targets.shape[1]
         bound = np.sqrt(6.0 / (d + c))
         rng = np.random.default_rng(np.uint64(cfg.seed))
         a = rng.uniform(-bound, bound, size=(d, c))
         b = rng.uniform(-bound, bound, size=(d, c))
         history = []
         for _ in range(cfg.epochs):
-            loss, ga, gb = self.class_last_reference(x, targets, a, b, cfg.l2)
+            loss, ga, gb = cls.class_last_reference(x, targets, a, b, cfg.l2)
             history.append(loss)
             a = a - cfg.learning_rate * ga
             b = b - cfg.learning_rate * gb
-        history.append(self.class_last_reference(x, targets, a, b, cfg.l2)[0])
+        history.append(cls.class_last_reference(x, targets, a, b, cfg.l2)[0])
+        return a, b, history
+
+    @pytest.mark.parametrize("n, r, d, c", [(112, 10, 80, 4), (84, 1, 80, 3), (40, 10, 32, 24), (17, 10, 16, 9)])
+    def test_train_head_matches_class_last_loop(self, n, r, d, c):
+        """60 steps at learning rate 8: one changed ulp grows to O(1) in the
+        weights by then, so equal hashes mean every step was bit-equal.  The
+        loss is recorded at the curve epochs only."""
+        x, targets, _, _ = self.pipeline_like(n, r, d, c, 1.0, n + c)
+        names = tuple(f"c{j}" for j in range(c))
+        ds = [(make_rf(m), t) for m, t in zip(x, targets)]
+        cfg = wsddn.HeadTrainConfig(epochs=60, learning_rate=8.0, seed=5)
+        head = wsddn.train_head(ds, names, cfg)
+        a, b, history = self.every_epoch_reference(x, targets, cfg)
 
         def digest(w_rec, w_det, losses):
             h = hashlib.sha256()
@@ -467,7 +476,40 @@ class TestTraining:
                 h.update(arr.tobytes())
             return h.hexdigest()
 
-        assert digest(head.w_rec, head.w_det, head.loss_by_epoch) == digest(a, b, history)
+        assert digest(head.w_rec, head.w_det, head.loss_by_epoch) == digest(
+            a, b, [history[e] for e in svm.curve_epochs(cfg.epochs)])
+
+    @pytest.mark.parametrize("k, epochs", [(1, 1), (1, 16), (3, 37)])
+    def test_curve_is_every_epoch_loss_at_curve_epochs(self, k, epochs):
+        # train_head (k 1) and lockstep train_heads (k 3): each head's curve
+        # is, byte for byte, the every-epoch loss at the curve epochs, and
+        # its last value is the loss at the returned weights
+        n, r, d, c = 12, 3, 8, 3
+        x, targets, _, _ = self.pipeline_like(k * n, r, d, c, 1.0, epochs)
+        names = tuple(f"c{j}" for j in range(c))
+        fits = [([(make_rf(m), t) for m, t in zip(x[j * n:(j + 1) * n], targets[j * n:(j + 1) * n])], names,
+                 wsddn.HeadTrainConfig(epochs=epochs, learning_rate=4.0, seed=j)) for j in range(k)]
+        heads = wsddn.train_heads(fits) if k > 1 else [wsddn.train_head(*fits[0])]
+        for j, (head, (_, _, cfg)) in enumerate(zip(heads, fits)):
+            xj, tj = x[j * n:(j + 1) * n], targets[j * n:(j + 1) * n]
+            a, b, history = self.every_epoch_reference(xj, tj, cfg)
+            assert head.w_rec.tobytes() == a.tobytes() and head.w_det.tobytes() == b.tobytes()
+            want = [history[e] for e in svm.curve_epochs(epochs)]
+            assert np.array(head.loss_by_epoch).tobytes() == np.array(want).tobytes()
+            final = wsddn._bce_loss_and_grad(xj, tj, head.w_rec, head.w_det, cfg.l2)[0]
+            assert np.float64(head.loss_by_epoch[-1]).tobytes() == np.float64(final).tobytes()
+
+    @pytest.mark.parametrize("k, n, r, d, c", [(1, 84, 1, 80, 3), (2, 17, 10, 16, 9), (3, 20, 10, 40, 24)])
+    def test_gradient_without_loss_keeps_bytes(self, k, n, r, d, c):
+        x, targets, _, _ = self.pipeline_like(k * n, r, d, c, 1.0, c)
+        x, targets = x.reshape(k, n, r, d), targets.reshape(k, n, c)
+        w = np.random.default_rng(k).uniform(-0.5, 0.5, size=(k, d, 2 * c))
+        step = wsddn._bce_step(x, targets, 1e-4)
+        loss, g = step(w, True)
+        g = g.copy()  # the step's buffer, overwritten by the next call
+        none, g_only = step(w, False)
+        assert loss.shape == (k,) and none is None
+        assert g_only.tobytes() == g.tobytes()
 
     @staticmethod
     def lockstep_fits(k, n, r, c, d, seed):

@@ -1,7 +1,7 @@
 """Digest camtrap's outputs, one SHA-256 per output tree, to compare two
 checkouts byte for byte.
 
-    python3 tools/output_digest.py SRC OUT [--jobs N]
+    python3 tools/output_digest.py SRC OUT [--jobs N] [--write]
 
 SRC is the `src` directory of the checkout to run; OUT is a scratch
 directory, emptied first, that receives every output tree.  The script runs
@@ -9,10 +9,10 @@ the CLI in child processes with PYTHONPATH=SRC:
 
 - all seven protocols on one fixed 64 px config (segmentation, the
   individual sweep, two-value sweeps, a 0.4 night fraction, three seeds);
-- `species`, `individual` and `joint-individuals` on the default corpus;
 - `joint-individuals` on a 64 px config with 5 individuals per species, so
   that one head has C = 10 classes: more than 8 and not a multiple of 8,
   the case where `wsddn._class_sum` adds a tail after its 8 running sums;
+- `species`, `individual` and `joint-individuals` on the default corpus;
 - `train-detect`, `train-species`, `train-individual` (all individuals, and
   `--species tiger` alone) and `segment` on a synthesized 64 px corpus;
 - `volume` and `species` on the same config, reading that corpus's PPMs
@@ -22,6 +22,11 @@ the CLI in child processes with PYTHONPATH=SRC:
 Every `experiment` call gets `--jobs N`.  Environment variables such as
 OPENBLAS_NUM_THREADS pass through to the children.  Run it on two checkouts
 (or at two thread counts) and diff the printed lines.
+
+`--write` also writes the golden digests, FIXTURE: one SHA-256 per file of
+the seven 64 px protocol trees and the `joint10` tree (`fixture_trees`),
+under a header naming the numpy and BLAS versions.  The tier-1 test
+`tests/test_output_digests.py` reruns those trees in process and compares.
 """
 
 import argparse
@@ -31,6 +36,8 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 PROTOCOLS = ("volume", "proportion", "split", "illumination", "species", "individual", "joint-individuals")
 HEAD_PROTOCOLS = ("species", "individual", "joint-individuals")
@@ -61,17 +68,56 @@ n_seeds = 2
 head_epochs = 30
 """
 
+FIXTURE = Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "output_digests.txt"
+
 SYNTH_ARGS = ["--seed", "11", "--individuals", "2", "--images-per-individual", "6",
               "--negatives", "8", "--image-size", "64"]
+
+
+def file_digests(root: Path) -> dict:
+    """Each file's SHA-256 by its path relative to `root`, in path order."""
+    return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(p for p in root.rglob("*") if p.is_file())}
 
 
 def tree_sha256(root: Path) -> str:
     """SHA-256 over each file's relative path and contents, in path order."""
     h = hashlib.sha256()
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        h.update(path.relative_to(root).as_posix().encode() + b"\0")
-        h.update(hashlib.sha256(path.read_bytes()).digest())
+    for name, digest in file_digests(root).items():
+        h.update(name.encode() + b"\0")
+        h.update(bytes.fromhex(digest))
     return h.hexdigest()
+
+
+def versions() -> str:
+    """The numpy and BLAS that computed a tree: the golden digests' header."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}; blas {blas['name']} {blas['version']}"
+
+
+def fixture_trees(out: Path, jobs, camtrap) -> list:
+    """Run the seven protocols on SMALL_CONFIG and `joint-individuals` on
+    JOINT10_CONFIG into OUT through `camtrap(*argv)`; their tree paths."""
+    trees = []
+    config = out / "small.cfg"
+    config.write_text(SMALL_CONFIG)
+    for protocol in PROTOCOLS:
+        tree = out / "small" / protocol
+        camtrap("experiment", protocol, "--config", config, "--jobs", jobs, "--out", tree)
+        trees.append(tree)
+    joint10 = out / "joint10.cfg"
+    joint10.write_text(JOINT10_CONFIG)
+    tree = out / "joint10" / "joint-individuals"
+    camtrap("experiment", "joint-individuals", "--config", joint10, "--jobs", jobs, "--out", tree)
+    return trees + [tree]
+
+
+def write_fixture(out: Path, trees) -> None:
+    lines = [f"# {versions()}"]
+    for tree in trees:
+        name = tree.relative_to(out).as_posix()
+        lines += [f"{digest}  {name}/{path}" for path, digest in file_digests(tree).items()]
+    FIXTURE.write_text("\n".join(lines) + "\n")
 
 
 def main(argv=None) -> int:
@@ -79,6 +125,7 @@ def main(argv=None) -> int:
     parser.add_argument("src", help="the src directory of the checkout to run")
     parser.add_argument("out", help="scratch directory for the output trees (emptied first)")
     parser.add_argument("--jobs", type=int, default=1, help="passed to every experiment call")
+    parser.add_argument("--write", action="store_true", help=f"also write the golden digests to {FIXTURE}")
     args = parser.parse_args(argv)
     out = Path(args.out).resolve()
     shutil.rmtree(out, ignore_errors=True)
@@ -91,22 +138,13 @@ def main(argv=None) -> int:
         if done.returncode:
             sys.exit(f"camtrap {' '.join(map(str, argv))} exited {done.returncode}:\n{done.stderr}")
 
-    trees = []
-    config = out / "small.cfg"
-    config.write_text(SMALL_CONFIG)
-    for protocol in PROTOCOLS:
-        tree = out / "small" / protocol
-        camtrap("experiment", protocol, "--config", config, "--jobs", args.jobs, "--out", tree)
-        trees.append(tree)
+    trees = fixture_trees(out, args.jobs, camtrap)
+    if args.write:
+        write_fixture(out, trees)
     for protocol in HEAD_PROTOCOLS:
         tree = out / "default" / protocol
         camtrap("experiment", protocol, "--jobs", args.jobs, "--out", tree)
         trees.append(tree)
-    joint10 = out / "joint10.cfg"
-    joint10.write_text(JOINT10_CONFIG)
-    tree = out / "joint10" / "joint-individuals"
-    camtrap("experiment", "joint-individuals", "--config", joint10, "--jobs", args.jobs, "--out", tree)
-    trees.append(tree)
 
     corpus, train = out / "corpus", out / "train"
     camtrap("synth", *SYNTH_ARGS, "--out", corpus)
@@ -122,7 +160,7 @@ def main(argv=None) -> int:
     trees.append(train)
     for protocol in MANIFEST_PROTOCOLS:
         tree = Path("manifest", protocol)
-        camtrap("experiment", protocol, "--config", config.name, "--manifest", "corpus/manifest.csv",
+        camtrap("experiment", protocol, "--config", "small.cfg", "--manifest", "corpus/manifest.csv",
                 "--images", "corpus", "--jobs", args.jobs, "--out", tree, cwd=out)
         trees.append(out / tree)
 
