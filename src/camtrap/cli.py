@@ -178,7 +178,7 @@ def _cmd_train_detect(args) -> int:
     cfg = svm.SvmTrainConfig(args.epochs, args.lam, args.seed)
     ctx = _context(args)
     mf.check_presence(ctx.manifest, args.manifest)
-    x, y = ex.presence_rows(ctx, ctx.manifest.ids())
+    x, y = ex.presence_rows(ctx, ctx.cfg, ctx.manifest.ids())
     model = svm.train_linear_svm(x, y, cfg)
     svm.save_model(model, args.out)
     pred = svm.predict_labels(model, x)
@@ -207,8 +207,12 @@ def _cmd_train_species(args) -> int:
 
 
 def _cmd_train_individual(args) -> int:
-    ctx = _context(args)
     species = args.species.split(",") if args.species else None
+    unknown = sorted(set(species or ()) - set(mf.INDIVIDUAL_SPECIES))
+    if unknown:
+        raise ValueError(f"--species {args.species}: no individuals of {', '.join(map(repr, unknown))}; "
+                         f"choose from {','.join(mf.INDIVIDUAL_SPECIES)}")
+    ctx = _context(args)
     labeled = mf.filter_manifest(ctx.manifest, species=species, has_individual=True)
     if not labeled:
         raise ValueError(f"{args.manifest}: no record{' of ' + args.species if species else ''} has an individual label")

@@ -7,22 +7,25 @@ bytes are reproducible and do not depend on ``jobs``.
 
 ``jobs`` threads, the calling thread one of them, share per-image feature
 work (`_map_images`): each renders or reads an image's pixels as it pools
-it, and the `PipelineContext` keeps only the rows.  The detector sweeps and
-`illumination` read only full-frame rows: they pool each image's full frame
-alone on those threads (`PipelineContext.image_feature`, not cached) and fit
-their detectors in lockstep (`svm.train_linear_svms`).  The runners that
-train heads first pool every proposal window of each image they will read
-into the `PipelineContext`; a segmented run also pools the patch grid and
-takes the patch mean colors (`PipelineContext.pool`), holds those only
-until its masks exist, and renders or reads each masked image again for its
-masked forwards on the threads.  The conv GEMMs are numpy work that releases
+it, and the `PipelineContext` keeps only the rows.  Every image-level
+detector's rows and labels come from `presence_rows(ctx, cfg, ids)`, which
+pools each image's full frame alone on those threads
+(`PipelineContext.image_feature`, not cached) unless its windows are
+pooled; the detector sweeps and `illumination` fit their detectors in
+lockstep (`svm.train_linear_svms`).  The runners that train heads first
+pool every proposal window of each image they will read into the
+`PipelineContext`; a segmented run also pools the patch grid and takes the
+patch mean colors (`PipelineContext.pool`), holds those only until its
+masks exist, and renders or reads each masked image again for its masked
+forwards on the threads.  The conv GEMMs are numpy work that releases
 the GIL; keep jobs x BLAS threads <= cores.
 Every SVM and head fit, the segmented runs' patch masks, and all scoring
 run on the calling thread in trial-index order.
 
 Runners that train heads (species, individual, joint-individuals) plan every
 trial's fits, build each distinct fit's dataset, fit the heads in one
-`wsddn.train_heads` call, then score them.
+``wsddn.train_heads(fits, cfg.head_epochs, cfg.head_lr, cfg.head_l2)`` call,
+one `(dataset, class_names, seed)` fit per head, then score them.
 """
 
 from __future__ import annotations
@@ -263,14 +266,12 @@ def _trials(cfg: ExperimentConfig):
     return [(t, cfg.base_seed + t) for t in range(cfg.n_seeds)]
 
 
-def _presence_labels(ctx, ids) -> np.ndarray:
-    """+1 (animal) / -1 (no animal) per image."""
-    return np.array([1.0 if ctx.by_id[i].has_animal else -1.0 for i in ids])
-
-
-def presence_rows(ctx, ids):
-    """Full-image feature rows and their presence labels."""
-    return np.stack([ctx.image_feature(i) for i in ids]), _presence_labels(ctx, ids)
+def presence_rows(ctx, cfg, ids):
+    """The images' full-frame rows (`PipelineContext.image_feature`), pooled
+    on `cfg.jobs` threads, and their presence labels, +1 (animal) / -1 (no
+    animal): the rows of every image-level detector, to fit or to test."""
+    x = np.stack(_map_images(cfg, ctx.image_feature, ids))
+    return x, np.array([1.0 if ctx.by_id[i].has_animal else -1.0 for i in ids])
 
 
 def _corpus_source(cfg, positives=False) -> str:
@@ -296,22 +297,15 @@ def _fit_detector(cfg, x, y, seed) -> svm.LinearModel:
     return svm.train_linear_svm(x, y, svm.SvmTrainConfig(epochs=cfg.svm_epochs, lam=cfg.svm_lambda, seed=seed))
 
 
-def _fit_heads(cfg, fits) -> List[wsddn.TwoStreamHead]:
-    """One head per fit `(dataset, class_names, seed)`, in order, trained with
-    the runner's head settings by one `wsddn.train_heads` call."""
-    return wsddn.train_heads([(ds, classes, wsddn.HeadTrainConfig(
-        epochs=cfg.head_epochs, learning_rate=cfg.head_lr, seed=seed, l2=cfg.head_l2)) for ds, classes, seed in fits])
-
-
 def _detector_metrics(ctx, cfg, plans) -> List[dict]:
     """Train and test measures of one detector per (train ids, validation ids,
     seed) plan; the detectors are fitted in lockstep on one matrix of the
-    plans' full-image rows, each image's full frame pooled alone."""
+    plans' full-image rows (`presence_rows`)."""
     if not plans:
         return []
     ids = list(dict.fromkeys(i for train, val, _ in plans for i in (*train, *val)))
     row_of = {rid: n for n, rid in enumerate(ids)}
-    x, y = np.stack(_map_images(cfg, ctx.image_feature, ids)), _presence_labels(ctx, ids)
+    x, y = presence_rows(ctx, cfg, ids)
     index = [([row_of[i] for i in train], [row_of[i] for i in val]) for train, val, _ in plans]
     fits = [(rows, y[rows], seed) for (rows, _), (_, _, seed) in zip(index, plans)]
     models = svm.train_linear_svms(x, fits, cfg.svm_epochs, cfg.svm_lambda)
@@ -456,7 +450,8 @@ def run_species_comparison(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
                       top-k ranking contains it
     Plan, fit, rank: each trial's training split is checked (2 species, one
     window count) before any image is pooled, every trial's three heads are
-    fitted together (`_fit_heads`), then its validation images are ranked.
+    fitted together (one `wsddn.train_heads` call), then its validation
+    images are ranked.
     """
     ctx = _context(cfg, ctx)
     _check_presence(ctx, cfg)  # for the gate
@@ -480,14 +475,14 @@ def run_species_comparison(cfg: ExperimentConfig, ctx: Optional[PipelineContext]
                   species, seed),
                  ([(_image_level(ctx, i), wsddn.one_hot(s, all_classes)) for i, s in labeled], all_classes, seed),
                  ([(ctx.region_features(i), wsddn.one_hot(s, all_classes)) for i, s in labeled], all_classes, seed)]
-        detectors.append(_fit_detector(cfg, *presence_rows(ctx, split.train), seed))  # for the gate
-    heads = _fit_heads(cfg, fits)
+        detectors.append(_fit_detector(cfg, *presence_rows(ctx, cfg, split.train), seed))  # for the gate
+    heads = wsddn.train_heads(fits, cfg.head_epochs, cfg.head_lr, cfg.head_l2)
 
     report = Report(cfg)
     for (trial_idx, seed), split, (_, all_classes), detector, gate_head, direct_head, region_head in zip(
             _trials(cfg), splits, classes, detectors, heads[0::3], heads[1::3], heads[2::3]):
         val, truths = split.validation, [by_id[i].species for i in split.validation]
-        detected = svm.predict_labels(detector, np.stack([ctx.image_feature(i) for i in val])) if val else []
+        detected = svm.predict_labels(detector, presence_rows(ctx, cfg, val)[0]) if val else []
         gated = ["unclassified" if d < 0 else wsddn.rank_classes(_image_level(ctx, i), gate_head)[0]
                  for i, d in zip(val, detected)]
         gated_cm = mt.accumulate(zip(gated, truths), all_classes)
@@ -603,15 +598,17 @@ def _individual_runs(ctx, cfg, keys):
     individual) of each run key, in order.  Every run's training images are
     checked for one window count, then each distinct key is built once: its
     features (`_individual_features`, which pools every image the
-    runs read first) and dataset, then every head is fitted (`_fit_heads`),
-    then each head is scored.  A key seen again reuses that result."""
+    runs read first) and dataset, then every head is fitted (one
+    `wsddn.train_heads` call), then each head is scored.  A key seen again
+    reuses that result."""
     by_id = ctx.by_id
     runs = list(dict.fromkeys(keys))
     for train, *_ in runs:
         ctx.check_window_counts(train)
     feats = _individual_features(ctx, cfg, runs)
-    heads = _fit_heads(cfg, [([(f(i), wsddn.one_hot(by_id[i].individual, classes)) for i in train], classes, seed)
-                             for f, (train, _, classes, seed, _) in zip(feats, runs)])
+    fits = [([(f(i), wsddn.one_hot(by_id[i].individual, classes)) for i in train], classes, seed)
+            for f, (train, _, classes, seed, _) in zip(feats, runs)]
+    heads = wsddn.train_heads(fits, cfg.head_epochs, cfg.head_lr, cfg.head_l2)
     results = {}
     for key, f, head in zip(runs, feats, heads):
         train, val, classes, _, _ = key

@@ -41,7 +41,8 @@ class ManifestError(ValueError):
 
 
 class StratumError(ValueError):
-    """A stratum too small to split; the message names no file."""
+    """Records that cannot be split by their strata: a stratum too small to
+    split, or a record without the stratum's label; the message names no file."""
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ def _stratum_key(record: ImageRecord, stratify_by: str):
         return record.species
     if stratify_by == "individual":
         if record.individual is None:
-            raise ValueError(f"record {record.id!r} has no individual label")
+            raise StratumError(f"record {record.id!r} has no individual label")
         return (record.species, record.individual)
     return "animal" if record.has_animal else "unclassified"  # presence
 

@@ -68,8 +68,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.image_size <= 0:
-            raise ValueError("image_size must be positive")
+        if self.image_size < 8:  # _plant_patch would clip the animal to nothing
+            raise ValueError(f"image_size must be >= 8 px, the least side of a planted animal, "
+                             f"got {self.image_size}")
         if not 0.0 <= self.night_fraction <= 1.0:
             raise ValueError("night_fraction must lie in [0,1]")
         if self.n_negatives < 0:

@@ -306,36 +306,36 @@ def _checked_fit(dataset, class_names) -> Tuple[Tuple[int, ...], np.ndarray]:
     return (len(dataset), counts.pop(), dims.pop(), c), targets
 
 
-def train_heads(
-    fits: Sequence[Tuple[Sequence[Tuple[RegionFeatures, np.ndarray]], Sequence[str], HeadTrainConfig]],
-) -> List[TwoStreamHead]:
-    """One head per fit `(dataset, class_names, cfg)`, in order, each
-    byte-identical to ``train_head(dataset, class_names, cfg)``.
+def train_heads(fits, epochs: int, learning_rate: float, l2: float) -> List[TwoStreamHead]:
+    """One head per fit `(dataset, class_names, seed)`, in order, each
+    byte-identical to ``train_head(dataset, class_names,
+    HeadTrainConfig(epochs, learning_rate, seed, l2))``.
 
-    Every fit is checked before any step.  Then the fits of one (N, R, D, C)
-    shape and one (epochs, learning rate, L2) run in lockstep, groups in
-    order of first appearance: step t of a group's K fits is one
-    `_bce_step` call on their stacked features.  Each fit keeps its own seed
-    and class names.  The loss is computed only at the curve epochs
-    (`svm.curve_epochs`), the last one after the last step.
+    The schedule is checked once and every fit before any step.  Then the
+    fits of one (N, R, D, C) shape run in lockstep, groups in order of first
+    appearance: step t of a group's K fits is one `_bce_step` call on their
+    stacked features.  Each fit keeps its own seed and class names.  The
+    loss is computed only at the curve epochs (`svm.curve_epochs`), the
+    last one after the last step.
     """
+    check_train_values(epochs, learning_rate, l2)
     checked = [_checked_fit(ds, names) for ds, names, _ in fits]
     groups = {}
-    for j, ((shape, _), (_, _, cfg)) in enumerate(zip(checked, fits)):
-        groups.setdefault((shape, cfg.epochs, cfg.learning_rate, cfg.l2), []).append(j)
+    for j, (shape, _) in enumerate(checked):
+        groups.setdefault(shape, []).append(j)
+    logged = set(curve_epochs(epochs))
     heads = [None] * len(fits)
-    for ((n, r, d, c), epochs, learning_rate, l2), members in groups.items():
+    for (n, r, d, c), members in groups.items():
         x = np.stack([rf.matrix for j in members for rf, _ in fits[j][0]]).reshape(len(members), n, r, d)
         targets = np.stack([checked[j][1] for j in members])
         w = np.empty((len(members), d, 2 * c))
         bound = np.sqrt(6.0 / (d + c))
         for wk, j in zip(w, members):
-            rng = np.random.default_rng(np.uint64(fits[j][2].seed))
+            rng = np.random.default_rng(np.uint64(fits[j][2]))
             wk[:, :c] = rng.uniform(-bound, bound, size=(d, c))
             wk[:, c:] = rng.uniform(-bound, bound, size=(d, c))
 
         loss_and_grad = _bce_step(x, targets, l2)
-        logged = set(curve_epochs(epochs))
         history = []
         for epoch in range(epochs):
             loss, g = loss_and_grad(w, epoch in logged)
@@ -360,7 +360,7 @@ def train_head(
     `dataset` pairs RegionFeatures with one-hot image labels over
     `class_names`.  All images must share a region count.
     """
-    return train_heads([(dataset, class_names, cfg)])[0]
+    return train_heads([(dataset, class_names, cfg.seed)], cfg.epochs, cfg.learning_rate, cfg.l2)[0]
 
 
 def one_hot(name: str, class_names: Sequence[str]) -> np.ndarray:

@@ -143,6 +143,11 @@ class TestExitCodes:
         assert f"{bad}: raster has" in err, err
         assert not (tmp_path / "out").exists()
 
+    def test_synth_image_size_below_a_planted_animal_exit_2(self, tmp_path, capsys):
+        code, _, err = run(["synth", "--image-size", "4", "--out", str(tmp_path / "c")], capsys)
+        assert code == 2 and "image_size must be >= 8 px, the least side of a planted animal, got 4" in err, err
+        assert not (tmp_path / "c").exists()
+
     def test_unknown_subcommand_exit_1(self):
         assert cli.main(["frobnicate"]) == 1
 
@@ -269,7 +274,9 @@ class TestConfigFile:
         for text, key in (("segment = true\npatch_size = 2\n", "patch_size"),
                           ("fractions = 1.5\n", "fractions"),
                           ("image_size = 0\n", "image_size"),
-                          ("image_size = 3\n", "image_size 3 is smaller than the network's receptive field of 4 px"),
+                          ("image_size = 5\n", "image_size must be >= 8 px, the least side of a planted animal, got 5"),
+                          ("image_size = 8\nchannels = 3, 8, 16, 32, 64\n",
+                           "image_size 8 is smaller than the network's receptive field of 16 px"),
                           ("svm_epochs = 0\n", "svm_epochs must be >= 1, got 0"),
                           ("svm_lambda = 0.0\n", "svm_lambda must be > 0, got 0.0"),
                           ("split_fraction = 1.5\n", "split_fraction must be in (0,1), got 1.5"),
@@ -380,11 +387,30 @@ class TestPipeline:
         manifest = tmp_path / "unlabeled.csv"
         manifest.write_text(lines[0] + "".join(line for line in lines[1:] if ",tiger," not in line
                                                and ",leopard," not in line))
-        for species in ([], ["--species", "chital"]):
+        for species in ([], ["--species", "tiger"]):
             code, _, err = run(["train-individual", "--manifest", str(manifest), "--images", str(corpus),
                                 "--out", str(tmp_path / "h"), *species], capsys)
             assert code == 2 and f"{manifest}: no record" in err and "has an individual label" in err, err
         assert not (tmp_path / "h").exists()
+
+    @pytest.mark.parametrize("species, unknown", [("zebra", "'zebra'"), ("tiger,chital", "'chital'")],
+                             ids=["unknown", "untagged"])
+    def test_train_individual_species_without_individuals_exit_2_names_flag(self, species, unknown, corpus,
+                                                                             tmp_path, capsys, monkeypatch):
+        # each --species value is checked against the species with individuals
+        # before the manifest is read
+        monkeypatch.setattr(cli.mf, "load_manifest", self.no_read)
+        code, _, err = run(["train-individual", "--manifest", str(corpus / "manifest.csv"), "--images", str(corpus),
+                            "--species", species, "--out", str(tmp_path / "h")], capsys)
+        assert code == 2 and f"--species {species}: no individuals of {unknown}; choose from tiger,leopard" in err, err
+        assert not (tmp_path / "h").exists()
+
+    def test_split_by_individual_untagged_record_exit_2_names_manifest(self, corpus, tmp_path, capsys):
+        manifest = corpus / "manifest.csv"
+        code, _, err = run(["split", "--manifest", str(manifest), "--stratify-by", "individual",
+                            "--out", str(tmp_path / "sp")], capsys)
+        assert code == 2 and f"{manifest}: record 'chital-xx-000' has no individual label" in err, err
+        assert not (tmp_path / "sp").exists()
 
     @pytest.mark.parametrize("subcommand, kept, message", [
         ("train-detect", ",tiger,", "a presence detector needs images with and without an animal, "

@@ -49,7 +49,8 @@ def same_tree(a, b):
 def run_counting_heads(monkeypatch, cfg, out, ctx=None):
     """Write `cfg`'s report to `out`; the number of heads it trained."""
     train_heads, fits = ex.wsddn.train_heads, []
-    monkeypatch.setattr(ex.wsddn, "train_heads", lambda group: fits.extend(group) or train_heads(group))
+    monkeypatch.setattr(ex.wsddn, "train_heads",
+                        lambda group, *schedule: fits.extend(group) or train_heads(group, *schedule))
     ex.write_report(ex.run_protocol(cfg, ctx), out)
     monkeypatch.setattr(ex.wsddn, "train_heads", train_heads)
     return len(fits)
@@ -625,10 +626,12 @@ class TestReports:
         # the oracle fits one head per train_head-sized call, in plan order
         cfg = config(protocol, **extra)
         train_heads, sizes = ex.wsddn.train_heads, []
-        monkeypatch.setattr(ex.wsddn, "train_heads", lambda fits: sizes.append(len(fits)) or train_heads(fits))
+        monkeypatch.setattr(ex.wsddn, "train_heads",
+                            lambda fits, *schedule: sizes.append(len(fits)) or train_heads(fits, *schedule))
         ex.write_report(ex.run_protocol(cfg, ctx), tmp_path / "lockstep")
         assert max(sizes) > 1  # some heads were fitted together
-        monkeypatch.setattr(ex.wsddn, "train_heads", lambda fits: [train_heads([fit])[0] for fit in fits])
+        monkeypatch.setattr(ex.wsddn, "train_heads",
+                            lambda fits, *schedule: [train_heads([fit], *schedule)[0] for fit in fits])
         ex.write_report(ex.run_protocol(cfg, ctx), tmp_path / "serial")
         assert same_tree(tmp_path / "lockstep", tmp_path / "serial")
 

@@ -164,7 +164,7 @@ class TestStratifiedSplit:
         for corpus in (m, mf.Manifest(())):  # checked before any record is read
             with pytest.raises(ValueError, match="^unknown stratify_by 'colour'$"):
                 mf.stratified_split(corpus, 0.5, seed=0, stratify_by="colour")
-        with pytest.raises(ValueError, match="^record 'r1' has no individual label$"):
+        with pytest.raises(mf.StratumError, match="^record 'r1' has no individual label$"):
             mf.stratified_split(m, 0.5, seed=0, stratify_by="individual")
 
     def test_fraction_bounds(self):

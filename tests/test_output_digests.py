@@ -1,6 +1,8 @@
-"""Golden output bytes: the seven 64 px protocol trees and the `joint10` tree
-of `tools/output_digest.py`, run in process through `cli.main` at `--jobs` 1
-and 2, hash to the per-file SHA-256s in tests/fixtures/output_digests.txt.
+"""Golden output bytes: the seven 64 px protocol trees, the `joint10` tree,
+the `train` tree of models, heads and a mask, and the two manifest trees of
+`tools/output_digest.py` (`fixture_trees`), run in process through
+`cli.main` at `--jobs` 1 and 2, hash to the per-file SHA-256s in
+tests/fixtures/output_digests.txt.
 
 An intended output change regenerates that file in the same commit
 (`python3 tools/output_digest.py src OUT --write`) and names the trees that
@@ -36,12 +38,13 @@ def moved_files(got, want):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_fixture_trees_have_golden_bytes(jobs, tmp_path):
+def test_fixture_trees_have_golden_bytes(jobs, tmp_path, monkeypatch):
     versions, want = golden()
     assert versions == digest.versions(), (
         f"golden digests were computed with {versions}, this run has {digest.versions()}")
 
-    def camtrap(*argv):
+    def camtrap(*argv, cwd=tmp_path):
+        monkeypatch.chdir(cwd)
         assert cli.main([str(a) for a in argv]) == 0, argv
 
     trees = digest.fixture_trees(tmp_path, jobs, camtrap)

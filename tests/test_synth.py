@@ -84,6 +84,16 @@ class TestGenerate:
         with pytest.raises(ValueError):
             small_config(night_fraction=1.5)
 
+    @pytest.mark.parametrize("size", [2, 3, 7])
+    def test_image_size_below_a_planted_animal_rejected(self, size):
+        message = f"image_size must be >= 8 px, the least side of a planted animal, got {size}$"
+        with pytest.raises(ValueError, match=message):
+            small_config(image_size=size)
+
+    def test_least_image_size_plants_a_whole_animal(self):
+        _, _, boxes = synth.generate_corpus(small_config(image_size=8))
+        assert boxes and set(boxes.values()) == {(0, 0, 8, 8)}
+
 
 class TestCorpusMaps:
     def test_boxes_hold_exactly_the_positives(self):

@@ -487,10 +487,12 @@ class TestTraining:
         n, r, d, c = 12, 3, 8, 3
         x, targets, _, _ = self.pipeline_like(k * n, r, d, c, 1.0, epochs)
         names = tuple(f"c{j}" for j in range(c))
-        fits = [([(make_rf(m), t) for m, t in zip(x[j * n:(j + 1) * n], targets[j * n:(j + 1) * n])], names,
-                 wsddn.HeadTrainConfig(epochs=epochs, learning_rate=4.0, seed=j)) for j in range(k)]
-        heads = wsddn.train_heads(fits) if k > 1 else [wsddn.train_head(*fits[0])]
-        for j, (head, (_, _, cfg)) in enumerate(zip(heads, fits)):
+        fits = [([(make_rf(m), t) for m, t in zip(x[j * n:(j + 1) * n], targets[j * n:(j + 1) * n])], names, j)
+                for j in range(k)]
+        cfgs = [wsddn.HeadTrainConfig(epochs=epochs, learning_rate=4.0, seed=j) for j in range(k)]
+        heads = (wsddn.train_heads(fits, epochs, 4.0, cfgs[0].l2) if k > 1
+                 else [wsddn.train_head(*fits[0][:2], cfgs[0])])
+        for j, (head, cfg) in enumerate(zip(heads, cfgs)):
             xj, tj = x[j * n:(j + 1) * n], targets[j * n:(j + 1) * n]
             a, b, history = self.every_epoch_reference(xj, tj, cfg)
             assert head.w_rec.tobytes() == a.tobytes() and head.w_det.tobytes() == b.tobytes()
@@ -511,6 +513,15 @@ class TestTraining:
         assert loss.shape == (k,) and none is None
         assert g_only.tobytes() == g.tobytes()
 
+    SCHEDULE = (6, 8.0, 1e-4)  # lockstep_fits' (epochs, learning rate, l2)
+
+    @staticmethod
+    def alone(fit, schedule=SCHEDULE):
+        """``train_head`` of one `(dataset, class_names, seed)` fit at `schedule`."""
+        ds, names, seed = fit
+        epochs, learning_rate, l2 = schedule
+        return wsddn.train_head(ds, names, wsddn.HeadTrainConfig(epochs, learning_rate, seed, l2))
+
     @staticmethod
     def lockstep_fits(k, n, r, c, d, seed):
         """k fits of one shape, each with its own rows, labels, class names and seed."""
@@ -522,7 +533,7 @@ class TestTraining:
             x /= np.linalg.norm(x, axis=2, keepdims=True)
             labels = np.concatenate([np.arange(2), rng.integers(c, size=n - 2)])
             ds = [(make_rf(m), wsddn.one_hot(names[i], names)) for m, i in zip(x, labels)]
-            fits.append((ds, names, wsddn.HeadTrainConfig(epochs=6, learning_rate=8.0, seed=int(rng.integers(2**31)))))
+            fits.append((ds, names, int(rng.integers(2**31))))
         return fits
 
     @staticmethod
@@ -533,21 +544,19 @@ class TestTraining:
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), k=st.integers(1, 5), r=st.sampled_from([1, 3, 10]), c=st.sampled_from([2, 3, 8, 9]),
-           d=st.integers(1, 24), seed=st.integers(0, 2**16))
-    def test_train_heads_matches_train_head_bytes(self, data, k, r, c, d, seed):
+           d=st.integers(1, 24), seed=st.integers(0, 2**16),
+           schedule=st.sampled_from([SCHEDULE, (4, 1.0, 0.0)]))
+    def test_train_heads_matches_train_head_bytes(self, data, k, r, c, d, seed, schedule):
         # mixed fits: k of one shape, interleaved with fits of another image
-        # count and fits of another schedule, which train_heads groups itself
+        # count, which train_heads groups itself
         n = data.draw(st.sampled_from(self.around_block(r)), label="n")
         other_shape = self.lockstep_fits(2, n + 1, r, c, d, seed + 1)
-        other_rule = [(ds, names, wsddn.HeadTrainConfig(epochs=4, learning_rate=1.0, seed=cfg.seed, l2=0.0))
-                      for ds, names, cfg in self.lockstep_fits(2, n, r, c, d, seed + 2)]
-        fits = data.draw(st.permutations(self.lockstep_fits(k, n, r, c, d, seed) + other_shape + other_rule),
-                         label="order")
-        heads = wsddn.train_heads(fits)
+        fits = data.draw(st.permutations(self.lockstep_fits(k, n, r, c, d, seed) + other_shape), label="order")
+        heads = wsddn.train_heads(fits, *schedule)
         assert len(heads) == len(fits)
-        for head, (ds, names, cfg) in zip(heads, fits):
-            alone = wsddn.train_head(ds, names, cfg)
-            assert head.class_names == alone.class_names == names
+        for head, fit in zip(heads, fits):
+            alone = self.alone(fit, schedule)
+            assert head.class_names == alone.class_names == fit[1]
             assert head.w_rec.tobytes() == alone.w_rec.tobytes()
             assert head.w_det.tobytes() == alone.w_det.tobytes()
             assert np.array(head.loss_by_epoch).tobytes() == np.array(alone.loss_by_epoch).tobytes()
@@ -555,7 +564,7 @@ class TestTraining:
     @pytest.mark.parametrize("bad", ["one class", "empty", "region counts", "feature dims", "target width", "one name"])
     def test_bad_fit_raises_its_own_message_before_any_step(self, bad, monkeypatch):
         fits = self.lockstep_fits(3, 6, 3, 3, 4, 0)
-        ds, names, cfg = fits[1]
+        ds, names, seed = fits[1]
         if bad == "one class":
             ds = [(rf, wsddn.one_hot(names[0], names)) for rf, _ in ds]
         elif bad == "empty":
@@ -569,23 +578,28 @@ class TestTraining:
         else:
             names = names[:1]
         with pytest.raises(ValueError) as alone:
-            wsddn.train_head(ds, names, cfg)
+            self.alone((ds, names, seed))
         monkeypatch.setattr(wsddn, "_bce_step", lambda *args: pytest.fail("stepped before a check"))
         with pytest.raises(ValueError) as lockstep:
-            wsddn.train_heads([fits[0], (ds, names, cfg), fits[2]])
+            wsddn.train_heads([fits[0], (ds, names, seed), fits[2]], *self.SCHEDULE)
         assert str(lockstep.value) == str(alone.value)
 
-    def test_train_heads_groups_by_shape_and_schedule(self, monkeypatch):
-        # one lockstep group per (N, R, D, C, epochs, learning rate, l2), in
-        # order of first appearance
+    @pytest.mark.parametrize("schedule, message", [((0, 8.0, 1e-4), "epochs must be >= 1"),
+                                                   ((6, 0.0, 1e-4), "learning_rate must be > 0"),
+                                                   ((6, 8.0, -1.0), "l2 must be >= 0")])
+    def test_train_heads_checks_schedule_before_any_fit(self, schedule, message):
+        bad_fit = ([], ("a", "b"), 0)  # an empty dataset: its own check would raise another message
+        with pytest.raises(ValueError, match=message):
+            wsddn.train_heads([bad_fit], *schedule)
+
+    def test_train_heads_groups_by_shape(self, monkeypatch):
+        # one lockstep group per (N, R, D, C), in order of first appearance
         a, b = self.lockstep_fits(2, 6, 3, 3, 4, 0), self.lockstep_fits(2, 7, 3, 3, 4, 1)
-        ds, names, cfg = a[1]
-        slower = (ds, names, wsddn.HeadTrainConfig(epochs=cfg.epochs, learning_rate=1.0, seed=cfg.seed))
         bce_step, groups = wsddn._bce_step, []
         monkeypatch.setattr(wsddn, "_bce_step", lambda x, t, l2: groups.append(x.shape[:2]) or bce_step(x, t, l2))
-        assert len(wsddn.train_heads([b[0], a[0], slower, b[1], a[1]])) == 5
-        assert groups == [(2, 7), (2, 6), (1, 6)]
-        assert wsddn.train_heads([]) == []
+        assert len(wsddn.train_heads([b[0], a[0], b[1], a[1]], *self.SCHEDULE)) == 4
+        assert groups == [(2, 7), (2, 6)]
+        assert wsddn.train_heads([], *self.SCHEDULE) == []
 
     def test_step_holds_five_units(self):
         """Building a lockstep step and running it once peaks below 5 units

@@ -12,20 +12,22 @@ the CLI in child processes with PYTHONPATH=SRC:
 - `joint-individuals` on a 64 px config with 5 individuals per species, so
   that one head has C = 10 classes: more than 8 and not a multiple of 8,
   the case where `wsddn._class_sum` adds a tail after its 8 running sums;
-- `species`, `individual` and `joint-individuals` on the default corpus;
 - `train-detect`, `train-species`, `train-individual` (all individuals, and
-  `--species tiger` alone) and `segment` on a synthesized 64 px corpus;
-- `volume` and `species` on the same config, reading that corpus's PPMs
-  through `--manifest` and `--images`, run from OUT with relative paths so
-  that `config.json` does not record OUT.
+  `--species tiger` alone) and `segment` on a synthesized 64 px corpus, and
+  `train-individual` on one with 5 individuals per species, a C = 10 head,
+  all into the `train` tree, so that the digests see model and head bytes;
+- `volume` and `species` on the small config, reading the first corpus's
+  PPMs through `--manifest` and `--images`, run from OUT with relative
+  paths so that `config.json` does not record OUT;
+- `species`, `individual` and `joint-individuals` on the default corpus.
 
 Every `experiment` call gets `--jobs N`.  Environment variables such as
 OPENBLAS_NUM_THREADS pass through to the children.  Run it on two checkouts
 (or at two thread counts) and diff the printed lines.
 
 `--write` also writes the golden digests, FIXTURE: one SHA-256 per file of
-the seven 64 px protocol trees and the `joint10` tree (`fixture_trees`),
-under a header naming the numpy and BLAS versions.  The tier-1 test
+every tree but the default-corpus ones (`fixture_trees`), under a header
+naming the numpy and BLAS versions.  The tier-1 test
 `tests/test_output_digests.py` reruns those trees in process and compares.
 """
 
@@ -72,6 +74,9 @@ FIXTURE = Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "output_d
 
 SYNTH_ARGS = ["--seed", "11", "--individuals", "2", "--images-per-individual", "6",
               "--negatives", "8", "--image-size", "64"]
+# 5 individuals per species: the C = 10 `train-individual` head
+SYNTH10_ARGS = ["--seed", "12", "--individuals", "5", "--images-per-individual", "2",
+                "--negatives", "0", "--image-size", "64"]
 
 
 def file_digests(root: Path) -> dict:
@@ -96,8 +101,9 @@ def versions() -> str:
 
 
 def fixture_trees(out: Path, jobs, camtrap) -> list:
-    """Run the seven protocols on SMALL_CONFIG and `joint-individuals` on
-    JOINT10_CONFIG into OUT through `camtrap(*argv)`; their tree paths."""
+    """Run the seven protocols on SMALL_CONFIG, `joint-individuals` on
+    JOINT10_CONFIG, the `train` tree and the two manifest trees into OUT
+    through `camtrap(*argv, cwd=None)`; their tree paths."""
     trees = []
     config = out / "small.cfg"
     config.write_text(SMALL_CONFIG)
@@ -109,7 +115,29 @@ def fixture_trees(out: Path, jobs, camtrap) -> list:
     joint10.write_text(JOINT10_CONFIG)
     tree = out / "joint10" / "joint-individuals"
     camtrap("experiment", "joint-individuals", "--config", joint10, "--jobs", jobs, "--out", tree)
-    return trees + [tree]
+    trees.append(tree)
+
+    corpus, corpus10, train = out / "corpus", out / "corpus10", out / "train"
+    camtrap("synth", *SYNTH_ARGS, "--out", corpus)
+    camtrap("synth", *SYNTH10_ARGS, "--out", corpus10)
+    train.mkdir()
+    data = ["--manifest", corpus / "manifest.csv", "--images", corpus]
+    camtrap("train-detect", *data, "--out", train / "det.model", "--epochs", 20)
+    camtrap("train-species", *data, "--out", train / "species.head", "--epochs", 60)
+    camtrap("train-individual", *data, "--out", train / "individual.head", "--epochs", 60)
+    camtrap("train-individual", *data, "--species", "tiger", "--out", train / "tiger.head", "--epochs", 60)
+    camtrap("train-individual", "--manifest", corpus10 / "manifest.csv", "--images", corpus10,
+            "--out", train / "individual10.head", "--epochs", 60)
+    image = sorted(corpus.glob("tiger-*.ppm"))[0]
+    camtrap("segment", "--image", image, "--detector", train / "det.model", "--out", train / "mask.pbm",
+            "--patch-size", 8)
+    trees.append(train)
+    for protocol in MANIFEST_PROTOCOLS:
+        tree = Path("manifest", protocol)
+        camtrap("experiment", protocol, "--config", "small.cfg", "--manifest", "corpus/manifest.csv",
+                "--images", "corpus", "--jobs", jobs, "--out", tree, cwd=out)
+        trees.append(out / tree)
+    return trees
 
 
 def write_fixture(out: Path, trees) -> None:
@@ -145,24 +173,6 @@ def main(argv=None) -> int:
         tree = out / "default" / protocol
         camtrap("experiment", protocol, "--jobs", args.jobs, "--out", tree)
         trees.append(tree)
-
-    corpus, train = out / "corpus", out / "train"
-    camtrap("synth", *SYNTH_ARGS, "--out", corpus)
-    train.mkdir()
-    data = ["--manifest", corpus / "manifest.csv", "--images", corpus]
-    camtrap("train-detect", *data, "--out", train / "det.model", "--epochs", 20)
-    camtrap("train-species", *data, "--out", train / "species.head", "--epochs", 60)
-    camtrap("train-individual", *data, "--out", train / "individual.head", "--epochs", 60)
-    camtrap("train-individual", *data, "--species", "tiger", "--out", train / "tiger.head", "--epochs", 60)
-    image = sorted(corpus.glob("tiger-*.ppm"))[0]
-    camtrap("segment", "--image", image, "--detector", train / "det.model", "--out", train / "mask.pbm",
-            "--patch-size", 8)
-    trees.append(train)
-    for protocol in MANIFEST_PROTOCOLS:
-        tree = Path("manifest", protocol)
-        camtrap("experiment", protocol, "--config", "small.cfg", "--manifest", "corpus/manifest.csv",
-                "--images", "corpus", "--jobs", args.jobs, "--out", tree, cwd=out)
-        trees.append(out / tree)
 
     for tree in trees:
         print(f"{tree_sha256(tree)}  {tree.relative_to(out)}")
