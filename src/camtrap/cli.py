@@ -462,6 +462,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
+        for name in ("seed", "net_seed"):  # synth's seed feeds a SHA-256, not a uint64, and takes any int
+            if args.subcommand != "synth" and getattr(args, name, None) is not None:
+                mf.check_seed(getattr(args, name), "--" + name.replace("_", "-"))
         return args.fn(args)
     except (mf.ManifestError, ValueError, OSError) as exc:
         if isinstance(exc, mf.StratumError) and args.subcommand == "split":

@@ -82,6 +82,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}")
         if self.n_seeds < 1:
             raise ValueError("need at least one seed")
+        mf.check_seed(self.base_seed, "base_seed")
+        mf.check_seed(self.base_seed + self.n_seeds - 1, "base_seed + n_seeds - 1")  # the last trial's seed
+        mf.check_seed(self.feature_seed, "feature_seed")
         if self.synth_config is None and self.manifest_path is None:
             raise ValueError("either synth_config or manifest_path is required")
         mf.check_train_fraction(self.split_fraction, "split_fraction")
@@ -287,10 +290,12 @@ def _corpus_source(cfg, positives=False) -> str:
     return f"individuals = {tagged.n_individuals}{per}"
 
 
-def _check_presence(ctx, cfg) -> None:
-    """The presence check of a runner that fits detectors, before any image is
-    pooled; it names the corpus, by what sized the class that is short."""
-    mf.check_presence(ctx.manifest, _corpus_source(cfg, positives=not any(r.has_animal for r in ctx.manifest)))
+def _check_presence(ctx, cfg, records=None, where="") -> None:
+    """The presence check of a runner that fits detectors, on the corpus or on
+    `records` of it, before any image is pooled; it names the corpus, by what
+    sized the class that is short, then `where`."""
+    records = ctx.manifest if records is None else records
+    mf.check_presence(records, _corpus_source(cfg, positives=not any(r.has_animal for r in records)) + where)
 
 
 def _fit_detector(cfg, x, y, seed) -> svm.LinearModel:
@@ -387,6 +392,9 @@ def run_detector_sweep(cfg: ExperimentConfig, ctx: Optional[PipelineContext] = N
     _check_presence(ctx, cfg)
     cells = [(value, trial_idx, seed, split_fn(ctx, cfg, value, seed))
              for value in getattr(cfg, values_field) for trial_idx, seed in _trials(cfg)]
+    for value, trial_idx, _, (train, _, _) in cells:
+        _check_presence(ctx, cfg, [ctx.by_id[i] for i in train],
+                        f", {values_field} = {value!r}, the training set of trial {trial_idx}")
     metrics = _detector_metrics(ctx, cfg, [(train, val, seed) for _, _, seed, (train, val, _) in cells])
     rows = [{key: value, "trial": trial_idx, "seed": seed, **extra, **m["test"]}
             for (value, trial_idx, seed, (_, _, extra)), m in zip(cells, metrics)]
@@ -528,7 +536,8 @@ def _train_patch_detector(ctx, cfg, train_ids, seed, pooled=None):
         rows += [patch[rng.choice(pos, take, replace=False)], patch[rng.choice(neg, take, replace=False)]]
         labs += [np.ones(take), -np.ones(take)]
     if not rows:
-        raise ValueError("segmented variant requires ground-truth boxes (synthetic corpus)")
+        raise ValueError(f"patch_size = {cfg.patch_size}: no training positive has both a patch wholly inside "
+                         f"its planted box and one wholly outside it")
     return _fit_detector(cfg, np.concatenate(rows), np.concatenate(labs), seed)
 
 

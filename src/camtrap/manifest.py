@@ -192,6 +192,13 @@ def check_fraction(value: float, name: str = "fraction") -> None:
         raise ValueError(f"{name} must be in (0,1], got {value}")
 
 
+def check_seed(value: int, name: str = "seed") -> None:
+    """The one rule for a seed: every RNG is seeded with ``np.uint64(seed)``;
+    `name` is the caller's name for it."""
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+
+
 def check_presence(m: Manifest, source) -> None:
     """The one rule for a presence detector's corpus: images with and without
     an animal, checked from the records; `source` names the corpus."""

@@ -157,27 +157,6 @@ class HeadTrainConfig:
         check_train_values(self.epochs, self.learning_rate, self.l2)
 
 
-def _class_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 of a class-major array, bit for bit as numpy's
-    pairwise sum adds a contiguous innermost float64 axis of C terms: in
-    order below 8 (as numpy also sums an outer axis); up to 128, 8 running
-    sums of every 8th term, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then the last C % 8 terms in order; above 128, the sum of two halves,
-    the first a multiple of 8 long."""
-    c = a.shape[0]
-    if c < 8:
-        return a.sum(axis=0)
-    if c > 128:
-        half = c // 2 - (c // 2) % 8
-        return _class_sum(a[:half]) + _class_sum(a[half:])
-    tail = c - c % 8
-    r = a[:tail].reshape(tail // 8, 8, *a.shape[1:]).sum(axis=0)
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for row in a[tail:]:
-        s += row
-    return s
-
-
 def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
     """The loss-and-gradient function of K fits of one shape: stacked
     features x (K, N, R, D) and one-hot targets (K, N, C) are fixed, and
@@ -199,13 +178,12 @@ def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
     the K fits' images sit side by side on the image axes, and every max
     and sum runs over an outer or middle axis, which numpy does as
     whole-slice passes, not as one short inner loop per (image, region)
-    row, as the class-last (N, R, 2C) step did.  Region sums add in order,
-    as they did over the class-last middle axis.  Class sums go through
-    `_class_sum`, which pins numpy's order for an innermost axis; a plain
-    outer-axis sum would round differently from C = 8 on.  No operation
-    mixes two fits, so each fit gets the bytes it gets alone, and those are
-    the class-last form's bytes for every N >= 2, which train_heads always
-    passes (at N = 1 numpy sums the region axis as its innermost).
+    row.  Class and region sums add their terms in order, one slice after
+    another, for every C and R and at every thread count.  The one
+    exception is an axis that holds the array's only values, which numpy
+    sums pairwise: one fit (K = 1) of one image (N = 1), which train_heads
+    never passes, since a fit needs images of two classes.  No operation
+    mixes two fits, so each fit gets the bytes it gets alone.
 
     The step lives in three buffers of 5 units (C·R·K·N values) in all,
     plus four (C, K, N) and two (K, D, 2C) ones, allocated here once and
@@ -241,7 +219,7 @@ def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
         np.copyto(uv, rows.reshape(k, n, r, 2 * c).transpose(3, 2, 0, 1))
         np.subtract(p, p.max(axis=0), out=p)
         np.exp(p, out=p)
-        np.divide(p, _class_sum(p), out=p)
+        np.divide(p, p.sum(axis=0), out=p)
         np.subtract(q, q.max(axis=1, keepdims=True), out=q)
         np.exp(q, out=q)
         np.divide(q, q.sum(axis=1, keepdims=True), out=q)
@@ -249,7 +227,7 @@ def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
         np.clip(ysum, EPS, 1.0 - EPS, out=y)
         loss = None
         if with_loss:
-            loss = -(_class_sum(t * np.log(y) + (1.0 - t) * np.log(1.0 - y)).sum(axis=1) / n)  # .mean()'s sums and division
+            loss = -((t * np.log(y) + (1.0 - t) * np.log(1.0 - y)).sum(axis=0).sum(axis=1) / n)  # .mean()'s sums and division
             wa, wb = w[:, :, :c], w[:, :, c:]
             loss += 0.5 * l2 * ((wa * wa).reshape(k, -1).sum(axis=1) + (wb * wb).reshape(k, -1).sum(axis=1))
 
@@ -258,7 +236,7 @@ def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
         np.copyto(g_y, 0.0, where=(ysum < EPS) | (ysum > 1.0 - EPS))  # clamp is flat
         ds = g_y[:, None]
         np.multiply(ds, q, out=dp)
-        np.subtract(dp, _class_sum(np.multiply(dp, p, out=s)), out=dp)
+        np.subtract(dp, np.multiply(dp, p, out=s).sum(axis=0), out=dp)
         np.multiply(ds, p, out=dq)
         np.subtract(dq, np.multiply(dq, q, out=s).sum(axis=1, keepdims=True), out=dq)
         np.multiply(p, dp, out=p)

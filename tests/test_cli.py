@@ -535,6 +535,81 @@ class TestPipeline:
         assert f"{source}: need at least 2 species in each training split, found {found}" in err, err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, named", [
+        (["split", "--seed", "-1"], "--seed must be in [0, 2**64), got -1"),
+        (["split", "--seed", str(2**64)], f"--seed must be in [0, 2**64), got {2**64}"),
+        (["train-detect", "--seed", "-1"], "--seed must be in [0, 2**64), got -1"),
+        (["train-species", "--seed", "-1"], "--seed must be in [0, 2**64), got -1"),
+        (["train-individual", "--net-seed", "-1"], "--net-seed must be in [0, 2**64), got -1"),
+        (["segment", "--net-seed", "-1"], "--net-seed must be in [0, 2**64), got -1"),
+        (["experiment", "volume", "--seed", "-1"], "--seed must be in [0, 2**64), got -1"),
+        (["experiment", "volume", "--seed", str(2**64 - 1), "--n-seeds", "2"],
+         f"base_seed + n_seeds - 1 must be in [0, 2**64), got {2**64}"),
+        (["experiment", "volume", "--config", "base_seed = -1"], "base_seed must be in [0, 2**64), got -1"),
+        (["experiment", "volume", "--config", "feature_seed = -1"], "feature_seed must be in [0, 2**64), got -1"),
+    ], ids=["split", "split-2**64", "train-detect", "train-species", "train-individual-net-seed",
+            "segment-net-seed", "experiment", "experiment-last-trial", "config-base_seed", "config-feature_seed"])
+    def test_seed_outside_uint64_exit_2_names_flag_or_key_before_reading(self, argv, named, corpus, tmp_path, capsys,
+                                                                         monkeypatch):
+        # every RNG takes np.uint64(seed), which raised OverflowError (exit 1)
+        # on a negative seed; a config key is named with its file
+        if "--config" in argv:
+            cfg = tmp_path / "c.toml"
+            cfg.write_text(argv.pop() + "\nn_seeds = 1\n")
+            argv.append(str(cfg))
+            named = f"{cfg}: {named}"
+        files = {"split": ["--manifest", str(corpus / "manifest.csv")],
+                 "segment": ["--image", str(sorted(corpus.glob("tiger-*.ppm"))[0]), "--detector", "x.model"],
+                 "experiment": []}.get(argv[0], ["--manifest", str(corpus / "manifest.csv"), "--images", str(corpus)])
+        for name in ("read_ppm", "generate_corpus"):
+            monkeypatch.setattr(synth, name, self.no_read)
+        monkeypatch.setattr(cli.mf, "load_manifest", self.no_read)
+        code, _, err = run(argv + files + ["--out", str(tmp_path / "o")], capsys)
+        assert code == 2 and named in err, err
+        assert not (tmp_path / "o").exists()
+
+    def test_synth_takes_a_negative_seed(self, tmp_path):
+        # synth's seed feeds a SHA-256, not a uint64
+        assert run(["synth", "--seed", "-1", "--individuals", "1", "--images-per-individual", "1",
+                    "--negatives", "1", "--image-size", "64", "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("corpus_from, proportion", [("config", "0.1"), ("manifest", "0.05")])
+    def test_sweep_training_set_of_one_class_exit_2_names_corpus_and_value_before_pooling(
+            self, corpus_from, proportion, tmp_path, capsys, monkeypatch):
+        # 2 x 3 images of each species and 6 negatives: at this proportion a
+        # training set holds one animal and no negative, which svm rejected
+        # after every image was pooled, naming nothing
+        keys = "image_size = 64\nindividuals = 2\nimages_per_individual = 3\nn_negatives = 6\nn_seeds = 1\n"
+        (tmp_path / "c.toml").write_text(f"{keys}train_proportions = {proportion}\n")
+        argv = ["experiment", "proportion", "--config", str(tmp_path / "c.toml"), "--out", str(tmp_path / "o")]
+        source = "n_negatives = 6"
+        if corpus_from == "manifest":
+            assert run(["synth", "--individuals", "2", "--images-per-individual", "3", "--negatives", "6",
+                        "--image-size", "64", "--out", str(tmp_path / "corpus")]) == 0
+            source = tmp_path / "corpus" / "manifest.csv"
+            argv += ["--manifest", str(source), "--images", str(tmp_path / "corpus")]
+        monkeypatch.setattr(synth, "read_ppm", self.no_read)
+        monkeypatch.setattr(ft, "forward", self.no_read)
+        code, _, err = run(argv, capsys)
+        assert code == 2, err
+        assert (f"{source}, train_proportions = {proportion}, the training set of trial 0: a presence detector "
+                f"needs images with and without an animal, found 1 with and 0 without") in err, err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("patch_size", [32, 64])
+    def test_segmented_study_without_inside_and_outside_patches_exit_2_names_patch_size(self, patch_size, tmp_path,
+                                                                                        capsys):
+        # a 64 px image's planted box holds no whole 32 or 64 px patch; this
+        # was blamed on a corpus without boxes, which the config rules out
+        (tmp_path / "c.toml").write_text(f"image_size = 64\nindividuals = 2\nimages_per_individual = 4\n"
+                                         f"n_negatives = 4\nn_seeds = 1\nhead_epochs = 5\nsegment = true\n"
+                                         f"patch_size = {patch_size}\n")
+        code, _, err = run(["experiment", "individual", "--config", str(tmp_path / "c.toml"),
+                            "--out", str(tmp_path / "o")], capsys)
+        assert code == 2 and (f"patch_size = {patch_size}: no training positive has both a patch wholly inside "
+                              f"its planted box and one wholly outside it") in err, err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("subcommand", ["train-detect", "train-species", "train-individual"])
     def test_train_holds_one_image_at_a_time(self, subcommand, tmp_path, monkeypatch):
         # each image is read, pooled and dropped: no image read earlier is

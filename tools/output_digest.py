@@ -11,7 +11,9 @@ the CLI in child processes with PYTHONPATH=SRC:
   individual sweep, two-value sweeps, a 0.4 night fraction, three seeds);
 - `joint-individuals` on a 64 px config with 5 individuals per species, so
   that one head has C = 10 classes: more than 8 and not a multiple of 8,
-  the case where `wsddn._class_sum` adds a tail after its 8 running sums;
+  where numpy's pairwise sum of an innermost axis (8 running sums, then a
+  tail) and an in-order class sum differ, so a change in the order the
+  head step adds its classes can show;
 - `train-detect`, `train-species`, `train-individual` (all individuals, and
   `--species tiger` alone) and `segment` on a synthesized 64 px corpus, and
   `train-individual` on one with 5 individuals per species, a C = 10 head,
