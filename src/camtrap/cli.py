@@ -310,10 +310,14 @@ def _experiment_config(args) -> ex.ExperimentConfig:
     if args.images and not args.manifest:
         raise ValueError(f"--images {args.images} needs --manifest: a synthetic corpus has no image root")
     values = parse_config_file(args.config) if args.config else {}
-    defaults = {**{k: f.default for k, f in ex.ExperimentConfig.__dataclass_fields__.items()}, **_CORPUS_DEFAULTS}
+    defaults = {**{k: f.default for k, f in ex.ExperimentConfig.__dataclass_fields__.items()
+                   if k not in ("protocol", "synth_config")}, **_CORPUS_DEFAULTS}  # flags and corpus keys set those
     unknown = set(values) - set(defaults)
     if unknown:
         raise ValueError(f"{args.config}: unknown config keys: {sorted(unknown)}")
+    corpus_keys = sorted(set(values) & set(_CORPUS_DEFAULTS))
+    if "manifest_path" in values and corpus_keys:
+        raise ValueError(f"{args.config}: manifest_path and corpus keys {corpus_keys} name two corpora")
     for key, value in values.items():
         default = defaults[key]
         many = isinstance(default, tuple)  # a scalar is wrapped where the default is a tuple
@@ -342,7 +346,7 @@ def _experiment_config(args) -> ex.ExperimentConfig:
 
 def _config_from(values: dict, flags: dict) -> ex.ExperimentConfig:
     """The config of a file's checked `values`, flags overriding them."""
-    kwargs = {**{k: v for k, v in values.items() if k not in _CORPUS_DEFAULTS}, **flags, "synth_config": None}
+    kwargs = {**{k: v for k, v in values.items() if k not in _CORPUS_DEFAULTS}, **flags}
     if "manifest_path" not in kwargs:
         corpus = {**_CORPUS_DEFAULTS, "corpus_seed": kwargs.get("base_seed", ex.ExperimentConfig.base_seed), **values}
         kwargs["synth_config"] = _synth_config(**{k: corpus[k] for k in _CORPUS_DEFAULTS})

@@ -85,8 +85,10 @@ class ExperimentConfig:
         mf.check_seed(self.base_seed, "base_seed")
         mf.check_seed(self.base_seed + self.n_seeds - 1, "base_seed + n_seeds - 1")  # the last trial's seed
         mf.check_seed(self.feature_seed, "feature_seed")
-        if self.synth_config is None and self.manifest_path is None:
-            raise ValueError("either synth_config or manifest_path is required")
+        if (self.synth_config is None) == (self.manifest_path is None):
+            raise ValueError("exactly one of synth_config and manifest_path is required")
+        if self.images_root is not None and self.manifest_path is None:
+            raise ValueError(f"images_root {self.images_root} needs manifest_path: a synthetic corpus has no image root")
         mf.check_train_fraction(self.split_fraction, "split_fraction")
         for name, rule in (("fractions", mf.check_fraction), ("train_proportions", mf.check_fraction),
                            ("split_ratios", mf.check_train_fraction)):

@@ -281,28 +281,22 @@ def generate_corpus(cfg: SynthConfig, out_dir=None):
     box access returns the box found when the record was last rendered, else
     renders it once and keeps the 4-tuple only.  When out_dir is given, also
     writes each record's PPM as it is rendered, then manifest.csv, there."""
-    records = []
-
-    def add(record_id, species, individual, night):
-        records.append(ImageRecord(id=record_id, path=f"{record_id}.ppm", species=species, individual=individual,
-                                   illumination="night" if night else "day", width=cfg.image_size, height=cfg.image_size))
-
+    groups = []  # (species, individual number or None, images), in manifest order; negatives last
     for spec in cfg.species_specs:
         if spec.n_individuals > 0:
-            per = spec.n_images // spec.n_individuals
-            for ind in range(spec.n_individuals):
-                name = f"{spec.name}_{ind:02d}"
-                nights = _night_indices(per, cfg.night_fraction)
-                for i in range(per):
-                    add(f"{spec.name}-{ind:02d}-{i:03d}", spec.name, name, i in nights)
+            groups += [(spec.name, f"{ind:02d}", spec.n_images // spec.n_individuals) for ind in range(spec.n_individuals)]
         else:
-            nights = _night_indices(spec.n_images, cfg.night_fraction)
-            for i in range(spec.n_images):
-                add(f"{spec.name}-xx-{i:03d}", spec.name, None, i in nights)
-
-    nights = _night_indices(cfg.n_negatives, cfg.night_fraction)
-    for i in range(cfg.n_negatives):
-        add(f"unclassified-xx-{i:03d}", "unclassified", None, i in nights)
+            groups.append((spec.name, None, spec.n_images))
+    groups.append(("unclassified", None, cfg.n_negatives))
+    records = []
+    for species, ind, count in groups:
+        nights = _night_indices(count, cfg.night_fraction)
+        for i in range(count):
+            record_id = f"{species}-{ind or 'xx'}-{i:03d}"
+            records.append(ImageRecord(id=record_id, path=f"{record_id}.ppm", species=species,
+                                       individual=f"{species}_{ind}" if ind else None,
+                                       illumination="night" if i in nights else "day",
+                                       width=cfg.image_size, height=cfg.image_size))
 
     manifest = Manifest(records=tuple(records))
     boxes = {}  # planted box of each positive rendered so far

@@ -217,6 +217,25 @@ class TestConfigFile:
             assert key in err and str(path) in err, key
             assert not (tmp_path / "o").exists() and not (tmp_path / value).exists()
 
+    def test_second_corpus_keys_exit_2_before_rendering(self, tmp_path, capsys, monkeypatch):
+        # the protocol is a flag and the corpus comes from the corpus keys or a manifest: a file
+        # naming another one is refused, not overridden
+        def no_render(*args, **kwargs):
+            raise AssertionError("corpus rendered before the config was checked")
+
+        monkeypatch.setattr(cli.synth, "generate_corpus", no_render)
+        for text, named in (("synth_config = anything\n", "unknown config keys: ['synth_config']"),
+                            ('protocol = "species"\n', "unknown config keys: ['protocol']"),
+                            ("images_root = '/nowhere'\n", "images_root /nowhere needs manifest_path"),
+                            ("manifest_path = 'm.csv'\nimage_size = 200\nindividuals = 7\n",
+                             "manifest_path and corpus keys ['image_size', 'individuals'] name two corpora")):
+            path = tmp_path / "c.toml"
+            path.write_text(text)
+            code = cli.main(["experiment", "volume", "--config", str(path), "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert code == 2 and str(path) in err and named in err, (text, err)
+            assert not (tmp_path / "o").exists(), text
+
     def test_wrong_typed_value_exit_2(self, tmp_path, capsys):
         bad = ("segment = maybe", "balance = 2", "fractions = abc", "fractions = 0.5, abc",
                "k = big", "k = 1, 2", "split_fraction = half", "head_epochs = 1.5",

@@ -71,6 +71,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ex.ExperimentConfig(protocol="volume")
 
+    def test_one_corpus_source(self):
+        with pytest.raises(ValueError, match="exactly one of synth_config and manifest_path"):
+            config("volume", manifest_path="m.csv")
+        with pytest.raises(ValueError, match="images_root /imgs needs manifest_path"):
+            config("volume", images_root="/imgs")
+
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
             config("volume", fractions=(0.5, 1.2))

@@ -1,43 +1,28 @@
-"""Digest camtrap's outputs, one SHA-256 per output tree, to compare two
-checkouts byte for byte.
+"""Check camtrap's 14 output trees byte for byte against the golden digests.
 
     python3 tools/output_digest.py SRC OUT [--jobs N] [--write]
 
-SRC is the `src` directory of the checkout to run; OUT is a scratch
-directory, emptied first, that receives every output tree.  The script runs
-the CLI in child processes with PYTHONPATH=SRC:
+Runs SRC's CLI in process into OUT, emptied first: the `fixture_trees` (the
+seven protocols on SMALL_CONFIG; `joint-individuals` on JOINT10_CONFIG, whose
+C = 10 heads pass numpy's 8-term pairwise blocks, so that a change in the
+order the head step adds its classes shows; the `train` tree of models, heads
+(one with C = 10) and a mask; `volume` and `species` through `--manifest`),
+then `species`, `individual` and `joint-individuals` on the default corpus.
+Every `experiment` call gets `--jobs N`; OPENBLAS_NUM_THREADS and the like apply.
 
-- all seven protocols on one fixed 64 px config (segmentation, the
-  individual sweep, two-value sweeps, a 0.4 night fraction, three seeds);
-- `joint-individuals` on a 64 px config with 5 individuals per species, so
-  that one head has C = 10 classes: more than 8 and not a multiple of 8,
-  where numpy's pairwise sum of an innermost axis (8 running sums, then a
-  tail) and an in-order class sum differ, so a change in the order the
-  head step adds its classes can show;
-- `train-detect`, `train-species`, `train-individual` (all individuals, and
-  `--species tiger` alone) and `segment` on a synthesized 64 px corpus, and
-  `train-individual` on one with 5 individuals per species, a C = 10 head,
-  all into the `train` tree, so that the digests see model and head bytes;
-- `volume` and `species` on the small config, reading the first corpus's
-  PPMs through `--manifest` and `--images`, run from OUT with relative
-  paths so that `config.json` does not record OUT;
-- `species`, `individual` and `joint-individuals` on the default corpus.
-
-Every `experiment` call gets `--jobs N`.  Environment variables such as
-OPENBLAS_NUM_THREADS pass through to the children.  Run it on two checkouts
-(or at two thread counts) and diff the printed lines.
-
-`--write` also writes the golden digests, FIXTURE: one SHA-256 per file of
-every tree but the default-corpus ones (`fixture_trees`), under a header
-naming the numpy and BLAS versions.  The tier-1 test
-`tests/test_output_digests.py` reruns those trees in process and compares.
+Exits 0 silently when every file's SHA-256 matches FIXTURE, else 1, naming
+each moved tree and its files, FIXTURE's files that no run made, and both
+numpy/BLAS versions when FIXTURE's header differs.  `--write` writes FIXTURE
+instead.  The tier-1 test `tests/test_output_digests.py` reruns the
+`fixture_trees` alone.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import shutil
-import subprocess
 import sys
 from pathlib import Path
 
@@ -87,25 +72,32 @@ def file_digests(root: Path) -> dict:
             for path in sorted(p for p in root.rglob("*") if p.is_file())}
 
 
-def tree_sha256(root: Path) -> str:
-    """SHA-256 over each file's relative path and contents, in path order."""
-    h = hashlib.sha256()
-    for name, digest in file_digests(root).items():
-        h.update(name.encode() + b"\0")
-        h.update(bytes.fromhex(digest))
-    return h.hexdigest()
-
-
 def versions() -> str:
     """The numpy and BLAS that computed a tree: the golden digests' header."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return f"numpy {np.__version__}; blas {blas['name']} {blas['version']}"
 
 
-def fixture_trees(out: Path, jobs, camtrap) -> list:
+def camtrap(*argv, cwd=None) -> None:
+    """Run `camtrap ARGV` through `cli.main` in `cwd`, its stdout dropped,
+    then return to the working directory it was called from."""
+    from camtrap import cli  # imported here: `main` puts SRC first on sys.path
+
+    here = os.getcwd()
+    os.chdir(cwd or here)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([str(a) for a in argv])
+    finally:
+        os.chdir(here)
+    if code:
+        sys.exit(f"camtrap {' '.join(map(str, argv))} exited {code}")
+
+
+def fixture_trees(out: Path, jobs) -> list:
     """Run the seven protocols on SMALL_CONFIG, `joint-individuals` on
-    JOINT10_CONFIG, the `train` tree and the two manifest trees into OUT
-    through `camtrap(*argv, cwd=None)`; their tree paths."""
+    JOINT10_CONFIG, the `train` tree and the two manifest trees into OUT;
+    their tree paths.  All but the default-corpus trees."""
     trees = []
     config = out / "small.cfg"
     config.write_text(SMALL_CONFIG)
@@ -134,7 +126,7 @@ def fixture_trees(out: Path, jobs, camtrap) -> list:
     camtrap("segment", "--image", image, "--detector", train / "det.model", "--out", train / "mask.pbm",
             "--patch-size", 8)
     trees.append(train)
-    for protocol in MANIFEST_PROTOCOLS:
+    for protocol in MANIFEST_PROTOCOLS:  # relative paths from OUT: config.json does not record OUT
         tree = Path("manifest", protocol)
         camtrap("experiment", protocol, "--config", "small.cfg", "--manifest", "corpus/manifest.csv",
                 "--images", "corpus", "--jobs", jobs, "--out", tree, cwd=out)
@@ -142,12 +134,38 @@ def fixture_trees(out: Path, jobs, camtrap) -> list:
     return trees
 
 
-def write_fixture(out: Path, trees) -> None:
+def moved_files(got: dict, want: dict) -> list:
+    """Files whose digest differs, or that only one side has, in path order."""
+    return sorted(f for f in got.keys() | want.keys() if got.get(f) != want.get(f))
+
+
+def check(out: Path, trees, fixture: Path = FIXTURE, left_out=()) -> list:
+    """How the trees under OUT differ from `fixture`: both versions if its
+    header is not this run's, each moved tree's moved files, and the files of
+    fixture trees neither run nor named in `left_out`.  Empty when all match."""
+    header, *lines = fixture.read_text(encoding="utf-8").splitlines()
+    golden = dict(line.split("  ", 1)[::-1] for line in lines)  # {tree/file: SHA-256}
+    problems = []
+    if header != f"# {versions()}":
+        problems.append(f"golden digests were computed with {header.removeprefix('# ')}, this run has {versions()}")
+    names = [tree.relative_to(out).as_posix() for tree in trees]
+    for name, tree in zip(names, trees):
+        want = {path.removeprefix(name + "/"): sha for path, sha in golden.items() if path.startswith(name + "/")}
+        moved = moved_files(file_digests(tree), want)
+        if moved:
+            problems.append(f"{name}: {', '.join(moved)}")
+    unrun = [path for path in golden if not path.startswith(tuple(f"{name}/" for name in [*names, *left_out]))]
+    if unrun:
+        problems.append(f"not run: {', '.join(unrun)}")
+    return problems
+
+
+def write_fixture(out: Path, trees, fixture: Path = FIXTURE) -> None:
     lines = [f"# {versions()}"]
     for tree in trees:
         name = tree.relative_to(out).as_posix()
         lines += [f"{digest}  {name}/{path}" for path, digest in file_digests(tree).items()]
-    FIXTURE.write_text("\n".join(lines) + "\n")
+    fixture.write_text("\n".join(lines) + "\n")
 
 
 def main(argv=None) -> int:
@@ -155,30 +173,25 @@ def main(argv=None) -> int:
     parser.add_argument("src", help="the src directory of the checkout to run")
     parser.add_argument("out", help="scratch directory for the output trees (emptied first)")
     parser.add_argument("--jobs", type=int, default=1, help="passed to every experiment call")
-    parser.add_argument("--write", action="store_true", help=f"also write the golden digests to {FIXTURE}")
+    parser.add_argument("--write", action="store_true", help=f"write the golden digests to {FIXTURE}, not check them")
     args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
     out = Path(args.out).resolve()
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
-    env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve())}
 
-    def camtrap(*argv, cwd=None):
-        done = subprocess.run([sys.executable, "-m", "camtrap.cli", *map(str, argv)], env=env, cwd=cwd,
-                              capture_output=True, text=True)
-        if done.returncode:
-            sys.exit(f"camtrap {' '.join(map(str, argv))} exited {done.returncode}:\n{done.stderr}")
-
-    trees = fixture_trees(out, args.jobs, camtrap)
-    if args.write:
-        write_fixture(out, trees)
+    trees = fixture_trees(out, args.jobs)
     for protocol in HEAD_PROTOCOLS:
         tree = out / "default" / protocol
         camtrap("experiment", protocol, "--jobs", args.jobs, "--out", tree)
         trees.append(tree)
-
-    for tree in trees:
-        print(f"{tree_sha256(tree)}  {tree.relative_to(out)}")
-    return 0
+    if args.write:
+        write_fixture(out, trees)
+        return 0
+    problems = check(out, trees)
+    for line in problems:
+        print(line, file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
