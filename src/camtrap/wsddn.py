@@ -7,6 +7,9 @@ from the modified rule: rank regions by their maximum class score, keep the
 top K, average per class.  Training minimizes per-class binary cross-entropy
 against the sum-aggregated scores with full-batch gradient descent; the
 top-K rule is applied at inference only.
+
+Training runs in float32, as WSDDN's does: its step is bound by two GEMMs,
+and sgemm does twice dgemm's work per SIMD lane.  Scoring stays float64.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from .features import RegionFeatures
 from .svm import curve_epochs
 
 EPS = 1e-6
-# rows per block of the head-gradient reduction (see _bce_step)
+# rows per block of the head-gradient reduction (see _bce_step); with it the
+# float32 sgemm steps give the same head bytes at 1, 2 and 3 BLAS threads,
+# checked up to D 160, as the float64 ones did
 GRAD_ROW_BLOCK = 160
 
 
@@ -164,7 +169,10 @@ def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
     to losses (K,) and gradients (K, D, 2C) through the sum-aggregated
     two-stream scores.  With `with_loss` false the loss is not computed and
     None is returned in its place; the gradient bytes are the same.  The
-    gradient is a buffer that the next call overwrites.
+    gradient is a buffer that the next call overwrites.  Every buffer and
+    `l2` take the dtype of x, so the whole step runs in it: float32 when
+    train_heads trains, float64 in the gradient checks
+    (`_bce_loss_and_grad`).
 
     Matrix form: with each fit's x viewed as (N·R, D) rows, one GEMM against
     its [a | b] gives both streams' logits and one GEMM of the rows against
@@ -187,13 +195,12 @@ def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
 
     The step lives in three buffers of 5 units (C·R·K·N values) in all,
     plus four (C, K, N) and two (K, D, 2C) ones, allocated here once and
-    overwritten by every step.  `rows`, the
-    (K, N·R, 2C) GEMM output, holds the logits until they are transposed
-    into the class-major `uv`, then, as two (C, R, K, N) halves, the
-    product scratch `s` and `dp`.  Each stream's softmax in `uv` is
-    overwritten by its gradient (du = p·dp, dv = q·dq), and one transposing
-    copy writes [du | dv] back into `rows` for the gradient GEMM; `dq` has
-    an array of its own.  Allocated afresh, arrays this size went back to
+    overwritten by every step.  `rows`, the (K, N·R, 2C) GEMM output, holds
+    the logits until they are transposed into the class-major `uv`, then,
+    as two (C, R, K, N) halves, the product scratch `s` and `dp`.  Each
+    stream's softmax in `uv` is overwritten by its gradient (du = p·dp,
+    dv = q·dq), and one transposing copy writes [du | dv] back into `rows`
+    for the gradient GEMM; `dq` has an array of its own.  Allocated afresh, arrays this size went back to
     the OS between steps (glibc), and the page faults cost as much as
     lockstep saved on the default corpus.  The (C, K, N) buffers hold the
     summed scores `ysum`, their clamp `y`, y·(1−y) and the loss derivative
@@ -206,13 +213,14 @@ def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
     t = targets.transpose(2, 0, 1)
     x_blocks = [(x3[:, i : i + GRAD_ROW_BLOCK].transpose(0, 2, 1), slice(i, i + GRAD_ROW_BLOCK))
                 for i in range(0, n * r, GRAD_ROW_BLOCK)]
-    rows = np.empty((k, n * r, 2 * c))
+    l2 = x.dtype.type(l2)
+    rows = np.empty((k, n * r, 2 * c), x.dtype)
     s, dp = rows.reshape(2, c, r, k, n)  # free once the logits are in uv
-    uv = np.empty((2 * c, r, k, n))
+    uv = np.empty((2 * c, r, k, n), x.dtype)
     p, q = uv[:c], uv[c:]  # each stream's softmax, then its gradient
-    dq = np.empty((c, r, k, n))
-    ysum, y, y1y, g_y = np.empty((4, c, k, n))
-    g, gw = np.empty((2, k, d, 2 * c))
+    dq = np.empty((c, r, k, n), x.dtype)
+    ysum, y, y1y, g_y = np.empty((4, c, k, n), x.dtype)
+    g, gw = np.empty((2, k, d, 2 * c), x.dtype)
 
     def loss_and_grad(w: np.ndarray, with_loss: bool = True):
         np.matmul(x3, w, out=rows)
@@ -295,6 +303,11 @@ def train_heads(fits, epochs: int, learning_rate: float, l2: float) -> List[TwoS
     stacked features.  Each fit keeps its own seed and class names.  The
     loss is computed only at the curve epochs (`svm.curve_epochs`), the
     last one after the last step.
+
+    Training runs in float32: features and targets are cast while they are
+    stacked, the float64 Glorot draws are rounded, and every step and update
+    is float32.  Each head holds its float32 weights as float64 and its
+    curve as Python floats, so scoring and head files stay float64.
     """
     check_train_values(epochs, learning_rate, l2)
     checked = [_checked_fit(ds, names) for ds, names, _ in fits]
@@ -304,9 +317,10 @@ def train_heads(fits, epochs: int, learning_rate: float, l2: float) -> List[TwoS
     logged = set(curve_epochs(epochs))
     heads = [None] * len(fits)
     for (n, r, d, c), members in groups.items():
-        x = np.stack([rf.matrix for j in members for rf, _ in fits[j][0]]).reshape(len(members), n, r, d)
-        targets = np.stack([checked[j][1] for j in members])
-        w = np.empty((len(members), d, 2 * c))
+        x = np.stack([rf.matrix for j in members for rf, _ in fits[j][0]], dtype=np.float32)
+        x = x.reshape(len(members), n, r, d)
+        targets = np.stack([checked[j][1] for j in members], dtype=np.float32)
+        w = np.empty((len(members), d, 2 * c), np.float32)
         bound = np.sqrt(6.0 / (d + c))
         for wk, j in zip(w, members):
             rng = np.random.default_rng(np.uint64(fits[j][2]))
@@ -319,12 +333,12 @@ def train_heads(fits, epochs: int, learning_rate: float, l2: float) -> List[TwoS
             loss, g = loss_and_grad(w, epoch in logged)
             if loss is not None:
                 history.append(loss)
-            g *= learning_rate
+            g *= np.float32(learning_rate)
             w -= g
         history.append(loss_and_grad(w)[0])
         for j, wk, lk in zip(members, w, np.stack(history, axis=1)):
-            heads[j] = TwoStreamHead(w_rec=wk[:, :c].copy(), w_det=wk[:, c:].copy(), class_names=fits[j][1],
-                                     loss_by_epoch=list(lk))
+            heads[j] = TwoStreamHead(w_rec=wk[:, :c].astype(np.float64), w_det=wk[:, c:].astype(np.float64),
+                                     class_names=fits[j][1], loss_by_epoch=lk.tolist())
     return heads
 
 

@@ -386,7 +386,7 @@ class TestTraining:
     def class_last_reference(x, targets, a, b, l2):
         """The class-last (N, R, 2C) step that the class-major form replaced:
         every class max and sum runs over the innermost axis, the sums in
-        order."""
+        order, in the inputs' dtype."""
         n, r, d = x.shape
         c = a.shape[1]
         x2 = x.reshape(n * r, d)
@@ -397,7 +397,7 @@ class TestTraining:
         ysum = s.sum(axis=1)
         y = np.clip(ysum, wsddn.EPS, 1.0 - wsddn.EPS)
         loss = -class_sum(targets * np.log(y) + (1.0 - targets) * np.log(1.0 - y)).mean()
-        loss += 0.5 * l2 * (float((a * a).sum()) + float((b * b).sum()))
+        loss += 0.5 * l2 * ((a * a).sum() + (b * b).sum())
         g_y = (y - targets) / (y * (1.0 - y))
         g_y = np.where((ysum < wsddn.EPS) | (ysum > 1.0 - wsddn.EPS), 0.0, g_y)
         ds = g_y[:, None, :]
@@ -406,7 +406,7 @@ class TestTraining:
         du = p * (dp - class_sum(dp * p)[..., None])
         dv = q * (dq - (dq * q).sum(axis=1, keepdims=True))
         duv = np.concatenate([du, dv], axis=2).reshape(n * r, 2 * c)
-        g = np.zeros((d, 2 * c))
+        g = np.zeros((d, 2 * c), x.dtype)
         for i in range(0, n * r, wsddn.GRAD_ROW_BLOCK):
             g += x2[i : i + wsddn.GRAD_ROW_BLOCK].T @ duv[i : i + wsddn.GRAD_ROW_BLOCK]
         return loss, g[:, :c] / n + l2 * a, g[:, c:] / n + l2 * b
@@ -448,12 +448,13 @@ class TestTraining:
     @classmethod
     def every_epoch_reference(cls, x, targets, cfg):
         """Weights after `cfg.epochs` class-last steps from train_head's seeded
-        init, and the loss before every step plus the final loss."""
+        init, and the loss before every step plus the final loss, all in the
+        inputs' dtype (the init's float64 draws rounded to it)."""
         d, c = x.shape[2], targets.shape[1]
         bound = np.sqrt(6.0 / (d + c))
         rng = np.random.default_rng(np.uint64(cfg.seed))
-        a = rng.uniform(-bound, bound, size=(d, c))
-        b = rng.uniform(-bound, bound, size=(d, c))
+        a = rng.uniform(-bound, bound, size=(d, c)).astype(x.dtype)
+        b = rng.uniform(-bound, bound, size=(d, c)).astype(x.dtype)
         history = []
         for _ in range(cfg.epochs):
             loss, ga, gb = cls.class_last_reference(x, targets, a, b, cfg.l2)
@@ -467,13 +468,14 @@ class TestTraining:
     def test_train_head_matches_class_last_loop(self, n, r, d, c):
         """60 steps at learning rate 8: one changed ulp grows to O(1) in the
         weights by then, so equal hashes mean every step was bit-equal.  The
-        loss is recorded at the curve epochs only."""
+        loss is recorded at the curve epochs only.  The reference runs in
+        float32 on the rows and targets cast as train_heads casts them."""
         x, targets, _, _ = self.pipeline_like(n, r, d, c, 1.0, n + c)
         names = tuple(f"c{j}" for j in range(c))
         ds = [(make_rf(m), t) for m, t in zip(x, targets)]
         cfg = wsddn.HeadTrainConfig(epochs=60, learning_rate=8.0, seed=5)
         head = wsddn.train_head(ds, names, cfg)
-        a, b, history = self.every_epoch_reference(x, targets, cfg)
+        a, b, history = self.every_epoch_reference(x.astype(np.float32), targets.astype(np.float32), cfg)
 
         def digest(w_rec, w_det, losses):
             h = hashlib.sha256()
@@ -482,15 +484,16 @@ class TestTraining:
             return h.hexdigest()
 
         assert digest(head.w_rec, head.w_det, head.loss_by_epoch) == digest(
-            a, b, [history[e] for e in svm.curve_epochs(cfg.epochs)])
+            a.astype(np.float64), b.astype(np.float64), [float(history[e]) for e in svm.curve_epochs(cfg.epochs)])
 
     @pytest.mark.parametrize("k, epochs", [(1, 1), (1, 16), (3, 37)])
     def test_curve_is_every_epoch_loss_at_curve_epochs(self, k, epochs):
         # train_head (k 1) and lockstep train_heads (k 3): each head's curve
-        # is, byte for byte, the every-epoch loss at the curve epochs, and
-        # its last value is the loss at the returned weights
+        # is, byte for byte, the every-epoch float32 loss at the curve
+        # epochs, and its last value is the loss at the returned weights
         n, r, d, c = 12, 3, 8, 3
         x, targets, _, _ = self.pipeline_like(k * n, r, d, c, 1.0, epochs)
+        x32, t32 = x.astype(np.float32), targets.astype(np.float32)
         names = tuple(f"c{j}" for j in range(c))
         fits = [([(make_rf(m), t) for m, t in zip(x[j * n:(j + 1) * n], targets[j * n:(j + 1) * n])], names, j)
                 for j in range(k)]
@@ -498,12 +501,14 @@ class TestTraining:
         heads = (wsddn.train_heads(fits, epochs, 4.0, cfgs[0].l2) if k > 1
                  else [wsddn.train_head(*fits[0][:2], cfgs[0])])
         for j, (head, cfg) in enumerate(zip(heads, cfgs)):
-            xj, tj = x[j * n:(j + 1) * n], targets[j * n:(j + 1) * n]
+            xj, tj = x32[j * n:(j + 1) * n], t32[j * n:(j + 1) * n]
             a, b, history = self.every_epoch_reference(xj, tj, cfg)
-            assert head.w_rec.tobytes() == a.tobytes() and head.w_det.tobytes() == b.tobytes()
+            assert head.w_rec.tobytes() == a.astype(np.float64).tobytes()
+            assert head.w_det.tobytes() == b.astype(np.float64).tobytes()
             want = [history[e] for e in svm.curve_epochs(epochs)]
-            assert np.array(head.loss_by_epoch).tobytes() == np.array(want).tobytes()
-            final = wsddn._bce_loss_and_grad(xj, tj, head.w_rec, head.w_det, cfg.l2)[0]
+            assert np.array(head.loss_by_epoch).tobytes() == np.array(want, dtype=np.float64).tobytes()
+            final = wsddn._bce_loss_and_grad(xj, tj, head.w_rec.astype(np.float32), head.w_det.astype(np.float32),
+                                             cfg.l2)[0]
             assert np.float64(head.loss_by_epoch[-1]).tobytes() == np.float64(final).tobytes()
 
     @pytest.mark.parametrize("k, n, r, d, c", [(1, 84, 1, 80, 3), (2, 17, 10, 16, 9), (3, 20, 10, 40, 24)])
@@ -606,31 +611,69 @@ class TestTraining:
         assert groups == [(2, 7), (2, 6)]
         assert wsddn.train_heads([], *self.SCHEDULE) == []
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_training_runs_in_float32(self, k, monkeypatch):
+        # one float64 operand would run the whole step in float64 again
+        # (NEP 50): train_heads steps on float32 x, targets and w and gets
+        # float32 losses and gradients back; it returns float64 weights that
+        # hold float32 values and a curve of Python floats
+        x, targets, a, b = self.pipeline_like(6, 3, 4, 3, 1.0, k)
+        loss, ga, gb = wsddn._bce_loss_and_grad(x, targets, a, b, 1e-4)
+        assert loss.dtype == ga.dtype == gb.dtype == np.float64  # the gradient checks' form
+
+        bce_step, seen = wsddn._bce_step, set()
+
+        def recording_step(x, targets, l2):
+            loss_and_grad = bce_step(x, targets, l2)
+
+            def step(w, with_loss=True):
+                loss, g = loss_and_grad(w, with_loss)
+                seen.add((x.shape[0], x.dtype, targets.dtype, w.dtype, g.dtype, None if loss is None else loss.dtype))
+                return loss, g
+            return step
+
+        monkeypatch.setattr(wsddn, "_bce_step", recording_step)
+        heads = wsddn.train_heads(self.lockstep_fits(k, 6, 3, 3, 4, k), *self.SCHEDULE)
+        f32 = np.dtype(np.float32)
+        assert seen == {(k, f32, f32, f32, f32, None), (k, f32, f32, f32, f32, f32)}
+        for head in heads:
+            for w in (head.w_rec, head.w_det):
+                assert w.dtype == np.float64
+                assert w.tobytes() == w.astype(np.float32).astype(np.float64).tobytes()
+            assert all(type(v) is float for v in head.loss_by_epoch)
+
     def test_step_holds_five_units(self):
         """Building a lockstep step and running it once peaks below 5 units
-        of C·R·K·N float64 values (its three buffers), plus 10 (C, K, N)
+        of C·R·K·N values (its three buffers), plus 10 (C, K, N)
         temporaries of the loss and its derivative and two arrays the size
-        of g.  A step on six buffers (9 units) fails this."""
+        of g, in the dtype of x: 4-byte units as train_heads steps in
+        float32, 8-byte ones as the gradient checks step in float64.  A step
+        on six buffers (9 units) fails this."""
         k, n, r, d, c = 2, 100, 10, 16, 24
         x, targets, _, _ = self.pipeline_like(k * n, r, d, c, 1.0, k)
-        x, targets = x.reshape(k, n, r, d), targets.reshape(k, n, c)
         w = np.random.default_rng(k).uniform(-0.5, 0.5, size=(k, d, 2 * c))
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        wsddn._bce_step(x, targets, 1e-4)(w)
-        peak = tracemalloc.get_traced_memory()[1] - base
-        if not tracing:
-            tracemalloc.stop()
-        unit = c * r * k * n * 8
-        assert peak < 5 * unit + 10 * c * k * n * 8 + 2 * k * d * 2 * c * 8, peak / unit
+        for dtype in (np.float64, np.float32):
+            args = x.reshape(k, n, r, d).astype(dtype), targets.reshape(k, n, c).astype(dtype), 1e-4
+            wd = w.astype(dtype)
+            tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            wsddn._bce_step(*args)(wd)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            if not tracing:
+                tracemalloc.stop()
+            size = np.dtype(dtype).itemsize
+            unit = c * r * k * n * size
+            assert peak < 5 * unit + 10 * c * k * n * size + 2 * k * d * 2 * c * size, (dtype, peak / unit)
 
     def test_blas_thread_count_leaves_head_bytes(self):
         # 2000 rows x 80 dims against 48 gradient columns: one unblocked
         # reduction of this shape rounds differently at 1 and 2 OpenBLAS
         # threads.  The R = 1, C = 3 and R = 10, C = 4 heads are the species
-        # protocol's image-level and region heads, in the class-major layout.
+        # protocol's image-level and region heads, in the class-major layout;
+        # (504, 10, 160, 24) is the 24-individual head on (3, 16, 32)
+        # features, whose float32 GEMMs no digest tree runs at D 160.
         script = textwrap.dedent("""
             import hashlib
             import numpy as np
@@ -638,10 +681,10 @@ class TestTraining:
             from camtrap.features import Region, RegionFeatures
             rng = np.random.default_rng(7)
             h = hashlib.sha256()
-            for n, r, c in ((200, 10, 24), (84, 1, 3), (112, 10, 4)):
+            for n, r, d, c in ((200, 10, 80, 24), (84, 1, 80, 3), (112, 10, 80, 4), (504, 10, 160, 24)):
                 names = tuple(f"c{j}" for j in range(c))
                 regions = tuple(Region(0, i, 1, i + 1) for i in range(r))
-                ds = [(RegionFeatures(regions, rng.normal(size=(r, 80))), wsddn.one_hot(names[i % c], names))
+                ds = [(RegionFeatures(regions, rng.normal(size=(r, d))), wsddn.one_hot(names[i % c], names))
                       for i in range(n)]
                 head = wsddn.train_head(ds, names, wsddn.HeadTrainConfig(epochs=3, learning_rate=2.0, seed=1))
                 for arr in (head.w_rec, head.w_det, np.array(head.loss_by_epoch)):
@@ -675,6 +718,22 @@ class TestHelpers:
             assert np.array_equal(loaded.w_det, head.w_det)
             assert loaded.class_names == head.class_names
             assert path.read_text().splitlines()[1] == line
+
+    def test_trained_head_file_round_trip(self, tmp_path):
+        # train -> save_head -> load_head, the CLI's path: the float64 repr
+        # of each float32-trained weight reads back to the same bits, and the
+        # loaded head ranks every image as the trained one does
+        fit = TestTraining.lockstep_fits(1, 12, 10, 4, 16, 3)[0]
+        head = TestTraining.alone(fit, (20, 8.0, 1e-4))
+        path = tmp_path / "h.head"
+        wsddn.save_head(head, path)
+        loaded = wsddn.load_head(path)
+        assert loaded.w_rec.dtype == loaded.w_det.dtype == np.float64
+        assert loaded.w_rec.tobytes() == head.w_rec.tobytes()
+        assert loaded.w_det.tobytes() == head.w_det.tobytes()
+        for rf, _ in fit[0]:
+            for k in (None, 3):
+                assert wsddn.rank_classes(rf, loaded, k) == wsddn.rank_classes(rf, head, k)
 
     def test_bad_magic(self, tmp_path):
         # every malformed file is a ValueError naming the file
