@@ -410,8 +410,10 @@ def build_parser() -> _Parser:
         p.add_argument("--images", default=None)
         p.add_argument("--out", required=True, help="head output path")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--epochs", type=int, default=ex.ExperimentConfig.head_epochs)
-        p.add_argument("--lr", type=float, default=ex.ExperimentConfig.head_lr)
+        p.add_argument("--epochs", type=int, default=ex.ExperimentConfig.head_epochs,
+                       help="cap: at most this many + 1 loss-and-gradient evaluations (L-BFGS stops at convergence)")
+        p.add_argument("--lr", type=float, default=ex.ExperimentConfig.head_lr,
+                       help="length of the first step along the negative gradient")
         p.add_argument("--l2", type=float, default=ex.ExperimentConfig.head_l2)
         if name == "train-individual":
             p.add_argument("--species", default=None, help="comma list, e.g. tiger,leopard")

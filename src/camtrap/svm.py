@@ -29,8 +29,9 @@ def check_train_values(epochs: int, lam: float, names=("epochs", "lam")) -> None
 
 def curve_epochs(epochs: int) -> Tuple[int, ...]:
     """The epochs at which every fit, Pegasos or head, records its training
-    curve, in order: 0, the powers of two below `epochs`, and `epochs`."""
-    return (0, *(1 << i for i in range(epochs.bit_length()) if 1 << i < epochs), epochs)
+    curve, in order: 0, the powers of two below `epochs`, and `epochs`
+    (just 0 when `epochs` is 0, a head fit that accepted no step)."""
+    return (0, *(1 << i for i in range(epochs.bit_length()) if 1 << i < epochs), epochs)[: epochs + 1]
 
 
 @dataclass(frozen=True)

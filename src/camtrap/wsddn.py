@@ -5,8 +5,9 @@ across classes, per region) and a detection factor (softmax across regions,
 per class).  Image-level scores come either from summing region scores or
 from the modified rule: rank regions by their maximum class score, keep the
 top K, average per class.  Training minimizes per-class binary cross-entropy
-against the sum-aggregated scores with full-batch gradient descent; the
-top-K rule is applied at inference only.
+against the sum-aggregated scores, full batch, by L-BFGS with a
+backtracking Armijo line search that stops at convergence; the top-K rule
+is applied at inference only.
 
 Training runs in float32, as WSDDN's does: its step is bound by two GEMMs,
 and sgemm does twice dgemm's work per SIMD lane.  Scoring stays float64.
@@ -28,13 +29,19 @@ EPS = 1e-6
 # float32 sgemm steps give the same head bytes at 1, 2 and 3 BLAS threads,
 # checked up to D 160, as the float64 ones did
 GRAD_ROW_BLOCK = 160
+# L-BFGS of the head fits (see _lbfgs): the curvature pairs each fit keeps,
+# the relative loss decrease below which it stops, and the Armijo constant
+LBFGS_MEMORY = 10
+LBFGS_TOL = 1e-5
+ARMIJO_C1 = 1e-4
 
 
 @dataclass
 class TwoStreamHead:
     """A two-stream head.  `loss_by_epoch` holds the training loss after e
-    steps for each curve epoch e (`svm.curve_epochs`), so its last value is
-    the loss at the returned weights; a loaded head has none."""
+    accepted iterations for each e in ``svm.curve_epochs(iterations run)``,
+    so its last value is the loss at the returned weights; a loaded head
+    has none."""
 
     w_rec: np.ndarray  # D x C
     w_det: np.ndarray  # D x C
@@ -153,6 +160,10 @@ def check_train_values(epochs: int, learning_rate: float, l2: float, names=("epo
 
 @dataclass(frozen=True)
 class HeadTrainConfig:
+    """A head fit's schedule: at most `epochs` + 1 loss-and-gradient
+    evaluations, a first step of `learning_rate` along −g, L2 weight `l2`,
+    and the seed of its Glorot-uniform init."""
+
     epochs: int = 500
     learning_rate: float = 0.5
     seed: int = 0
@@ -165,13 +176,11 @@ class HeadTrainConfig:
 def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
     """The loss-and-gradient function of K fits of one shape: stacked
     features x (K, N, R, D) and one-hot targets (K, N, C) are fixed, and
-    ``loss_and_grad(w, with_loss=True)`` maps weights w = [a | b] (K, D, 2C)
-    to losses (K,) and gradients (K, D, 2C) through the sum-aggregated
-    two-stream scores.  With `with_loss` false the loss is not computed and
-    None is returned in its place; the gradient bytes are the same.  The
-    gradient is a buffer that the next call overwrites.  Every buffer and
-    `l2` take the dtype of x, so the whole step runs in it: float32 when
-    train_heads trains, float64 in the gradient checks
+    ``loss_and_grad(w)`` maps weights w = [a | b] (K, D, 2C) to losses (K,)
+    and gradients (K, D, 2C) through the sum-aggregated two-stream scores.
+    The gradient is a buffer that the next call overwrites.  Every buffer
+    and `l2` take the dtype of x, so the whole step runs in it: float32
+    when train_heads trains, float64 in the gradient checks
     (`_bce_loss_and_grad`).
 
     Matrix form: with each fit's x viewed as (N·R, D) rows, one GEMM against
@@ -222,7 +231,7 @@ def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
     ysum, y, y1y, g_y = np.empty((4, c, k, n), x.dtype)
     g, gw = np.empty((2, k, d, 2 * c), x.dtype)
 
-    def loss_and_grad(w: np.ndarray, with_loss: bool = True):
+    def loss_and_grad(w: np.ndarray):
         np.matmul(x3, w, out=rows)
         np.copyto(uv, rows.reshape(k, n, r, 2 * c).transpose(3, 2, 0, 1))
         np.subtract(p, p.max(axis=0), out=p)
@@ -233,11 +242,9 @@ def _bce_step(x: np.ndarray, targets: np.ndarray, l2: float):
         np.divide(q, q.sum(axis=1, keepdims=True), out=q)
         np.multiply(p, q, out=s).sum(axis=1, out=ysum)
         np.clip(ysum, EPS, 1.0 - EPS, out=y)
-        loss = None
-        if with_loss:
-            loss = -((t * np.log(y) + (1.0 - t) * np.log(1.0 - y)).sum(axis=0).sum(axis=1) / n)  # .mean()'s sums and division
-            wa, wb = w[:, :, :c], w[:, :, c:]
-            loss += 0.5 * l2 * ((wa * wa).reshape(k, -1).sum(axis=1) + (wb * wb).reshape(k, -1).sum(axis=1))
+        loss = -((t * np.log(y) + (1.0 - t) * np.log(1.0 - y)).sum(axis=0).sum(axis=1) / n)  # .mean()'s sums and division
+        wa, wb = w[:, :, :c], w[:, :, c:]
+        loss += 0.5 * l2 * ((wa * wa).reshape(k, -1).sum(axis=1) + (wb * wb).reshape(k, -1).sum(axis=1))
 
         np.multiply(y, np.subtract(1.0, y, out=y1y), out=y1y)
         np.divide(np.subtract(y, t, out=g_y), y1y, out=g_y)
@@ -292,6 +299,101 @@ def _checked_fit(dataset, class_names) -> Tuple[Tuple[int, ...], np.ndarray]:
     return (len(dataset), counts.pop(), dims.pop(), c), targets
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each fit's dot product of two (K, P) arrays, as a (K, 1) column: a
+    numpy sum over its own row, never a BLAS dot, so its bytes depend
+    neither on K nor on the BLAS thread count."""
+    return np.add.reduce(a * b, axis=1, keepdims=True)
+
+
+def _where(mask: np.ndarray):
+    """A (K, 1) fit mask as a ufunc's `where`: True when it selects every
+    fit, since numpy's masked loops cost about four times its plain ones."""
+    return True if mask.all() else mask
+
+
+def _lbfgs(loss_and_grad, w: np.ndarray, max_evals: int, learning_rate: float) -> List[List[float]]:
+    """Minimize K fits' losses by L-BFGS in lockstep, from their weights w
+    (K, D, 2C), which are updated in place; return each fit's loss after
+    every accepted iteration, its initial loss first.
+
+    Each fit keeps its own last LBFGS_MEMORY curvature pairs (s, y), step,
+    evaluation count and stop.  Its direction is the two-loop recursion
+    over its pairs, newest first, scaled by s·y / y·y of its newest pair,
+    or by `learning_rate` before it has one: the first iteration steps
+    `learning_rate` along −g.  Its line search tries step 1 and halves it
+    until the Armijo condition f(w + t·d) <= f + ARMIJO_C1·t·g·d holds.  A
+    pair is kept only when s·y > 0.  A fit stops when an accepted
+    iteration lowers its loss by less than LBFGS_TOL of the loss before it,
+    when its next trial's predicted decrease −t·g·d is that small, or when
+    it has made `max_evals` evaluations.  One `loss_and_grad` call
+    evaluates every fit; a stopped fit's weights stay frozen and its
+    evaluations are not counted.  All arithmetic is in w's dtype and per
+    fit: elementwise, or a sum over the fit's own row (`_row_dot`).  Each
+    fit's scalars are a (K, 1) column and its masks select its rows.
+    """
+    k, shape = w.shape[0], w.shape
+    dt = w.dtype.type
+    w = w.reshape(k, -1)
+    f, g = loss_and_grad(w.reshape(shape))
+    f, g = f[:, None], g.reshape(k, -1).copy()
+    s_hist, y_hist = np.zeros((2, LBFGS_MEMORY) + w.shape, dt)  # newest pair first
+    rho = np.zeros((LBFGS_MEMORY, k, 1), dt)
+    pairs = np.zeros((k, 1), int)
+    gamma = np.full((k, 1), learning_rate, dt)
+
+    def direction():
+        full = pairs.min()
+        valid = [True if i < full else i < pairs for i in range(pairs.max())]
+        q, alphas = g.copy(), []
+        for i in range(pairs.max()):
+            alphas.append(rho[i] * _row_dot(s_hist[i], q))
+            np.subtract(q, alphas[i] * y_hist[i], out=q, where=valid[i])
+        r = gamma * q
+        for i in reversed(range(pairs.max())):
+            np.add(r, s_hist[i] * (alphas[i] - rho[i] * _row_dot(y_hist[i], r)), out=r, where=valid[i])
+        return np.negative(r, out=r)
+
+    d = direction()
+    gd = _row_dot(g, d)
+    t = np.ones((k, 1), dt)
+    evals = np.ones((k, 1), int)
+    running = np.ones((k, 1), bool)
+    losses = [[v] for v in f[:, 0].tolist()]
+    while True:
+        running &= (evals < max_evals) & (-t * gd >= LBFGS_TOL * f)
+        if not running.any():
+            return losses
+        trial = w + t * d
+        f_t, g_t = loss_and_grad(trial.reshape(shape))
+        f_t, g_t = f_t[:, None], g_t.reshape(k, -1)
+        evals += running
+        accepted = running & (f_t <= f + ARMIJO_C1 * t * gd)
+        np.multiply(t, 0.5, out=t, where=running & ~accepted)
+        if not accepted.any():
+            continue
+        s, y = trial - w, g_t - g
+        sy = _row_dot(s, y)
+        keep = accepted & (sy > 0)
+        pairs += keep & (pairs < LBFGS_MEMORY)
+        running &= ~accepted | (f - f_t >= LBFGS_TOL * f)
+        on, keep = _where(accepted), _where(keep)
+        for hist in (s_hist, y_hist, rho):
+            np.copyto(hist[1:], hist[:-1], where=keep)
+        np.copyto(s_hist[0], s, where=keep)
+        np.copyto(y_hist[0], y, where=keep)
+        np.divide(1, sy, out=rho[0], where=keep)
+        np.divide(sy, _row_dot(y, y), out=gamma, where=keep)
+        np.copyto(w, trial, where=on)
+        np.copyto(g, g_t, where=on)
+        np.copyto(f, f_t, where=on)
+        np.copyto(t, 1, where=on)
+        for j in np.flatnonzero(accepted):
+            losses[j].append(float(f[j, 0]))
+        d = direction()  # unchanged for a fit still in its line search
+        gd = _row_dot(g, d)
+
+
 def train_heads(fits, epochs: int, learning_rate: float, l2: float) -> List[TwoStreamHead]:
     """One head per fit `(dataset, class_names, seed)`, in order, each
     byte-identical to ``train_head(dataset, class_names,
@@ -299,22 +401,25 @@ def train_heads(fits, epochs: int, learning_rate: float, l2: float) -> List[TwoS
 
     The schedule is checked once and every fit before any step.  Then the
     fits of one (N, R, D, C) shape run in lockstep, groups in order of first
-    appearance: step t of a group's K fits is one `_bce_step` call on their
-    stacked features.  Each fit keeps its own seed and class names.  The
-    loss is computed only at the curve epochs (`svm.curve_epochs`), the
-    last one after the last step.
+    appearance: each evaluation of a group's K fits is one `_bce_step` call
+    on their stacked features, and `_lbfgs` fits them from their seeded
+    Glorot-uniform inits.  Each fit keeps its own seed, class names, step
+    and stop, and makes at most `epochs` + 1 evaluations; `learning_rate`
+    is the length of its first step along −g.  Its curve is its loss after
+    e accepted iterations for each e in ``svm.curve_epochs(iterations
+    run)``.
 
     Training runs in float32: features and targets are cast while they are
-    stacked, the float64 Glorot draws are rounded, and every step and update
-    is float32.  Each head holds its float32 weights as float64 and its
-    curve as Python floats, so scoring and head files stay float64.
+    stacked, the float64 Glorot draws are rounded, and every evaluation,
+    step and L-BFGS update is float32.  Each head holds its float32 weights
+    as float64 and its curve as Python floats, so scoring and head files
+    stay float64.
     """
     check_train_values(epochs, learning_rate, l2)
     checked = [_checked_fit(ds, names) for ds, names, _ in fits]
     groups = {}
     for j, (shape, _) in enumerate(checked):
         groups.setdefault(shape, []).append(j)
-    logged = set(curve_epochs(epochs))
     heads = [None] * len(fits)
     for (n, r, d, c), members in groups.items():
         x = np.stack([rf.matrix for j in members for rf, _ in fits[j][0]], dtype=np.float32)
@@ -326,19 +431,11 @@ def train_heads(fits, epochs: int, learning_rate: float, l2: float) -> List[TwoS
             rng = np.random.default_rng(np.uint64(fits[j][2]))
             wk[:, :c] = rng.uniform(-bound, bound, size=(d, c))
             wk[:, c:] = rng.uniform(-bound, bound, size=(d, c))
-
-        loss_and_grad = _bce_step(x, targets, l2)
-        history = []
-        for epoch in range(epochs):
-            loss, g = loss_and_grad(w, epoch in logged)
-            if loss is not None:
-                history.append(loss)
-            g *= np.float32(learning_rate)
-            w -= g
-        history.append(loss_and_grad(w)[0])
-        for j, wk, lk in zip(members, w, np.stack(history, axis=1)):
+        losses = _lbfgs(_bce_step(x, targets, l2), w, epochs + 1, learning_rate)
+        for j, wk, lk in zip(members, w, losses):
             heads[j] = TwoStreamHead(w_rec=wk[:, :c].astype(np.float64), w_det=wk[:, c:].astype(np.float64),
-                                     class_names=fits[j][1], loss_by_epoch=lk.tolist())
+                                     class_names=fits[j][1],
+                                     loss_by_epoch=[lk[e] for e in curve_epochs(len(lk) - 1)])
     return heads
 
 
@@ -347,7 +444,9 @@ def train_head(
     class_names: Sequence[str],
     cfg: HeadTrainConfig = HeadTrainConfig(),
 ) -> TwoStreamHead:
-    """Full-batch gradient descent with seeded Glorot-uniform init.
+    """Full-batch L-BFGS from a seeded Glorot-uniform init: `train_heads`
+    with one fit, at `cfg`'s seed and schedule (at most `cfg.epochs` + 1
+    loss-and-gradient evaluations, a first step of `cfg.learning_rate`).
 
     `dataset` pairs RegionFeatures with one-hot image labels over
     `class_names`.  All images must share a region count.

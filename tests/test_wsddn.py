@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from camtrap import svm, wsddn
+from camtrap import experiments as ex, svm, synth, wsddn
 from camtrap.features import Region, RegionFeatures
 
 
@@ -251,6 +251,20 @@ class TestDetectRegion:
             wsddn.detect_region(s, 2)
 
 
+class FixedDraws:
+    """st.data() for an @example, which hypothesis cannot draw from: a draw
+    returns the value given for its label, or else the values of the
+    permutation strategy it is given in their given order."""
+
+    def __init__(self, **values):
+        self.values = values
+
+    def draw(self, strategy, label):
+        if label in self.values:
+            return self.values[label]
+        return list(strategy.wrapped_strategy.values)
+
+
 class TestTraining:
     def make_dataset(self, rng, n=2, r=3, c=2, d=4):
         ds = []
@@ -297,7 +311,8 @@ class TestTraining:
             ds.append((make_rf(m), t))
         head = wsddn.train_head(ds, ("a", "b"), wsddn.HeadTrainConfig(epochs=200, learning_rate=1.0, seed=0))
         assert head.loss_by_epoch[-1] < head.loss_by_epoch[0]
-        assert len(head.loss_by_epoch) == len(svm.curve_epochs(200)) == 10
+        # it stops at convergence, well before its cap of 201 evaluations
+        assert 2 <= len(head.loss_by_epoch) < len(svm.curve_epochs(200)) == 10
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
@@ -446,36 +461,74 @@ class TestTraining:
         assert ga.tobytes() == ref_ga.tobytes() and gb.tobytes() == ref_gb.tobytes()
 
     @classmethod
-    def every_epoch_reference(cls, x, targets, cfg):
-        """Weights after `cfg.epochs` class-last steps from train_head's seeded
-        init, and the loss before every step plus the final loss, all in the
-        inputs' dtype (the init's float64 draws rounded to it)."""
+    def lbfgs_reference(cls, x, targets, cfg):
+        """Weights [a | b] and every accepted iteration's loss, the initial
+        loss first, of one fit by train_heads' rule, written per fit and
+        plain: class-last evaluations from train_head's seeded init, the
+        weights as one flat vector, curvature pairs in a list (newest
+        first), all in the inputs' dtype (the init's float64 draws rounded
+        to it)."""
         d, c = x.shape[2], targets.shape[1]
+        dt = x.dtype.type
         bound = np.sqrt(6.0 / (d + c))
         rng = np.random.default_rng(np.uint64(cfg.seed))
-        a = rng.uniform(-bound, bound, size=(d, c)).astype(x.dtype)
-        b = rng.uniform(-bound, bound, size=(d, c)).astype(x.dtype)
-        history = []
-        for _ in range(cfg.epochs):
-            loss, ga, gb = cls.class_last_reference(x, targets, a, b, cfg.l2)
-            history.append(loss)
-            a = a - cfg.learning_rate * ga
-            b = b - cfg.learning_rate * gb
-        history.append(cls.class_last_reference(x, targets, a, b, cfg.l2)[0])
-        return a, b, history
+        w = np.concatenate([rng.uniform(-bound, bound, size=(d, c)) for _ in "ab"], axis=1).astype(x.dtype).ravel()
+
+        def evaluate(w):
+            loss, ga, gb = cls.class_last_reference(x, targets, *np.split(w.reshape(d, 2 * c), 2, axis=1), cfg.l2)
+            return loss, np.concatenate([ga, gb], axis=1).ravel()
+
+        def dot(u, v):
+            return (u * v).sum()
+
+        def direction(g, pairs, gamma):
+            q, alphas = g, []
+            for s, y, rho in pairs:
+                alphas.append(rho * dot(s, q))
+                q = q - alphas[-1] * y
+            r = gamma * q
+            for (s, y, rho), alpha in zip(pairs[::-1], alphas[::-1]):
+                r = r + s * (alpha - rho * dot(y, r))
+            return -r
+
+        loss, g = evaluate(w)
+        losses, pairs, gamma, evals = [loss], [], dt(cfg.learning_rate), 1
+        step, t = direction(g, pairs, gamma), dt(1)
+        while evals < cfg.epochs + 1 and -t * dot(g, step) >= wsddn.LBFGS_TOL * loss:
+            trial = w + t * step
+            trial_loss, trial_g = evaluate(trial)
+            evals += 1
+            if not trial_loss <= loss + wsddn.ARMIJO_C1 * t * dot(g, step):
+                t *= dt(0.5)
+                continue
+            s, y = trial - w, trial_g - g
+            if dot(s, y) > 0:
+                pairs = [(s, y, 1 / dot(s, y))] + pairs[:wsddn.LBFGS_MEMORY - 1]
+                gamma = dot(s, y) / dot(y, y)
+            converged = loss - trial_loss < wsddn.LBFGS_TOL * loss
+            w, loss, g = trial, trial_loss, trial_g
+            losses.append(loss)
+            if converged:
+                break
+            step, t = direction(g, pairs, gamma), dt(1)
+        a, b = np.split(w.reshape(d, 2 * c), 2, axis=1)
+        return a, b, losses
 
     @pytest.mark.parametrize("n, r, d, c", [(112, 10, 80, 4), (84, 1, 80, 3), (40, 10, 32, 24), (17, 10, 16, 9)])
     def test_train_head_matches_class_last_loop(self, n, r, d, c):
-        """60 steps at learning rate 8: one changed ulp grows to O(1) in the
-        weights by then, so equal hashes mean every step was bit-equal.  The
-        loss is recorded at the curve epochs only.  The reference runs in
-        float32 on the rows and targets cast as train_heads casts them."""
+        """At most 61 evaluations from a first step of 8: one changed ulp
+        in an evaluation or a curvature product moves the line search and
+        every later iterate, so equal hashes mean every step was bit-equal.
+        The loss is recorded at the curve epochs of the iterations run.
+        The reference runs in float32 on the rows and targets cast as
+        train_heads casts them."""
         x, targets, _, _ = self.pipeline_like(n, r, d, c, 1.0, n + c)
         names = tuple(f"c{j}" for j in range(c))
         ds = [(make_rf(m), t) for m, t in zip(x, targets)]
         cfg = wsddn.HeadTrainConfig(epochs=60, learning_rate=8.0, seed=5)
         head = wsddn.train_head(ds, names, cfg)
-        a, b, history = self.every_epoch_reference(x.astype(np.float32), targets.astype(np.float32), cfg)
+        a, b, history = self.lbfgs_reference(x.astype(np.float32), targets.astype(np.float32), cfg)
+        assert len(history) > 5
 
         def digest(w_rec, w_det, losses):
             h = hashlib.sha256()
@@ -484,13 +537,16 @@ class TestTraining:
             return h.hexdigest()
 
         assert digest(head.w_rec, head.w_det, head.loss_by_epoch) == digest(
-            a.astype(np.float64), b.astype(np.float64), [float(history[e]) for e in svm.curve_epochs(cfg.epochs)])
+            a.astype(np.float64), b.astype(np.float64),
+            [float(history[e]) for e in svm.curve_epochs(len(history) - 1)])
 
-    @pytest.mark.parametrize("k, epochs", [(1, 1), (1, 16), (3, 37)])
+    # (3, 56): one fit's s·y is not positive once, so it keeps no pair then
+    @pytest.mark.parametrize("k, epochs", [(1, 1), (1, 16), (3, 37), (3, 56)])
     def test_curve_is_every_epoch_loss_at_curve_epochs(self, k, epochs):
         # train_head (k 1) and lockstep train_heads (k 3): each head's curve
-        # is, byte for byte, the every-epoch float32 loss at the curve
-        # epochs, and its last value is the loss at the returned weights
+        # is, byte for byte, the reference's float32 loss after every
+        # accepted iteration at the curve epochs of the iterations run, and
+        # its last value is the loss at the returned weights
         n, r, d, c = 12, 3, 8, 3
         x, targets, _, _ = self.pipeline_like(k * n, r, d, c, 1.0, epochs)
         x32, t32 = x.astype(np.float32), targets.astype(np.float32)
@@ -502,26 +558,14 @@ class TestTraining:
                  else [wsddn.train_head(*fits[0][:2], cfgs[0])])
         for j, (head, cfg) in enumerate(zip(heads, cfgs)):
             xj, tj = x32[j * n:(j + 1) * n], t32[j * n:(j + 1) * n]
-            a, b, history = self.every_epoch_reference(xj, tj, cfg)
+            a, b, history = self.lbfgs_reference(xj, tj, cfg)
             assert head.w_rec.tobytes() == a.astype(np.float64).tobytes()
             assert head.w_det.tobytes() == b.astype(np.float64).tobytes()
-            want = [history[e] for e in svm.curve_epochs(epochs)]
+            want = [history[e] for e in svm.curve_epochs(len(history) - 1)]
             assert np.array(head.loss_by_epoch).tobytes() == np.array(want, dtype=np.float64).tobytes()
             final = wsddn._bce_loss_and_grad(xj, tj, head.w_rec.astype(np.float32), head.w_det.astype(np.float32),
                                              cfg.l2)[0]
             assert np.float64(head.loss_by_epoch[-1]).tobytes() == np.float64(final).tobytes()
-
-    @pytest.mark.parametrize("k, n, r, d, c", [(1, 84, 1, 80, 3), (2, 17, 10, 16, 9), (3, 20, 10, 40, 24)])
-    def test_gradient_without_loss_keeps_bytes(self, k, n, r, d, c):
-        x, targets, _, _ = self.pipeline_like(k * n, r, d, c, 1.0, c)
-        x, targets = x.reshape(k, n, r, d), targets.reshape(k, n, c)
-        w = np.random.default_rng(k).uniform(-0.5, 0.5, size=(k, d, 2 * c))
-        step = wsddn._bce_step(x, targets, 1e-4)
-        loss, g = step(w, True)
-        g = g.copy()  # the step's buffer, overwritten by the next call
-        none, g_only = step(w, False)
-        assert loss.shape == (k,) and none is None
-        assert g_only.tobytes() == g.tobytes()
 
     SCHEDULE = (6, 8.0, 1e-4)  # lockstep_fits' (epochs, learning rate, l2)
 
@@ -556,6 +600,8 @@ class TestTraining:
     @given(data=st.data(), k=st.integers(1, 5), r=st.sampled_from([1, 3, 10]), c=st.sampled_from([2, 3, 8, 9]),
            d=st.integers(1, 24), seed=st.integers(0, 2**16),
            schedule=st.sampled_from([SCHEDULE, (4, 1.0, 0.0)]))
+    # one group's three fits stop at 81 evaluations (the cap), 42 and 72
+    @example(data=FixedDraws(n=52), k=3, r=3, c=2, d=12, seed=2, schedule=(80, 8.0, 1e-4))
     def test_train_heads_matches_train_head_bytes(self, data, k, r, c, d, seed, schedule):
         # mixed fits: k of one shape, interleaved with fits of another image
         # count, which train_heads groups itself
@@ -626,16 +672,16 @@ class TestTraining:
         def recording_step(x, targets, l2):
             loss_and_grad = bce_step(x, targets, l2)
 
-            def step(w, with_loss=True):
-                loss, g = loss_and_grad(w, with_loss)
-                seen.add((x.shape[0], x.dtype, targets.dtype, w.dtype, g.dtype, None if loss is None else loss.dtype))
+            def step(w):
+                loss, g = loss_and_grad(w)
+                seen.add((x.shape[0], x.dtype, targets.dtype, w.dtype, g.dtype, loss.dtype))
                 return loss, g
             return step
 
         monkeypatch.setattr(wsddn, "_bce_step", recording_step)
         heads = wsddn.train_heads(self.lockstep_fits(k, 6, 3, 3, 4, k), *self.SCHEDULE)
         f32 = np.dtype(np.float32)
-        assert seen == {(k, f32, f32, f32, f32, None), (k, f32, f32, f32, f32, f32)}
+        assert seen == {(k, f32, f32, f32, f32, f32)}
         for head in heads:
             for w in (head.w_rec, head.w_det):
                 assert w.dtype == np.float64
@@ -700,6 +746,97 @@ class TestTraining:
                                  text=True, check=True, timeout=120)
             digests.add(out.stdout.strip())
         assert len(digests) == 1
+
+
+def every_iteration(monkeypatch):
+    """Make each head's curve hold its loss after every accepted iteration."""
+    monkeypatch.setattr(wsddn, "curve_epochs", lambda iterations: tuple(range(iterations + 1)))
+
+
+def counting_step(monkeypatch):
+    """Count the loss-and-gradient evaluations of every `_bce_step` built
+    from now on, one list entry per step."""
+    bce_step, counts = wsddn._bce_step, []
+
+    def step(x, targets, l2):
+        loss_and_grad = bce_step(x, targets, l2)
+        counts.append(0)
+        index = len(counts) - 1
+
+        def evaluate(w):
+            counts[index] += 1
+            return loss_and_grad(w)
+        return evaluate
+
+    monkeypatch.setattr(wsddn, "_bce_step", step)
+    return counts
+
+
+class TestStepRule:
+    """The L-BFGS rule's own checks: it never accepts a rise, never passes
+    its evaluation cap, and records its curve at the curve epochs of the
+    iterations it ran."""
+
+    SCHEDULES = [(40, 8.0, 1e-4), (300, 8.0, 1e-4), (300, 15.0, 1e-4), (60, 0.5, 0.0)]
+
+    def test_no_accepted_iteration_raises_species_head_loss(self, monkeypatch):
+        # the three heads of the seed-7 default species comparison
+        every_iteration(monkeypatch)
+        train_heads, heads = wsddn.train_heads, []
+
+        def recording(*args):
+            heads.extend(train_heads(*args))
+            return heads
+
+        monkeypatch.setattr(ex.wsddn, "train_heads", recording)
+        cfg = ex.ExperimentConfig(protocol="species", synth_config=synth.SynthConfig(seed=7), n_seeds=1, base_seed=7)
+        ex.run_species_comparison(cfg)
+        assert len(heads) == 3
+        for head in heads:
+            curve = head.loss_by_epoch
+            assert len(curve) > 20
+            assert all(b <= a for a, b in zip(curve, curve[1:])), head.class_names
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_no_accepted_iteration_raises_random_fit_loss(self, schedule, monkeypatch):
+        every_iteration(monkeypatch)
+        fits = TestTraining.lockstep_fits(3, 16, 3, 4, 12, 1) + TestTraining.lockstep_fits(2, 40, 1, 3, 20, 2)
+        for head in wsddn.train_heads(fits, *schedule):
+            curve = head.loss_by_epoch
+            assert len(curve) >= 2
+            assert all(b <= a for a, b in zip(curve, curve[1:]))
+
+    @pytest.mark.parametrize("epochs", [1, 2, 7, 40, 300])
+    def test_evaluations_capped_at_epochs_plus_one(self, epochs, monkeypatch):
+        counts = counting_step(monkeypatch)
+        fits = TestTraining.lockstep_fits(3, 16, 3, 4, 12, epochs)
+        for fit in fits:
+            TestTraining.alone(fit, (epochs, 8.0, 1e-4))
+        alone = list(counts)
+        assert len(alone) == 3 and all(2 <= n <= epochs + 1 for n in alone)
+        assert (max(alone) == epochs + 1) == (epochs < 300)  # the cap binds until the fits converge first
+        # in lockstep one call evaluates the group, until its last fit stops
+        counts.clear()
+        wsddn.train_heads(fits, epochs, 8.0, 1e-4)
+        assert counts == [max(alone)]
+
+    # (1, 1e4, 1e-4): the one trial step overshoots, so no iteration is accepted
+    @pytest.mark.parametrize("schedule", SCHEDULES + [(1, 1e4, 1e-4)])
+    def test_curve_is_accepted_losses_at_curve_epochs(self, schedule, monkeypatch):
+        fits = TestTraining.lockstep_fits(3, 16, 3, 4, 12, 3)
+        heads = wsddn.train_heads(fits, *schedule)
+        every_iteration(monkeypatch)
+        full = wsddn.train_heads(fits, *schedule)
+        for head, every, (ds, _, _) in zip(heads, full, fits):
+            assert head.w_rec.tobytes() == every.w_rec.tobytes()
+            curve = every.loss_by_epoch
+            assert len(curve) == 1 if schedule[1] == 1e4 else len(curve) > 2
+            assert head.loss_by_epoch == [curve[e] for e in svm.curve_epochs(len(curve) - 1)]
+            x = np.stack([rf.matrix for rf, _ in ds]).astype(np.float32)
+            targets = np.stack([t for _, t in ds]).astype(np.float32)
+            final = wsddn._bce_loss_and_grad(x, targets, head.w_rec.astype(np.float32),
+                                             head.w_det.astype(np.float32), schedule[2])[0]
+            assert np.float64(head.loss_by_epoch[-1]).tobytes() == np.float64(final).tobytes()
 
 
 class TestHelpers:
